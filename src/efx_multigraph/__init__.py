@@ -22,7 +22,6 @@ from .derived import (
     available,
     available_bundles,
     available_set,
-    derived_state,
     safe_set,
     t_side_of,
     unallocated_incident,
@@ -39,6 +38,7 @@ from .fairness import (
     enviers_of,
     is_efx_feasible,
     strongly_envies,
+    value_matrix,
 )
 from .forge import (
     FamilySpec,

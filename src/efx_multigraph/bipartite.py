@@ -22,16 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cutting import cut
-from .derived import (
-    Bipartition,
-    available,
-    available_bundles,
-    available_set,
-    safe_set,
-    t_side_of,
-    unallocated_incident,
-)
-from .fairness import bundle_value, check_efx, envied_set, enviers_of
+from .derived import AllocationState, Bipartition, t_side_of, unallocated_incident
+from .fairness import bundle_value, check_efx, envied_set
 from .model import (
     Allocation,
     Instance,
@@ -75,10 +67,6 @@ class PipelineTrace:
         }
 
 
-def _freeze(cur: list[set[int]]) -> Allocation:
-    return Allocation(tuple(frozenset(b) for b in cur))
-
-
 def resolve_bipartition(inst: Instance, parts: Bipartition | None) -> Bipartition:
     if parts is None:
         parts = two_coloring(inst)
@@ -99,57 +87,51 @@ def greedy_orientation(inst: Instance, parts: Bipartition | None = None,
     """Stage 1: picking sequence S ascending then T ascending; each agent takes the
     available bundle it values most (ties toward the lowest co-agent).  Agents whose
     best option is worthless take nothing."""
-    parts = resolve_bipartition(inst, parts)
-    cur: list[set[int]] = [set() for _ in range(inst.n)]
-    order = list(parts[0]) + list(parts[1])
-    for agent in order:
-        frozen = _freeze(cur)
+    state = AllocationState(inst, resolve_bipartition(inst, parts))
+    _greedy(state, events)
+    return state.freeze()
+
+
+def _greedy(state: AllocationState, events: list[dict] | None) -> None:
+    inst = state.inst
+    for agent in state.parts[0] + state.parts[1]:
         best_k = -1
         best_bundle: frozenset[int] = frozenset()
         best_val = Fraction(0)
-        for k in range(inst.n):
-            if k == agent:
-                continue
-            bundle = available(inst, frozen, agent, k, parts)
+        for k in state.neighbours[agent]:
+            bundle = state.available(agent, k)
             val = bundle_value(inst, agent, bundle)
             if val > best_val:
                 best_k, best_bundle, best_val = k, bundle, val
         if best_val > 0:
-            cur[agent] = set(best_bundle)
+            state.give(agent, best_bundle)
             if events is not None:
                 events.append({"stage": "greedy", "agent": agent, "from": best_k,
                                "edges": sorted(best_bundle)})
-    return _freeze(cur)
 
 
-def _first_violation(inst: Instance, frozen: Allocation, parts: Bipartition,
-                     envied: set[int]) -> tuple[int, int, frozenset[int]] | None:
-    for i in range(inst.n):
+def _first_violation(state: AllocationState, envied: set[int]) -> tuple[int, int, frozenset[int]] | None:
+    for i in range(state.inst.n):
         if i in envied:
             continue
-        for j in range(inst.n):
-            if j == i:
-                continue
-            a_ij = available(inst, frozen, i, j, parts)
+        for j in state.neighbours[i]:
+            a_ij = state.available(i, j)
             if a_ij:
                 return i, j, a_ij
     return None
 
 
-def _saturate_loop(inst: Instance, cur: list[set[int]], parts: Bipartition,
-                   events: list[dict] | None, stage: str) -> None:
+def _saturate_loop(state: AllocationState, events: list[dict] | None, stage: str) -> None:
     """Drain every non-envied agent's available sets in place (the stage-2 cases)."""
+    inst, parts = state.inst, state.parts
     while True:
-        frozen = _freeze(cur)
-        envied = envied_set(inst, frozen)
-        hit = _first_violation(inst, frozen, parts, envied)
+        envied = state.envied()
+        hit = _first_violation(state, envied)
         if hit is None:
             return
         i, j, a_ij = hit
-        pair_edges = edge_set(inst, i, j)
-        held_j = pair_edges & cur[j]
-        if held_j:
-            cur[i] |= a_ij
+        if any(state.holder.get(e) == j for e in edge_set(inst, i, j)):
+            state.give(i, a_ij)
             case = 1
         else:
             cutter = t_side_of((i, j), parts)
@@ -157,18 +139,23 @@ def _saturate_loop(inst: Instance, cur: list[set[int]], parts: Bipartition,
             if a_ij not in (cfg.c1, cfg.c2):
                 raise StructureError("available bundle does not match the pair's cut")
             if j not in envied:
-                other_bundle = cfg.c2 if a_ij == cfg.c1 else cfg.c1
-                cur[i] |= a_ij
-                cur[j] |= other_bundle
+                state.give(i, a_ij)
+                state.give(j, cfg.c2 if a_ij == cfg.c1 else cfg.c1)
                 case = 2
             else:
                 if cutter != i:
                     raise StructureError("envied agent found on the cutting side")
-                cur[i] |= a_ij
+                state.give(i, a_ij)
                 case = 3
         if events is not None:
             events.append({"stage": stage, "case": case, "i": i, "j": j,
                            "edges": sorted(a_ij)})
+
+
+def _require(flags: PropertyFlags, count: int, stage: str) -> None:
+    """Raise unless the first ``count`` property flags hold on a stage's output."""
+    if not all(flags.as_tuple()[:count]):
+        raise StructureError(f"input allocation does not satisfy the {stage} invariants")
 
 
 def saturate_non_envied(inst: Instance, alloc: Allocation, parts: Bipartition | None = None,
@@ -182,13 +169,10 @@ def saturate_non_envied(inst: Instance, alloc: Allocation, parts: Bipartition | 
       3. E(i,j) untouched, j envied       -> i (necessarily the T side) takes its
                                              preferred bundle only.
     """
-    parts = resolve_bipartition(inst, parts)
-    entry_flags = check_properties(inst, alloc, parts)
-    if not (entry_flags.p1 and entry_flags.p2 and entry_flags.p3):
-        raise StructureError("input allocation does not satisfy the stage-1 invariants")
-    cur = [set(b) for b in alloc.bundles]
-    _saturate_loop(inst, cur, parts, events, "saturate")
-    return _freeze(cur)
+    state = AllocationState(inst, resolve_bipartition(inst, parts), alloc)
+    _require(_flags(state), 3, "stage-1")
+    _saturate_loop(state, events, "saturate")
+    return state.freeze()
 
 
 def enforce_safe_sets(inst: Instance, alloc: Allocation, parts: Bipartition | None = None,
@@ -203,95 +187,115 @@ def enforce_safe_sets(inst: Instance, alloc: Allocation, parts: Bipartition | No
     available-set property before safety is rechecked.  The envied set shrinks
     monotonically (the swap never creates envy), so the loop terminates.
     """
-    parts = resolve_bipartition(inst, parts)
-    entry_flags = check_properties(inst, alloc, parts)
-    if not (entry_flags.p1 and entry_flags.p2 and entry_flags.p3 and entry_flags.p4):
-        raise StructureError("input allocation does not satisfy the stage-2 invariants")
-    cur = [set(b) for b in alloc.bundles]
+    state = AllocationState(inst, resolve_bipartition(inst, parts), alloc)
+    _require(_flags(state), 4, "stage-2")
+    _safe_loop(state, events)
+    return state.freeze()
+
+
+def _safe_loop(state: AllocationState, events: list[dict] | None) -> None:
+    inst, parts = state.inst, state.parts
     while True:
-        frozen = _freeze(cur)
-        envied = sorted(envied_set(inst, frozen))
+        envied = state.envied()
         target: tuple[int, int] | None = None
-        for i in envied:
-            unsafe = [j for j in enviers_of(inst, frozen, i)
-                      if j not in safe_set(inst, frozen, i, parts)]
+        for i in sorted(envied):
+            safe = state.safe_set(i, envied)
+            unsafe = [j for j in state.enviers_of(i) if j not in safe]
             if unsafe:
                 target = (i, unsafe[0])
                 break
         if target is None:
-            break
+            return
         i, j = target
         cutter = t_side_of((i, j), parts)
         if cutter != j:
             raise StructureError("unsafe envier found on the non-cutting side")
         cfg = cut(inst, j, i)
         pair_edges = edge_set(inst, i, j)
-        held_i = pair_edges & cur[i]
-        held_j = pair_edges & cur[j]
-        if {frozenset(held_i), frozenset(held_j)} != {cfg.c1, cfg.c2}:
+        held_i = pair_edges & state.bundles[i]
+        held_j = pair_edges & state.bundles[j]
+        if {held_i, held_j} != {cfg.c1, cfg.c2}:
             raise StructureError("swap pair is not split into the two cut bundles")
-        cur[i] -= held_i
-        cur[j] -= held_j
-        cur[i] |= held_j
-        cur[j] |= held_i
-        absorbed = available_set(inst, _freeze(cur), i, parts)
-        cur[i] |= absorbed
-        after = envied_set(inst, _freeze(cur))
-        if not after <= set(envied) - {i}:
+        state.take(i, held_i)
+        state.take(j, held_j)
+        state.give(i, held_j)
+        state.give(j, held_i)
+        absorbed = state.available_set(i)
+        state.give(i, absorbed)
+        if not state.envied() <= envied - {i}:
             raise StructureError("safe-set swap failed to shrink the envied set")
         if events is not None:
             events.append({"stage": "safe-set", "i": i, "j": j,
                            "swapped_to_i": sorted(held_j), "swapped_to_j": sorted(held_i),
                            "absorbed": sorted(absorbed)})
-        _saturate_loop(inst, cur, parts, events, "safe-set")
-    return _freeze(cur)
+        _saturate_loop(state, events, "safe-set")
 
 
-def _leftover_pairs(inst: Instance, frozen: Allocation) -> list[tuple[tuple[int, int], frozenset[int]]]:
-    assigned = frozen.assigned()
+def _run_stages(state: AllocationState, trace: PipelineTrace | None, record_flags: bool) -> None:
+    """Stages 1-3 on ``state`` in place.  The flags of the stage-1 and stage-2
+    outputs are the entry checks of stages 2 and 3.  A trace gets every stage's
+    output and, with ``record_flags``, its flags too (the stage-3 output's included)."""
+    events = trace.events if trace is not None else None
+    _greedy(state, events)
+    _require(_record(state, trace, "greedy", record_flags), 3, "stage-1")
+    _saturate_loop(state, events, "saturate")
+    _require(_record(state, trace, "saturate", record_flags), 4, "stage-2")
+    _safe_loop(state, events)
+    if trace is not None:
+        trace.snapshots["safe"] = state.freeze()
+        if record_flags:
+            trace.flags["safe"] = _flags(state)
+
+
+def _record(state: AllocationState, trace: PipelineTrace | None, name: str,
+            record_flags: bool) -> PropertyFlags:
+    flags = _flags(state)
+    if trace is not None:
+        trace.snapshots[name] = state.freeze()
+        if record_flags:
+            trace.flags[name] = flags
+    return flags
+
+
+def _leftovers(state: AllocationState) -> list[tuple[int, int, list[int], frozenset[int]]]:
+    """(envied endpoint, other endpoint, pair, unallocated edges) for every pair
+    with unallocated edges, which must have exactly one envied endpoint."""
+    envied = state.envied()
     out = []
-    for a, b in inst.pairs():
-        free = edge_set(inst, a, b) - assigned
+    for a, b in state.inst.pairs():
+        free = frozenset(e for e in edge_set(state.inst, a, b) if e not in state.holder)
         if free:
-            out.append(((a, b), free))
+            envied_ends = [x for x in (a, b) if x in envied]
+            if len(envied_ends) != 1:
+                raise StructureError(f"leftover pair ({a}, {b}) lacks a unique envied endpoint")
+            i = envied_ends[0]
+            out.append((i, b if i == a else a, [a, b], free))
     return out
 
 
 def complete_efx(inst: Instance, parts: Bipartition | None = None) -> tuple[Allocation, PipelineTrace]:
     """Run the three stages, then hand each leftover set to the unique envier of its
     envied endpoint.  The result is a complete EFX allocation (possibly wasteful)."""
-    parts = resolve_bipartition(inst, parts)
+    state = AllocationState(inst, resolve_bipartition(inst, parts))
     trace = PipelineTrace()
-    stage1 = greedy_orientation(inst, parts, trace.events)
-    trace.snapshots["greedy"] = stage1
-    trace.flags["greedy"] = check_properties(inst, stage1, parts)
-    stage2 = saturate_non_envied(inst, stage1, parts, trace.events)
-    trace.snapshots["saturate"] = stage2
-    trace.flags["saturate"] = check_properties(inst, stage2, parts)
-    stage3 = enforce_safe_sets(inst, stage2, parts, trace.events)
-    trace.snapshots["safe"] = stage3
-    trace.flags["safe"] = check_properties(inst, stage3, parts)
-
-    cur = [set(b) for b in stage3.bundles]
-    envied = envied_set(inst, stage3)
-    for (a, b), free in _leftover_pairs(inst, stage3):
-        envied_ends = [x for x in (a, b) if x in envied]
-        if len(envied_ends) != 1:
-            raise StructureError(f"leftover pair ({a}, {b}) lacks a unique envied endpoint")
-        i = envied_ends[0]
-        j = b if i == a else a
-        ks = enviers_of(inst, stage3, i)
+    _run_stages(state, trace, True)
+    # Every envier is read on the stage-3 state, before any handoff moves.
+    handoffs = []
+    for i, j, pair, free in _leftovers(state):
+        ks = state.enviers_of(i)
         if len(ks) != 1:
             raise StructureError(f"envied agent {i} has {len(ks)} enviers; expected one")
         k = ks[0]
         if k == j:
             raise StructureError("leftover holder cannot be the envier")
-        cur[k] |= free
-        trace.events.append({"stage": "completion", "pair": [a, b], "to": k,
+        handoffs.append((k, pair, free))
+    for k, pair, free in handoffs:
+        state.give(k, free)
+        trace.events.append({"stage": "completion", "pair": pair, "to": k,
                              "edges": sorted(free)})
-    final = _freeze(cur)
+    final = state.freeze()
     trace.snapshots["final"] = final
-    trace.flags["final"] = check_properties(inst, final, parts)
+    trace.flags["final"] = _flags(state)
     if not is_complete(inst, final):
         raise StructureError("completion left unallocated edges")
     verdict = check_efx(inst, final)
@@ -324,27 +328,14 @@ def half_efx_parts(inst: Instance) -> Bipartition:
 def half_efx_orientation(inst: Instance, trace: PipelineTrace | None = None) -> Allocation:
     """Complete EFX-for-T, half-EFX-for-S orientation: run the stages with the
     smaller side as S, then give every leftover set to its non-envied holder."""
-    parts = half_efx_parts(inst)
-    events = trace.events if trace is not None else None
-    stage1 = greedy_orientation(inst, parts, events)
-    stage2 = saturate_non_envied(inst, stage1, parts, events)
-    stage3 = enforce_safe_sets(inst, stage2, parts, events)
-    if trace is not None:
-        trace.snapshots["greedy"] = stage1
-        trace.snapshots["saturate"] = stage2
-        trace.snapshots["safe"] = stage3
-    cur = [set(b) for b in stage3.bundles]
-    envied = envied_set(inst, stage3)
-    for (a, b), free in _leftover_pairs(inst, stage3):
-        envied_ends = [x for x in (a, b) if x in envied]
-        if len(envied_ends) != 1:
-            raise StructureError(f"leftover pair ({a}, {b}) lacks a unique envied endpoint")
-        j = b if envied_ends[0] == a else a
-        cur[j] |= free
-        if events is not None:
-            events.append({"stage": "orient-leftovers", "pair": [a, b], "to": j,
-                           "edges": sorted(free)})
-    final = _freeze(cur)
+    state = AllocationState(inst, half_efx_parts(inst))
+    _run_stages(state, trace, False)
+    for _, j, pair, free in _leftovers(state):
+        state.give(j, free)
+        if trace is not None:
+            trace.events.append({"stage": "orient-leftovers", "pair": pair, "to": j,
+                                 "edges": sorted(free)})
+    final = state.freeze()
     if trace is not None:
         trace.snapshots["final"] = final
     if not (is_complete(inst, final) and is_orientation(inst, final)):
@@ -358,18 +349,22 @@ def half_efx_orientation(inst: Instance, trace: PipelineTrace | None = None) -> 
 
 def check_properties(inst: Instance, alloc: Allocation, parts: Bipartition | None = None) -> PropertyFlags:
     """Evaluate the five stage invariants on an arbitrary allocation."""
-    parts = resolve_bipartition(inst, parts)
+    return _flags(AllocationState(inst, resolve_bipartition(inst, parts), alloc))
+
+
+def _flags(state: AllocationState) -> PropertyFlags:
+    inst, parts = state.inst, state.parts
+    alloc = state.freeze()
     p1 = is_orientation(inst, alloc) and check_efx(inst, alloc).passed
 
     p2 = True
-    assigned = alloc.assigned()
     for a, b in inst.pairs():
         pair_edges = edge_set(inst, a, b)
-        held_a = pair_edges & alloc.bundles[a]
-        held_b = pair_edges & alloc.bundles[b]
-        if (pair_edges & assigned) - held_a - held_b:
+        if any(state.holder.get(e) not in (None, a, b) for e in pair_edges):
             p2 = False
             break
+        held_a = pair_edges & alloc.bundles[a]
+        held_b = pair_edges & alloc.bundles[b]
         cutter = t_side_of((a, b), parts)
         cfg = cut(inst, cutter, b if cutter == a else a)
         halves = {cfg.c1, cfg.c2}
@@ -381,23 +376,15 @@ def check_properties(inst: Instance, alloc: Allocation, parts: Bipartition | Non
             p2 = False
             break
 
-    p3 = True
-    for i in range(inst.n):
-        own = bundle_value(inst, i, alloc.bundles[i])
-        for bundle in available_bundles(inst, alloc, i, parts):
-            if bundle_value(inst, i, bundle) > own:
-                p3 = False
-                break
-        if not p3:
-            break
+    p3 = all(bundle_value(inst, i, state.available(i, j)) <= state.val[i][i]
+             for i in range(inst.n) for j in state.neighbours[i])
 
-    envied = envied_set(inst, alloc)
-    p4 = all(not available_set(inst, alloc, i, parts)
-             for i in range(inst.n) if i not in envied)
+    envied = state.envied()
+    p4 = all(not state.available_set(i) for i in range(inst.n) if i not in envied)
     p5 = True
     for i in envied:
-        safe = safe_set(inst, alloc, i, parts)
-        if any(j not in safe for j in enviers_of(inst, alloc, i)):
+        safe = state.safe_set(i, envied)
+        if any(j not in safe for j in state.enviers_of(i)):
             p5 = False
             break
     return PropertyFlags(p1, p2, p3, p4, p5)
@@ -411,16 +398,15 @@ def envied_only_in_s(inst: Instance, alloc: Allocation, parts: Bipartition) -> b
 def claim_leftover_pairs(inst: Instance, alloc: Allocation, parts: Bipartition) -> bool:
     """After stage 2: every unallocated edge sits in a pair whose envied endpoint
     could still claim it while the non-envied endpoint holds the rest."""
-    envied = envied_set(inst, alloc)
-    for (a, b), free in _leftover_pairs(inst, alloc):
-        envied_ends = [x for x in (a, b) if x in envied]
-        if len(envied_ends) != 1:
+    state = AllocationState(inst, parts, alloc)
+    try:
+        leftovers = _leftovers(state)
+    except StructureError:
+        return False
+    for i, j, pair, free in leftovers:
+        if state.available(i, j) != free:
             return False
-        i = envied_ends[0]
-        j = b if i == a else a
-        if available(inst, alloc, i, j, parts) != free:
-            return False
-        if not (edge_set(inst, a, b) - free) <= alloc.bundles[j]:
+        if not (edge_set(inst, *pair) - free) <= alloc.bundles[j]:
             return False
     return True
 

@@ -23,11 +23,11 @@ from .model import (
     Instance,
     InstanceError,
     StructureError,
-    allocation_from_json,
     allocation_to_json,
     analyze_structure,
     instance_to_json,
     is_orientation,
+    load_allocation,
     load_instance,
 )
 
@@ -45,14 +45,7 @@ def _read_instance(arg: str) -> Instance:
 
 
 def _read_allocation(arg: str, inst: Instance) -> Allocation:
-    from pathlib import Path
-
-    text = sys.stdin.read() if arg == "-" else Path(arg).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid allocation JSON: {exc}") from None
-    return allocation_from_json(doc, inst)
+    return load_allocation(sys.stdin if arg == "-" else arg, inst)
 
 
 def _emit(doc: dict) -> None:
@@ -147,15 +140,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decide(args) -> int:
+    if args.jobs < 1:
+        raise InstanceError(f"--jobs must be at least 1, got {args.jobs}")
+    # More workers than cores only adds processes and memory.
+    jobs = min(args.jobs, os.cpu_count() or 1)
     inst = _read_instance(args.instance)
     budget = _oracle_budget(args)
     if args.target == "orientation":
         result = oracle.decide_efx_orientation(inst, budget=budget, count=args.count,
-                                               jobs=args.jobs)
+                                               jobs=jobs)
     else:
         if args.count:
             raise InstanceError("--count is only available for --target orientation")
-        result = oracle.decide_efx_allocation(inst, budget=budget, jobs=args.jobs)
+        result = oracle.decide_efx_allocation(inst, budget=budget, jobs=jobs)
     _emit(result.to_json())
     return EXIT_OK
 

@@ -15,10 +15,10 @@ still not envy after k absorbed all of A_i.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Iterable
 
 from .cutting import cut, preferred_bundle
-from .fairness import bundle_value, envied_set
+from .fairness import bundle_value, value_matrix
 from .model import Allocation, Instance, edge_set
 
 Bipartition = tuple[tuple[int, ...], tuple[int, ...]]
@@ -33,37 +33,148 @@ def t_side_of(pair: tuple[int, int], parts: Bipartition) -> int:
     return a if a in t else b
 
 
+class Availability:
+    """The available sets of one allocation, read from its holder map.
+
+    Memoizes, per ordered pair (i, j), i's preferred bundle of the pair's T-side
+    cut, which depends on the instance alone.
+    """
+
+    def __init__(self, inst: Instance, parts: Bipartition, holder: dict[int, int]):
+        self.inst = inst
+        self.parts = parts
+        self.holder = holder
+        self.neighbours: list[list[int]] = [[] for _ in range(inst.n)]
+        for a, b in inst.pairs():
+            self.neighbours[a].append(b)
+            self.neighbours[b].append(a)
+        self._preferred: dict[tuple[int, int], frozenset[int]] = {}
+
+    def available(self, i: int, j: int) -> frozenset[int]:
+        pair_edges = edge_set(self.inst, i, j)
+        held_j: set[int] = set()
+        for e in pair_edges:
+            h = self.holder.get(e)
+            if h == j:
+                held_j.add(e)
+            elif h is not None:
+                return frozenset()
+        if held_j:
+            return pair_edges - held_j
+        if not pair_edges:
+            return frozenset()
+        return self.preferred(i, j)
+
+    def preferred(self, i: int, j: int) -> frozenset[int]:
+        """i's preferred bundle of the cut of E(i,j), made by the pair's T-side agent."""
+        bundle = self._preferred.get((i, j))
+        if bundle is None:
+            cutter = t_side_of((i, j), self.parts)
+            bundle = preferred_bundle(self.inst, i, cut(self.inst, cutter, j if cutter == i else i))
+            self._preferred[(i, j)] = bundle
+        return bundle
+
+    def available_set(self, i: int) -> frozenset[int]:
+        out: set[int] = set()
+        for j in self.neighbours[i]:
+            out |= self.available(i, j)
+        return frozenset(out)
+
+
+class AllocationState(Availability):
+    """A mutable allocation of one instance, with everything the pipeline asks of it.
+
+    Besides the bundles and the holder map it keeps the value matrix
+    ``val[i][k] = v_i(X_k)`` and every agent's set of enviers, and updates all of
+    them on each move, so no query re-scans the edges or re-sums values.
+    """
+
+    def __init__(self, inst: Instance, parts: Bipartition, alloc: Allocation | None = None):
+        if alloc is None:
+            alloc = Allocation((frozenset(),) * inst.n)
+        super().__init__(inst, parts, alloc.holder_map())
+        self.val = value_matrix(inst, alloc)
+        self.bundles = [set(b) for b in alloc.bundles]
+        self.enviers: list[set[int]] = [set() for _ in range(inst.n)]
+        for i in range(inst.n):
+            self._refresh_row(i)
+
+    def freeze(self) -> Allocation:
+        return Allocation(tuple(frozenset(b) for b in self.bundles))
+
+    # -- moves
+
+    def give(self, agent: int, edges: Iterable[int]) -> None:
+        self._move(agent, edges, True)
+
+    def take(self, agent: int, edges: Iterable[int]) -> None:
+        self._move(agent, edges, False)
+
+    def _move(self, agent: int, edges: Iterable[int], adding: bool) -> None:
+        bundle = self.bundles[agent]
+        touched: set[int] = set()
+        for e in edges:
+            edge = self.inst.edges[e]
+            if adding:
+                bundle.add(e)
+                self.holder[e] = agent
+                self.val[edge.u][agent] += edge.wu
+                self.val[edge.v][agent] += edge.wv
+            else:
+                bundle.remove(e)
+                del self.holder[e]
+                self.val[edge.u][agent] -= edge.wu
+                self.val[edge.v][agent] -= edge.wv
+            touched.update(edge.endpoints())
+        for x in touched:
+            if x == agent:
+                self._refresh_row(x)
+            elif self.val[x][agent] > self.val[x][x]:
+                self.enviers[agent].add(x)
+            else:
+                self.enviers[agent].discard(x)
+
+    def _refresh_row(self, i: int) -> None:
+        """Re-derive whom agent i envies, after i's own value changed."""
+        row = self.val[i]
+        own = row[i]
+        for k, v in enumerate(row):
+            if v > own:
+                self.enviers[k].add(i)
+            else:
+                self.enviers[k].discard(i)
+
+    # -- queries
+
+    def envied(self) -> set[int]:
+        return {k for k, who in enumerate(self.enviers) if who}
+
+    def enviers_of(self, i: int) -> list[int]:
+        return sorted(self.enviers[i])
+
+    def safe_set(self, i: int, envied: set[int]) -> set[int]:
+        if i not in envied:
+            raise ValueError(f"agent {i} is not envied; its safe set is undefined")
+        # A_i holds only unallocated edges, so v_i(X_k | A_i) = val[i][k] + v_i(A_i).
+        row = self.val[i]
+        bar = row[i] - bundle_value(self.inst, i, self.available_set(i))
+        return {k for k, v in enumerate(row) if k != i and k not in envied and v <= bar}
+
+
 def available(inst: Instance, alloc: Allocation, i: int, j: int, parts: Bipartition) -> frozenset[int]:
     """A[i,j](X): edges of E(i,j) still claimable by i."""
-    pair_edges = edge_set(inst, i, j)
-    if not pair_edges:
-        return frozenset()
-    held_i = pair_edges & alloc.bundles[i]
-    held_j = pair_edges & alloc.bundles[j]
-    held_other = (pair_edges & alloc.assigned()) - held_i - held_j
-    if held_other:
-        return frozenset()
-    if not held_i and not held_j:
-        cutter = t_side_of((i, j), parts)
-        other = j if cutter == i else i
-        return preferred_bundle(inst, i, cut(inst, cutter, other))
-    if not held_i and held_j:
-        return pair_edges - held_j
-    return frozenset()
+    return Availability(inst, parts, alloc.holder_map()).available(i, j)
 
 
 def available_set(inst: Instance, alloc: Allocation, i: int, parts: Bipartition) -> frozenset[int]:
     """A_i(X): the union of A[i,j](X) over all other agents j."""
-    out: set[int] = set()
-    for j in range(inst.n):
-        if j != i:
-            out |= available(inst, alloc, i, j, parts)
-    return frozenset(out)
+    return Availability(inst, parts, alloc.holder_map()).available_set(i)
 
 
 def available_bundles(inst: Instance, alloc: Allocation, i: int, parts: Bipartition) -> list[frozenset[int]]:
     """B_i(X): one available bundle per adjacent j (empty ones included)."""
-    return [available(inst, alloc, i, j, parts) for j in range(inst.n) if j != i]
+    view = Availability(inst, parts, alloc.holder_map())
+    return [view.available(i, j) for j in range(inst.n) if j != i]
 
 
 def unallocated_incident(inst: Instance, alloc: Allocation, i: int) -> frozenset[int]:
@@ -74,36 +185,5 @@ def unallocated_incident(inst: Instance, alloc: Allocation, i: int) -> frozenset
 def safe_set(inst: Instance, alloc: Allocation, i: int, parts: Bipartition) -> set[int]:
     """S_i(X) for an envied agent i: non-envied agents k with
     v_i(X_i) >= v_i(X_k union A_i(X))."""
-    envied = envied_set(inst, alloc)
-    if i not in envied:
-        raise ValueError(f"agent {i} is not envied; its safe set is undefined")
-    avail = available_set(inst, alloc, i, parts)
-    own = bundle_value(inst, i, alloc.bundles[i])
-    out: set[int] = set()
-    for k in range(inst.n):
-        if k == i or k in envied:
-            continue
-        if own >= bundle_value(inst, i, alloc.bundles[k] | avail):
-            out.add(k)
-    return out
-
-
-@dataclass(frozen=True)
-class DerivedState:
-    """Snapshot of every availability construct for one allocation."""
-
-    pair_available: dict[tuple[int, int], frozenset[int]] = field(default_factory=dict)
-    agent_available: dict[int, frozenset[int]] = field(default_factory=dict)
-    unallocated: dict[int, frozenset[int]] = field(default_factory=dict)
-    safe: dict[int, set[int]] = field(default_factory=dict)
-
-
-def derived_state(inst: Instance, alloc: Allocation, parts: Bipartition) -> DerivedState:
-    pair_avail: dict[tuple[int, int], frozenset[int]] = {}
-    for a, b in inst.pairs():
-        pair_avail[(a, b)] = available(inst, alloc, a, b, parts)
-        pair_avail[(b, a)] = available(inst, alloc, b, a, parts)
-    agent_avail = {i: available_set(inst, alloc, i, parts) for i in range(inst.n)}
-    unalloc = {i: unallocated_incident(inst, alloc, i) for i in range(inst.n)}
-    safe = {i: safe_set(inst, alloc, i, parts) for i in envied_set(inst, alloc)}
-    return DerivedState(pair_avail, agent_avail, unalloc, safe)
+    state = AllocationState(inst, parts, alloc)
+    return state.safe_set(i, state.envied())

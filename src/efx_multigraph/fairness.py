@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import Allocation, Instance, is_orientation, skeleton_adjacency
+from .model import Allocation, Instance, is_orientation
 
 ONE = Fraction(1)
 
@@ -58,6 +58,21 @@ def bundle_value(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
     return total
 
 
+def value_matrix(inst: Instance, alloc: Allocation) -> list[list[Fraction]]:
+    """``val[i][k] = v_i(X_k)`` for every agent pair, in one pass over the bundles:
+    an edge adds only to the rows of its two endpoints."""
+    zero = Fraction(0)
+    val = [[zero] * inst.n for _ in range(inst.n)]
+    for k, bundle in enumerate(alloc.bundles):
+        for e in bundle:
+            if not (0 <= e < inst.m):
+                raise ValueError(f"invalid edge id {e}")
+            edge = inst.edges[e]
+            val[edge.u][k] += edge.wu
+            val[edge.v][k] += edge.wv
+    return val
+
+
 def envies(inst: Instance, alloc: Allocation, i: int, j: int) -> bool:
     """Strict envy: i values j's bundle above her own."""
     return bundle_value(inst, i, alloc.bundles[j]) > bundle_value(inst, i, alloc.bundles[i])
@@ -97,29 +112,17 @@ def strongly_envies(inst: Instance, alloc: Allocation, i: int, j: int) -> Witnes
 
 
 def enviers_of(inst: Instance, alloc: Allocation, i: int) -> list[int]:
-    return [j for j in range(inst.n) if j != i and envies(inst, alloc, j, i)]
+    return _enviers(value_matrix(inst, alloc), i)
+
+
+def _enviers(val: list[list[Fraction]], i: int) -> list[int]:
+    return [j for j, row in enumerate(val) if j != i and row[i] > row[j]]
 
 
 def envied_set(inst: Instance, alloc: Allocation) -> set[int]:
     """Agents whose bundle some other agent strictly envies."""
-    out: set[int] = set()
-    values = [bundle_value(inst, a, alloc.bundles[a]) for a in range(inst.n)]
-    for j in range(inst.n):
-        for i in range(inst.n):
-            if i != j and bundle_value(inst, i, alloc.bundles[j]) > values[i]:
-                out.add(j)
-                break
-    return out
-
-
-def _check_pairs(inst: Instance, alloc: Allocation) -> list[tuple[int, int]]:
-    """Ordered pairs worth checking: all of them, unless the allocation is an
-    orientation, in which case skeleton-adjacent pairs suffice (an agent can only
-    be hurt by a neighbor's bundle when every item sits at one of its endpoints)."""
-    if is_orientation(inst, alloc):
-        adj = skeleton_adjacency(inst)
-        return [(i, j) for i in range(inst.n) for j in sorted(adj[i])]
-    return [(i, j) for i in range(inst.n) for j in range(inst.n) if i != j]
+    val = value_matrix(inst, alloc)
+    return {j for i, row in enumerate(val) for j, v in enumerate(row) if v > row[i]}
 
 
 def check_efx(inst: Instance, alloc: Allocation, alpha: Fraction = ONE) -> Verdict:
@@ -131,18 +134,18 @@ def check_efx(inst: Instance, alloc: Allocation, alpha: Fraction = ONE) -> Verdi
     if not (0 < alpha <= 1):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     witnesses: list[Witness] = []
-    own = [bundle_value(inst, a, alloc.bundles[a]) for a in range(inst.n)]
-    for i, j in _check_pairs(inst, alloc):
-        target = alloc.bundles[j]
-        if not target:
-            continue
-        other = bundle_value(inst, i, target)
-        if other == 0:
-            continue
-        g, g_val = _worst_removal(inst, i, target)
-        bar = alpha * (other - g_val)
-        if own[i] < bar:
-            witnesses.append(Witness(i, j, g, own[i], bar))
+    val = value_matrix(inst, alloc)
+    for i, row in enumerate(val):
+        own = row[i]
+        for j, other in enumerate(row):
+            # The bar alpha * (other - g_val) never exceeds other: alpha <= 1 and
+            # every item is worth >= 0.  So a pair with other <= own cannot fail.
+            if other <= own:
+                continue
+            g, g_val = _worst_removal(inst, i, alloc.bundles[j])
+            bar = alpha * (other - g_val)
+            if own < bar:
+                witnesses.append(Witness(i, j, g, own, bar))
     return Verdict(not witnesses, tuple(witnesses), alpha)
 
 
@@ -190,13 +193,15 @@ def check_envied_singleton(inst: Instance, alloc: Allocation) -> Verdict:
     if not check_efx(inst, alloc).passed:
         raise ValueError("input orientation is not EFX")
     witnesses: list[Witness] = []
-    for i in sorted(envied_set(inst, alloc)):
-        js = enviers_of(inst, alloc, i)
-        own_i = bundle_value(inst, i, alloc.bundles[i])
+    val = value_matrix(inst, alloc)
+    for i in range(inst.n):
+        js = _enviers(val, i)
+        if not js:
+            continue
+        own_i = val[i][i]
         if len(js) != 1:
             for j in js[1:]:
-                witnesses.append(Witness(j, i, None, bundle_value(inst, j, alloc.bundles[j]),
-                                         bundle_value(inst, j, alloc.bundles[i])))
+                witnesses.append(Witness(j, i, None, val[j][j], val[j][i]))
             continue
         j = js[0]
         stray = [e for e in sorted(alloc.bundles[i]) if {inst.edges[e].u, inst.edges[e].v} != {i, j}]

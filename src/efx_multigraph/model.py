@@ -11,6 +11,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -43,7 +44,10 @@ def parse_rational(raw: int | str) -> Fraction:
     if isinstance(raw, str):
         text = raw.strip()
         if _RATIONAL_RE.match(text):
-            return Fraction(text)
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                raise InstanceError(f"not a rational: {raw!r} (zero denominator)") from None
     raise InstanceError(f"not a rational: {raw!r} (expected digits or digits/digits)")
 
 
@@ -97,6 +101,33 @@ class Instance:
             if e.wu <= 0 or e.wv <= 0:
                 raise InstanceError(f"edge {k}: non-positive weight")
 
+    # The index and the hash are built on first use and kept: the solvers query
+    # pairs and incidences on every loop turn, and the cut cache hashes the
+    # instance on every call.  Parsing alone builds neither.
+
+    @cached_property
+    def _pair_edges(self) -> dict[tuple[int, int], frozenset[int]]:
+        """Sorted adjacent pair (i < j) -> ids of the edges between them."""
+        pair_edges: dict[tuple[int, int], list[int]] = {}
+        for e in self.edges:
+            pair_edges.setdefault((min(e.u, e.v), max(e.u, e.v)), []).append(e.id)
+        return {pair: frozenset(ids) for pair, ids in sorted(pair_edges.items())}
+
+    @cached_property
+    def _incident(self) -> tuple[frozenset[int], ...]:
+        incident: list[list[int]] = [[] for _ in range(self.n)]
+        for e in self.edges:
+            incident[e.u].append(e.id)
+            incident[e.v].append(e.id)
+        return tuple(frozenset(ids) for ids in incident)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -105,11 +136,11 @@ class Instance:
         return self.edges[edge_id].value_for(agent)
 
     def incident(self, agent: int) -> frozenset[int]:
-        return frozenset(e.id for e in self.edges if agent in (e.u, e.v))
+        return self._incident[agent] if 0 <= agent < self.n else frozenset()
 
     def pairs(self) -> list[tuple[int, int]]:
         """Sorted list of adjacent agent pairs (i < j) sharing at least one edge."""
-        return sorted({(min(e.u, e.v), max(e.u, e.v)) for e in self.edges})
+        return list(self._pair_edges)
 
 
 def build_instance(n: int, edge_specs: Iterable[tuple[int, int, Fraction | int | str, Fraction | int | str]]) -> Instance:
@@ -126,7 +157,7 @@ def edge_set(inst: Instance, i: int, j: int) -> frozenset[int]:
     """All edge ids between agents i and j (symmetric; empty if not adjacent)."""
     if i == j:
         raise ValueError(f"edge_set needs two distinct agents, got ({i}, {j})")
-    return frozenset(e.id for e in inst.edges if {e.u, e.v} == {i, j})
+    return inst._pair_edges.get((min(i, j), max(i, j)), frozenset())
 
 
 @dataclass(frozen=True)
@@ -413,6 +444,9 @@ def instance_from_json(doc: object) -> Instance:
             raise InstanceError(f"edge {k}: missing field {exc.args[0]!r}") from None
         except InstanceError as exc:
             raise InstanceError(f"edge {k}: {exc}") from None
+        for a in (u, v):
+            if not isinstance(a, int) or isinstance(a, bool):
+                raise InstanceError(f"edge {k}: agent id {a!r} is not an integer")
         if wu <= 0 or wv <= 0:
             raise InstanceError(f"non-positive weight at edge {k}")
         edges.append(EdgeItem(k, u, v, wu, wv))
@@ -450,6 +484,12 @@ def allocation_from_json(doc: object, inst: Instance) -> Allocation:
     raw = doc["bundles"]
     if not isinstance(raw, list) or len(raw) != inst.n:
         raise InstanceError(f"'bundles' must be a list of exactly {inst.n} lists")
+    for a, bundle in enumerate(raw):
+        if not isinstance(bundle, list):
+            raise InstanceError(f"bundle {a}: expected a list of edge ids, got {bundle!r}")
+        for e in bundle:
+            if not isinstance(e, int) or isinstance(e, bool):
+                raise InstanceError(f"bundle {a}: edge id {e!r} is not an integer")
     alloc = Allocation(tuple(frozenset(b) for b in raw))
     validate_allocation(inst, alloc)
     return alloc

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bipartite import _freeze, complete_efx
+from .bipartite import complete_efx
 from .cutting import cut, preferred_bundle
 from .derived import Bipartition
 from .fairness import bundle_value, check_efx, enviers_of, envies
@@ -19,6 +19,7 @@ from .model import (
     edge_set,
     is_complete,
     is_orientation,
+    make_allocation,
     skeleton_adjacency,
 )
 
@@ -63,7 +64,7 @@ def solve_multistar(inst: Instance) -> Allocation:
             rest = cfg.c2 if mine == cfg.c1 else cfg.c1
             cur[leaf] |= mine
             cur[hub] |= rest
-    out = _freeze(cur)
+    out = make_allocation(inst.n, cur)
     _assert_result(inst, out, orientation=True, label="multi-star solver")
     return out
 
@@ -118,7 +119,7 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
 
     def record() -> None:
         if snapshots is not None:
-            snapshots.append(_freeze(cur))
+            snapshots.append(make_allocation(inst.n, cur))
 
     for comp in connected_components(inst):
         size = len(comp)
@@ -152,7 +153,7 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
             kids = children[agent]
             if not kids:
                 continue
-            frozen = _freeze(cur)
+            frozen = make_allocation(inst.n, cur)
             envied = bool(enviers_of(inst, frozen, agent))
             child_edges = [e for kid in kids for e in edge_set(inst, agent, kid)]
             favorite_child_edge = _best_edge(inst, agent, child_edges)
@@ -194,13 +195,13 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
             record()
             _assert_tree_invariants(inst, cur, center, depth1)
 
-    out = _freeze(cur)
+    out = make_allocation(inst.n, cur)
     _assert_result(inst, out, orientation=True, label="multi-tree solver")
     return out
 
 
 def _assert_tree_invariants(inst: Instance, cur: list[set[int]], center: int, depth1: list[int]) -> None:
-    frozen = _freeze(cur)
+    frozen = make_allocation(inst.n, cur)
     verdict = check_efx(inst, frozen)
     if not verdict.passed:
         raise StructureError(f"tree solver state is not EFX ({verdict.witnesses[0]})")
@@ -318,7 +319,7 @@ def solve_multicycle(inst: Instance) -> Allocation:
                 cur = [set(old_ids[e] for e in bundle) for bundle in sub_alloc.bundles]
                 cur[a] |= split[0]
                 cur[b] |= split[1]
-                out = _freeze(cur)
+                out = make_allocation(inst.n, cur)
                 _assert_result(inst, out, orientation=False, label="multi-cycle solver")
                 return out
 
@@ -359,6 +360,6 @@ def solve_multicycle(inst: Instance) -> Allocation:
             gifts = {jq: c1, j: d1, i: e1, ip: c2 | d2 | e2}
     for agent, bundle in gifts.items():
         cur[agent] |= bundle
-    out = _freeze(cur)
+    out = make_allocation(inst.n, cur)
     _assert_result(inst, out, orientation=False, label="multi-cycle solver")
     return out

@@ -10,6 +10,8 @@ condition.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -358,6 +360,22 @@ def test_criterion_11_oracle_cross_checks():
                 slow_a = decide_efx_allocation(inst, prune=False)
                 assert (fast_a.exists, fast_a.witness) == (slow_a.exists, slow_a.witness)
             made += 1
+
+
+# SHA-256 over the batch's traces, recorded by running
+# test_batch_traces_match_reference against the source of the commit before the
+# pipeline moved onto one incremental allocation state.  Any change to a bundle,
+# event or flag of either solver on the batch changes it.
+BATCH_TRACES_SHA256 = "20064efae12848453b6f4242092eb8514a29a3efbda95991e5b05bcbe11409c0"
+
+
+def test_batch_traces_match_reference(pipeline_runs, half_runs):
+    digest = hashlib.sha256()
+    runs, _ = pipeline_runs
+    traces = [trace for _, _, trace in runs] + [trace for _, _, trace in half_runs]
+    for trace in traces:
+        digest.update(json.dumps(trace.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == BATCH_TRACES_SHA256
 
 
 def test_criterion_12_envied_singleton_everywhere(pipeline_runs, half_runs, special_runs):

@@ -4,8 +4,9 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
 
-from efx_multigraph import build_instance, save_instance, running_example
+from efx_multigraph import build_instance, oracle, save_instance, running_example
 from efx_multigraph.cli import main
 from efx_multigraph.model import instance_to_text
 
@@ -190,3 +191,63 @@ def test_gen_random_roundtrip(capsys, monkeypatch):
 
 def test_gen_bad_family_usage(capsys):
     assert main(["gen", "--family", "nonsense"]) == 1
+
+
+def _error_exit(capsys, argv) -> None:
+    """The failure half of the CLI contract: exit 1, empty stdout, one error line."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("edge", [
+    {"u": 0, "v": 1, "wu": "1/0", "wv": "2"},
+    {"u": True, "v": 0, "wu": "1", "wv": "2"},
+])
+def test_analyze_rejects_malformed_edge(tmp_path, capsys, edge):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"n": 2, "edges": [edge]}))
+    _error_exit(capsys, ["analyze", str(path)])
+
+
+@pytest.mark.parametrize("bundles", [[[[1]], [0, 2]], [None, [0, 1, 2]], [{}, []]])
+def test_verify_rejects_malformed_bundle(tmp_path, capsys, bundles):
+    inst_path = tmp_path / "inst.json"
+    save_instance(build_instance(2, [(0, 1, 1, 2), (0, 1, 3, 1), (0, 1, 2, 2)]), inst_path)
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(json.dumps({"bundles": bundles}))
+    _error_exit(capsys, ["verify", str(inst_path), str(alloc_path)])
+
+
+def _record_jobs(monkeypatch) -> list[int]:
+    """Replace both oracle entry points with stubs that record ``jobs``; no pool starts."""
+    seen: list[int] = []
+
+    def fake(inst, budget, jobs, count=False):
+        seen.append(jobs)
+        return oracle.OracleResult("orientation", False, None, None, 1, 1)
+
+    monkeypatch.setattr(oracle, "decide_efx_orientation", fake)
+    monkeypatch.setattr(oracle, "decide_efx_allocation", fake)
+    return seen
+
+
+def test_decide_rejects_jobs_below_one(tmp_path, capsys, monkeypatch):
+    seen = _record_jobs(monkeypatch)
+    path = tmp_path / "inst.json"
+    save_instance(running_example(), path)
+    for jobs in ("0", "-3"):
+        _error_exit(capsys, ["decide", str(path), "--target", "orientation", "--jobs", jobs])
+    assert seen == []
+
+
+def test_decide_clamps_jobs_to_cores(tmp_path, capsys, monkeypatch):
+    seen = _record_jobs(monkeypatch)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    path = tmp_path / "inst.json"
+    save_instance(running_example(), path)
+    for target, jobs in (("orientation", "1000"), ("allocation", "1000"), ("orientation", "3")):
+        assert main(["decide", str(path), "--target", target, "--jobs", jobs]) == 0
+    assert seen == [4, 4, 3]

@@ -9,7 +9,6 @@ from efx_multigraph import (
     available_set,
     bundle_value,
     build_instance,
-    derived_state,
     envied_set,
     make_allocation,
     random_instance,
@@ -135,6 +134,5 @@ def test_row_exclusivity_and_subset_of_unallocated():
             pair_edges = {e.id for e in inst.edges if {e.u, e.v} == {a, b}}
             if pair_edges & assigned:
                 assert not (away and back)
-        state = derived_state(inst, alloc, parts)
         for i in range(n):
-            assert state.agent_available[i] <= state.unallocated[i]
+            assert available_set(inst, alloc, i, parts) <= unallocated_incident(inst, alloc, i)

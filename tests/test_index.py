@@ -1,0 +1,175 @@
+"""The instance index, the value matrix and the incremental allocation state,
+each against its literal definition, kept here as the reference."""
+from __future__ import annotations
+
+import pickle
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from efx_multigraph import (
+    Instance,
+    available,
+    available_bundles,
+    available_set,
+    build_instance,
+    bundle_value,
+    check_efx,
+    cut,
+    edge_set,
+    envied_set,
+    enviers_of,
+    make_allocation,
+    preferred_bundle,
+    safe_set,
+    two_coloring,
+    value_matrix,
+)
+from efx_multigraph.derived import AllocationState
+
+
+@st.composite
+def instances(draw, bipartite=False):
+    """Small multi-graphs with edges listed in either endpoint order."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    sides = [draw(st.booleans()) for _ in range(n)] if bipartite else None
+    pairs = [(a, b) for a in range(n) for b in range(n)
+             if a != b and (sides is None or sides[a] != sides[b])]
+    edges = []
+    if pairs:
+        for _ in range(draw(st.integers(min_value=0, max_value=10))):
+            u, v = draw(st.sampled_from(pairs))
+            wu = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 4)))
+            wv = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 4)))
+            edges.append((u, v, wu, wv))
+    return build_instance(n, edges)
+
+
+@st.composite
+def allocated(draw, bipartite=False):
+    """An instance and an allocation that leaves some edges out and may hand an
+    edge to an agent that is not one of its endpoints."""
+    inst = draw(instances(bipartite))
+    bundles = [set() for _ in range(inst.n)]
+    for e in inst.edges:
+        holder = draw(st.sampled_from([None, e.u, e.v, None, e.u, e.v] + list(range(inst.n))))
+        if holder is not None:
+            bundles[holder].add(e.id)
+    return inst, make_allocation(inst.n, bundles)
+
+
+def scan_pair(inst: Instance, i: int, j: int) -> frozenset[int]:
+    return frozenset(e.id for e in inst.edges if {e.u, e.v} == {i, j})
+
+
+def literal_available(inst, alloc, i, j, parts) -> frozenset[int]:
+    """A[i,j](X) by the three rules in derived.py's docstring."""
+    pair_edges = scan_pair(inst, i, j)
+    holders = {a for a, bundle in enumerate(alloc.bundles) if bundle & pair_edges}
+    if not pair_edges:
+        return frozenset()
+    if not holders:
+        cutter = i if i in parts[1] else j
+        return preferred_bundle(inst, i, cut(inst, cutter, j if cutter == i else i))
+    if holders == {j}:
+        return pair_edges - alloc.bundles[j]
+    return frozenset()
+
+
+def literal_envied(inst, alloc) -> set[int]:
+    return {j for i in range(inst.n) for j in range(inst.n)
+            if i != j and bundle_value(inst, i, alloc.bundles[j]) > bundle_value(inst, i, alloc.bundles[i])}
+
+
+@given(instances())
+def test_index_matches_edge_scan(inst):
+    for i in range(inst.n):
+        assert inst.incident(i) == {e.id for e in inst.edges if i in (e.u, e.v)}
+        for j in range(inst.n):
+            if i != j:
+                assert edge_set(inst, i, j) == scan_pair(inst, i, j)
+    assert inst.pairs() == sorted({(min(e.u, e.v), max(e.u, e.v)) for e in inst.edges})
+
+
+@given(instances())
+def test_equal_instances_hash_equal_and_survive_pickle(inst):
+    twin = Instance(inst.n, tuple(inst.edges))
+    assert twin is not inst and twin == inst and hash(twin) == hash(inst)
+    again = pickle.loads(pickle.dumps(inst))
+    assert again == inst and hash(again) == hash(inst)
+    for a, b in inst.pairs():
+        assert edge_set(again, a, b) == edge_set(inst, a, b)
+
+
+@given(allocated())
+def test_value_matrix_and_envy_match_bundle_sums(case):
+    inst, alloc = case
+    val = value_matrix(inst, alloc)
+    assert val == [[bundle_value(inst, i, alloc.bundles[k]) for k in range(inst.n)]
+                   for i in range(inst.n)]
+    envied = literal_envied(inst, alloc)
+    assert envied_set(inst, alloc) == envied
+    for i in range(inst.n):
+        assert enviers_of(inst, alloc, i) == [
+            j for j in range(inst.n)
+            if j != i and bundle_value(inst, j, alloc.bundles[i]) > bundle_value(inst, j, alloc.bundles[j])]
+
+
+@given(allocated(), st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3)]))
+def test_check_efx_matches_every_removal(case, alpha):
+    inst, alloc = case
+    expected = []
+    for i in range(inst.n):
+        own = bundle_value(inst, i, alloc.bundles[i])
+        for j in range(inst.n):
+            if i == j or not alloc.bundles[j]:
+                continue
+            other = bundle_value(inst, i, alloc.bundles[j])
+            # the least-valued item, lowest id first, leaves the highest bar
+            g = min(sorted(alloc.bundles[j]), key=lambda e: inst.edges[e].value_for(i))
+            bar = alpha * (other - inst.edges[g].value_for(i))
+            if own < bar:
+                expected.append((i, j, g, own, bar))
+    assert [tuple(w) for w in check_efx(inst, alloc, alpha).witnesses] == expected
+
+
+@settings(max_examples=60)
+@given(allocated(bipartite=True))
+def test_available_and_safe_sets_match_the_rules(case):
+    inst, alloc = case
+    parts = two_coloring(inst)
+    envied = literal_envied(inst, alloc)
+    for i in range(inst.n):
+        per_pair = [literal_available(inst, alloc, i, j, parts) for j in range(inst.n) if j != i]
+        for j in range(inst.n):
+            if j != i:
+                assert available(inst, alloc, i, j, parts) == literal_available(inst, alloc, i, j, parts)
+        assert available_bundles(inst, alloc, i, parts) == per_pair
+        union = frozenset().union(*per_pair)
+        assert available_set(inst, alloc, i, parts) == union
+        if i in envied:
+            own = bundle_value(inst, i, alloc.bundles[i])
+            assert safe_set(inst, alloc, i, parts) == {
+                k for k in range(inst.n)
+                if k != i and k not in envied and own >= bundle_value(inst, i, alloc.bundles[k] | union)}
+
+
+@given(allocated(bipartite=True), st.data())
+def test_state_moves_keep_matrix_and_envy_current(case, data):
+    inst, alloc = case
+    state = AllocationState(inst, two_coloring(inst), alloc)
+    for _ in range(data.draw(st.integers(0, 6))):
+        if not inst.edges:
+            break
+        e = data.draw(st.sampled_from(inst.edges)).id
+        holder = state.holder.get(e)
+        if holder is not None:
+            state.take(holder, [e])
+        else:
+            state.give(data.draw(st.integers(0, inst.n - 1)), [e])
+        now = state.freeze()
+        assert state.holder == now.holder_map()
+        assert state.val == value_matrix(inst, now)
+        assert state.envied() == literal_envied(inst, now)
+        for i in range(inst.n):
+            assert state.enviers_of(i) == enviers_of(inst, now, i)

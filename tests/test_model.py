@@ -28,8 +28,8 @@ def test_parse_rational_forms():
     assert parse_rational("10") == Fraction(10)
     assert parse_rational(7) == Fraction(7)
     assert parse_rational("6/4") == Fraction(3, 2)
-    for bad in ("1.5", "x", "1/0/2", True, "1e3"):
-        with pytest.raises((InstanceError, ZeroDivisionError)):
+    for bad in ("1.5", "x", "1/0/2", True, "1e3", "1/0"):
+        with pytest.raises(InstanceError):
             parse_rational(bad)
 
 

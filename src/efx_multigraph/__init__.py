@@ -58,7 +58,6 @@ from .model import (
     EdgeItem,
     Instance,
     InstanceError,
-    Rational,
     StructureError,
     StructureReport,
     allocation_from_json,

@@ -307,18 +307,16 @@ def complete_efx(inst: Instance, parts: Bipartition | None = None) -> tuple[Allo
 def half_efx_parts(inst: Instance) -> Bipartition:
     """Role assignment for the orientation variant: per component, the smaller color
     class plays S (tie: the class holding the component's lowest agent id)."""
-    parts = two_coloring(inst)
-    if parts is None:
-        raise StructureError("skeleton is not bipartite")
-    s_all, t_all = set(parts[0]), set(parts[1])
+    parts = resolve_bipartition(inst, None)
+    s_all = set(parts[0])
     s_out: set[int] = set()
     t_out: set[int] = set()
     for comp in connected_components(inst):
+        # The canonical colouring puts the component's lowest agent in side_a,
+        # so a tie keeps side_a as S.
         side_a = [v for v in comp if v in s_all]
-        side_b = [v for v in comp if v in t_all]
+        side_b = [v for v in comp if v not in s_all]
         if len(side_a) > len(side_b):
-            side_a, side_b = side_b, side_a
-        elif len(side_a) == len(side_b) and side_b and min(side_b) < min(side_a):
             side_a, side_b = side_b, side_a
         s_out.update(side_a)
         t_out.update(side_b)

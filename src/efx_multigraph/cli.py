@@ -39,9 +39,7 @@ EXIT_STRUCTURE = 4
 
 
 def _read_instance(arg: str) -> Instance:
-    if arg == "-":
-        return load_instance(sys.stdin)
-    return load_instance(arg)
+    return load_instance(sys.stdin if arg == "-" else arg)
 
 
 def _read_allocation(arg: str, inst: Instance) -> Allocation:

@@ -25,9 +25,6 @@ class CutConfig:
     c1: frozenset[int]
     c2: frozenset[int]
 
-    def bundles(self) -> tuple[frozenset[int], frozenset[int]]:
-        return (self.c1, self.c2)
-
 
 @lru_cache(maxsize=16384)
 def cut(inst: Instance, cutter: int, other: int) -> CutConfig:

@@ -78,17 +78,24 @@ def envies(inst: Instance, alloc: Allocation, i: int, j: int) -> bool:
     return bundle_value(inst, i, alloc.bundles[j]) > bundle_value(inst, i, alloc.bundles[i])
 
 
-def _worst_removal(inst: Instance, viewer: int, bundle: frozenset[int]) -> tuple[int, Fraction]:
-    """The edge whose removal hurts the viewer least (argmin value, tie -> lowest id)."""
-    best_edge = -1
-    best_val: Fraction | None = None
+def least_valued_item(inst: Instance, viewer: int, bundle: Iterable[int]) -> tuple[int, Fraction]:
+    """The item of a non-empty bundle that the viewer values least, and its value;
+    ties go to the lowest edge id.
+
+    Removing this item leaves the viewer the most, so ``value - least`` is the
+    EFX bar every strong-envy test compares against.
+    """
+    # A loop over the sorted ids, not a min over (value, id) pairs: comparing
+    # pairs adds a Fraction equality test per item, and the oracle calls this in
+    # its innermost loop.
+    edges = inst.edges
+    item = -1
+    least = None
     for e in sorted(bundle):
-        val = inst.edges[e].value_for(viewer)
-        if best_val is None or val < best_val:
-            best_val = val
-            best_edge = e
-    assert best_val is not None
-    return best_edge, best_val
+        value = edges[e].value_for(viewer)
+        if least is None or value < least:
+            item, least = e, value
+    return item, least
 
 
 def strongly_envies(inst: Instance, alloc: Allocation, i: int, j: int) -> Witness | None:
@@ -104,7 +111,7 @@ def strongly_envies(inst: Instance, alloc: Allocation, i: int, j: int) -> Witnes
     other = bundle_value(inst, i, target)
     if other <= own:
         return None
-    g, g_val = _worst_removal(inst, i, target)
+    g, g_val = least_valued_item(inst, i, target)
     surviving = other - g_val
     if own < surviving:
         return Witness(i, j, g, own, surviving)
@@ -142,7 +149,7 @@ def check_efx(inst: Instance, alloc: Allocation, alpha: Fraction = ONE) -> Verdi
             # every item is worth >= 0.  So a pair with other <= own cannot fail.
             if other <= own:
                 continue
-            g, g_val = _worst_removal(inst, i, alloc.bundles[j])
+            g, g_val = least_valued_item(inst, i, alloc.bundles[j])
             bar = alpha * (other - g_val)
             if own < bar:
                 witnesses.append(Witness(i, j, g, own, bar))
@@ -159,7 +166,7 @@ def achieved_alpha(inst: Instance, alloc: Allocation, agent: int) -> Fraction:
         other = bundle_value(inst, agent, alloc.bundles[j])
         if other == 0:
             continue
-        _, g_val = _worst_removal(inst, agent, alloc.bundles[j])
+        _, g_val = least_valued_item(inst, agent, alloc.bundles[j])
         surviving = other - g_val
         if surviving > own:
             best = min(best, own / surviving)

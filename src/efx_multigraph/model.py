@@ -15,8 +15,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-Rational = Fraction
-
 FAMILY_STAR = "multi-star"
 FAMILY_CYCLE = "multi-cycle"
 FAMILY_TREE = "multi-tree"
@@ -49,10 +47,6 @@ def parse_rational(raw: int | str) -> Fraction:
             except ZeroDivisionError:
                 raise InstanceError(f"not a rational: {raw!r} (zero denominator)") from None
     raise InstanceError(f"not a rational: {raw!r} (expected digits or digits/digits)")
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,7 @@ class Instance:
     edges: tuple[EdgeItem, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise InstanceError(f"agent count must be a positive integer, got {self.n!r}")
         for k, e in enumerate(self.edges):
             if e.id != k:
@@ -96,7 +90,9 @@ class Instance:
             if e.u == e.v:
                 raise InstanceError(f"edge {k}: self-loop on agent {e.u}")
             for a in (e.u, e.v):
-                if not isinstance(a, int) or not (0 <= a < self.n):
+                if not isinstance(a, int) or isinstance(a, bool):
+                    raise InstanceError(f"edge {k}: agent id {a!r} is not an integer")
+                if not (0 <= a < self.n):
                     raise InstanceError(f"edge {k}: agent id {a} out of range [0, {self.n})")
             if e.wu <= 0 or e.wv <= 0:
                 raise InstanceError(f"edge {k}: non-positive weight")
@@ -260,28 +256,12 @@ def skeleton_adjacency(inst: Instance) -> dict[int, set[int]]:
     return adj
 
 
-def connected_components(inst: Instance) -> list[list[int]]:
-    adj = skeleton_adjacency(inst)
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in range(inst.n):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps
+def bfs_depths(adj: dict[int, set[int]], source: int) -> dict[int, int]:
+    """Skeleton distance from ``source`` to every agent of its component.
 
-
-def _bfs_distances(adj: dict[int, set[int]], source: int) -> dict[int, int]:
+    The one traversal of the skeleton: components are its key sets, and a
+    2-colouring is the parity of its depths.
+    """
     dist = {source: 0}
     queue = deque([source])
     while queue:
@@ -293,6 +273,31 @@ def _bfs_distances(adj: dict[int, set[int]], source: int) -> dict[int, int]:
     return dist
 
 
+def _component_depths(adj: dict[int, set[int]]) -> list[dict[int, int]]:
+    """BFS depths of each component from its lowest agent id, lowest first."""
+    seen: set[int] = set()
+    out: list[dict[int, int]] = []
+    for start in range(len(adj)):
+        if start not in seen:
+            depth = bfs_depths(adj, start)
+            seen.update(depth)
+            out.append(depth)
+    return out
+
+
+def _has_odd_cycle(adj: dict[int, set[int]], depth: dict[int, int]) -> bool:
+    """Some skeleton edge of the component joins two agents of equal depth parity."""
+    for x, d in depth.items():
+        for y in adj[x]:
+            if depth[y] % 2 == d % 2:
+                return True
+    return False
+
+
+def connected_components(inst: Instance) -> list[list[int]]:
+    return [sorted(depth) for depth in _component_depths(skeleton_adjacency(inst))]
+
+
 def two_coloring(inst: Instance) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Canonical bipartition of the skeleton, or None if an odd cycle exists.
 
@@ -300,23 +305,13 @@ def two_coloring(inst: Instance) -> tuple[tuple[int, ...], tuple[int, ...]] | No
     goes to the S side, so agent 0 always lands in S.
     """
     adj = skeleton_adjacency(inst)
-    color: dict[int, int] = {}
-    s_side: set[int] = set()
-    t_side: set[int] = set()
-    for comp in connected_components(inst):
-        root = comp[0]
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return None
-        s_side.update(v for v in comp if color[v] == 0)
-        t_side.update(v for v in comp if color[v] == 1)
+    s_side: list[int] = []
+    t_side: list[int] = []
+    for depth in _component_depths(adj):
+        if _has_odd_cycle(adj, depth):
+            return None
+        for v, d in depth.items():
+            (t_side if d % 2 else s_side).append(v)
     return (tuple(sorted(s_side)), tuple(sorted(t_side)))
 
 
@@ -347,31 +342,19 @@ def _component_family(inst: Instance, comp: list[int], adj: dict[int, set[int]])
         return FAMILY_CYCLE
     if skeleton_edges == size - 1:
         return FAMILY_TREE
-    colors = {comp[0]: 0}
-    queue = deque([comp[0]])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in colors:
-                colors[y] = 1 - colors[x]
-                queue.append(y)
-            elif colors[y] == colors[x]:
-                return FAMILY_GENERAL
+    if _has_odd_cycle(adj, bfs_depths(adj, comp[0])):
+        return FAMILY_GENERAL
     return FAMILY_BIPARTITE
 
 
 def analyze_structure(inst: Instance) -> StructureReport:
     """Compute q, distances, canonical bipartition and the most specific family label."""
     adj = skeleton_adjacency(inst)
-    multiplicity: dict[tuple[int, int], int] = {}
-    for e in inst.edges:
-        key = (min(e.u, e.v), max(e.u, e.v))
-        multiplicity[key] = multiplicity.get(key, 0) + 1
-    q = max(multiplicity.values(), default=0)
+    q = max(map(len, inst._pair_edges.values()), default=0)
 
     comps = connected_components(inst)
     main = max(comps, key=lambda c: (len(c), -c[0]))
-    dists = {v: _bfs_distances(adj, v) for v in main}
+    dists = {v: bfs_depths(adj, v) for v in main}
     ecc = {v: max(dists[v].values()) for v in main}
     diameter = max(ecc.values())
     center = min(v for v in main if ecc[v] == min(ecc.values()))
@@ -411,7 +394,7 @@ def instance_to_json(inst: Instance) -> dict:
     return {
         "n": inst.n,
         "edges": [
-            {"u": e.u, "v": e.v, "wu": format_rational(e.wu), "wv": format_rational(e.wv)}
+            {"u": e.u, "v": e.v, "wu": str(e.wu), "wv": str(e.wv)}
             for e in inst.edges
         ],
     }
@@ -453,17 +436,18 @@ def instance_from_json(doc: object) -> Instance:
     return Instance(n, tuple(edges))
 
 
-def load_instance(source: str | Path | IO[str]) -> Instance:
-    """Load an instance from a path or an open text stream."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
+def _read_json(source: str | Path | IO[str]) -> object:
+    """Decode the JSON document in a file or an open text stream."""
+    text = source.read() if hasattr(source, "read") else Path(source).read_text()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"invalid JSON: {exc}") from None
-    return instance_from_json(doc)
+
+
+def load_instance(source: str | Path | IO[str]) -> Instance:
+    """Load an instance from a path or an open text stream."""
+    return instance_from_json(_read_json(source))
 
 
 def save_instance(inst: Instance, target: str | Path | IO[str]) -> None:
@@ -496,12 +480,4 @@ def allocation_from_json(doc: object, inst: Instance) -> Allocation:
 
 
 def load_allocation(source: str | Path | IO[str], inst: Instance) -> Allocation:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid JSON: {exc}") from None
-    return allocation_from_json(doc, inst)
+    return allocation_from_json(_read_json(source), inst)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .fairness import check_efx
+from .fairness import check_efx, least_valued_item
 from .model import Allocation, Instance
 
 DEFAULT_BUDGET = 10_000_000
@@ -42,13 +42,23 @@ class OracleResult:
 
 
 class _Search:
-    """DFS state shared across the recursion; values are exact rationals."""
+    """DFS state shared across the recursion; values are exact rationals.
+
+    A search may be confined to the subtree below a fixed ``prefix`` of
+    assignments (one parallel task).  The nodes above the prefix's end are shared
+    by several tasks; each is counted in ``explored`` only by the task whose
+    prefix takes the first option from that node's depth on, so the task counts
+    sum to the single search's count.
+    """
 
     def __init__(self, inst: Instance, choices: list[tuple[int, ...]], prune: bool,
-                 counting: bool):
+                 counting: bool, prefix: tuple[int, ...] = ()):
         n = inst.n
         self.inst = inst
-        self.choices = choices
+        self.options = [(k,) for k in prefix] + choices[len(prefix):]
+        self.count_from = len(prefix)
+        while self.count_from and prefix[self.count_from - 1] == choices[self.count_from - 1][0]:
+            self.count_from -= 1
         self.prune = prune
         self.counting = counting
         self.val = [[Fraction(0)] * n for _ in range(n)]
@@ -67,26 +77,25 @@ class _Search:
         other = self.val[x][k]
         if other <= own:
             return False
-        edges = self.inst.edges
-        worst = min(edges[g].value_for(x) for g in self.bundles[k])
-        return own < other - worst
+        return own < other - least_valued_item(self.inst, x, self.bundles[k])[1]
 
-    def _leaf_is_efx(self) -> bool:
-        n = self.inst.n
-        for x in range(n):
-            for k in range(n):
-                if k != x and self.bundles[k] and self._strongly_envies(x, k):
-                    return False
-        return True
+    def _envies_some_bundle(self, x: int) -> bool:
+        for k in range(self.inst.n):
+            if k != x and self.bundles[k] and self._strongly_envies(x, k):
+                return True
+        return False
 
     def run(self, depth: int) -> bool:
-        """Explore below the current prefix; True means stop (witness found and
+        """Explore below the current assignment; True means stop (witness found and
         no count requested)."""
-        self.explored += 1
+        if depth >= self.count_from:
+            self.explored += 1
         inst = self.inst
-        if depth == len(self.choices):
-            if not self.prune and not self._leaf_is_efx():
-                return False
+        if depth == len(self.options):
+            if not self.prune:
+                for x in range(inst.n):
+                    if self._envies_some_bundle(x):
+                        return False
             if self.witness is None:
                 self.witness = list(self.assignment)
                 if not self.counting:
@@ -94,7 +103,7 @@ class _Search:
             self.count += 1
             return False
         edge = inst.edges[depth]
-        for k in self.choices[depth]:
+        for k in self.options[depth]:
             self.val[edge.u][k] += edge.wu
             self.val[edge.v][k] += edge.wv
             self.bundles[k].append(depth)
@@ -105,12 +114,8 @@ class _Search:
             dead = False
             if self.prune:
                 for x in (edge.u, edge.v):
-                    if self.remaining[x] == 0:
-                        for k2 in range(inst.n):
-                            if k2 != x and self.bundles[k2] and self._strongly_envies(x, k2):
-                                dead = True
-                                break
-                    if dead:
+                    if self.remaining[x] == 0 and self._envies_some_bundle(x):
+                        dead = True
                         break
                 if not dead:
                     for x in range(inst.n):
@@ -130,37 +135,6 @@ class _Search:
                 return True
         return False
 
-    def run_with_prefix(self, prefix: tuple[int, ...]) -> bool:
-        """Apply a fixed prefix (pruning it like any other branch), then explore."""
-        if not prefix:
-            return self.run(0)
-        k = prefix[0]
-        edge = self.inst.edges[len(self.assignment)]
-        self.val[edge.u][k] += edge.wu
-        self.val[edge.v][k] += edge.wv
-        self.bundles[k].append(edge.id)
-        self.remaining[edge.u] -= 1
-        self.remaining[edge.v] -= 1
-        self.assignment.append(k)
-        dead = False
-        if self.prune:
-            for x in (edge.u, edge.v):
-                if self.remaining[x] == 0:
-                    for k2 in range(self.inst.n):
-                        if k2 != x and self.bundles[k2] and self._strongly_envies(x, k2):
-                            dead = True
-                            break
-                if dead:
-                    break
-            if not dead:
-                for x in range(self.inst.n):
-                    if x != k and self.remaining[x] == 0 and self._strongly_envies(x, k):
-                        dead = True
-                        break
-        if dead:
-            return False
-        return self.run_with_prefix(prefix[1:]) if len(prefix) > 1 else self.run(len(self.assignment))
-
 
 def _witness_allocation(inst: Instance, assignment: list[int]) -> Allocation:
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
@@ -171,8 +145,8 @@ def _witness_allocation(inst: Instance, assignment: list[int]) -> Allocation:
 
 def _run_task(args: tuple[Instance, list[tuple[int, ...]], tuple[int, ...], bool, bool]) -> tuple[list[int] | None, int, int]:
     inst, choices, prefix, prune, counting = args
-    search = _Search(inst, choices, prune, counting)
-    search.run_with_prefix(prefix)
+    search = _Search(inst, choices, prune, counting, prefix)
+    search.run(0)
     return search.witness, search.count, search.explored
 
 
@@ -185,29 +159,23 @@ def _decide(inst: Instance, choices: list[tuple[int, ...]], target: str, budget:
         raise BudgetExceededError(
             f"{target} search needs {state_space} states, budget is {budget}")
 
-    if jobs <= 1 or len(choices) == 0:
-        search = _Search(inst, choices, prune, counting)
-        search.run(0)
-        witness = search.witness
-        count = search.count
-        explored = search.explored
-    else:
-        depth = 0
-        width = 1
-        while width < jobs and depth < len(choices):
-            width *= len(choices[depth])
-            depth += 1
-        tasks = [(inst, choices, prefix, prune, counting)
-                 for prefix in product(*choices[:depth])]
-        results = _map_tasks(tasks, jobs)
-        witness = None
-        count = 0
-        explored = 0
-        for task_witness, task_count, task_explored in results:
-            if witness is None and task_witness is not None:
-                witness = task_witness
-            count += task_count
-            explored += task_explored
+    # Split the tree at the shallowest depth with at least one subtree per job;
+    # with one job the only task is the whole tree.
+    depth = 0
+    width = 1
+    while width < jobs and depth < len(choices):
+        width *= len(choices[depth])
+        depth += 1
+    tasks = [(inst, choices, prefix, prune, counting)
+             for prefix in product(*choices[:depth])]
+    witness = None
+    count = 0
+    explored = 0
+    for task_witness, task_count, task_explored in _map_tasks(tasks, jobs):
+        if witness is None and task_witness is not None:
+            witness = task_witness
+        count += task_count
+        explored += task_explored
 
     alloc = None
     if witness is not None:
@@ -226,6 +194,8 @@ def _decide(inst: Instance, choices: list[tuple[int, ...]], target: str, budget:
 
 
 def _map_tasks(tasks: list, jobs: int) -> list:
+    if len(tasks) == 1:
+        return [_run_task(tasks[0])]
     try:
         from multiprocessing import Pool
 

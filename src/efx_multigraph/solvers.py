@@ -15,6 +15,7 @@ from .model import (
     Allocation,
     Instance,
     StructureError,
+    bfs_depths,
     connected_components,
     edge_set,
     is_complete,
@@ -73,23 +74,6 @@ def solve_multistar(inst: Instance) -> Allocation:
 # multi-trees, diameter <= 4, multiplicity <= 2
 
 
-def _tree_component_distances(adj: dict[int, set[int]], comp: list[int]) -> dict[int, dict[int, int]]:
-    from collections import deque
-
-    out = {}
-    for src in comp:
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        out[src] = dist
-    return out
-
-
 def _best_edge(inst: Instance, agent: int, edge_ids) -> int:
     """Highest-valued edge for the agent, ties to the lowest edge id."""
     return min(edge_ids, key=lambda e: (-inst.edges[e].value_for(agent), e))
@@ -129,7 +113,7 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
             raise StructureError("skeleton component is not a tree")
         if size == 1:
             continue
-        dists = _tree_component_distances(adj, comp)
+        dists = {v: bfs_depths(adj, v) for v in comp}
         ecc = {v: max(dists[v].values()) for v in comp}
         center = min(v for v in comp if ecc[v] == min(ecc.values()))
         if ecc[center] > 2:
@@ -233,21 +217,11 @@ def _sub_instance(inst: Instance, keep: list[int]) -> tuple[Instance, list[int]]
 def _path_parts_with_ends_in_t(inst_sub: Instance, end_a: int, end_b: int) -> Bipartition:
     """Bipartition of a path skeleton placing both (even-distance) ends in T;
     isolated agents go to S."""
-    from collections import deque
-
-    adj = skeleton_adjacency(inst_sub)
-    color = {end_a: 1}
-    queue = deque([end_a])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in color:
-                color[y] = 1 - color[x]
-                queue.append(y)
-    if color.get(end_b) != 1:
+    depth = bfs_depths(skeleton_adjacency(inst_sub), end_a)
+    if end_b not in depth or depth[end_b] % 2:
         raise StructureError("path ends do not share a side; the cycle parity is off")
-    s_side = tuple(sorted(v for v in range(inst_sub.n) if color.get(v, 0) == 0))
-    t_side = tuple(sorted(v for v in range(inst_sub.n) if color.get(v) == 1))
+    s_side = tuple(v for v in range(inst_sub.n) if depth.get(v, 1) % 2)
+    t_side = tuple(v for v in range(inst_sub.n) if depth.get(v, 1) % 2 == 0)
     return (s_side, t_side)
 
 

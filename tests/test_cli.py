@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from efx_multigraph import build_instance, oracle, save_instance, running_example
 from efx_multigraph.cli import main
@@ -251,3 +253,82 @@ def test_decide_clamps_jobs_to_cores(tmp_path, capsys, monkeypatch):
     for target, jobs in (("orientation", "1000"), ("allocation", "1000"), ("orientation", "3")):
         assert main(["decide", str(path), "--target", target, "--jobs", jobs]) == 0
     assert seen == [4, 4, 3]
+
+
+# Any JSON document, with the keys and values the readers look for made likely.
+# Integers stay small: the readers accept any positive agent count, and the work
+# after parsing grows with it.
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(-2, 5),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(["1", "2/3", "0", "-1", "1/0", "1.5", "x", ""]))
+_documents = st.recursive(_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.dictionaries(st.sampled_from(["n", "edges", "bundles", "u", "v", "wu", "wv", "k"]),
+                    inner, max_size=5)), max_leaves=16)
+_agent = st.one_of(st.integers(-1, 4), _leaves)
+_weight = st.one_of(st.sampled_from(["1", "3", "1/2", "5/3", "0", "-2"]), st.integers(-1, 6), _leaves)
+
+
+@st.composite
+def _valid_instance_docs(draw):
+    n = draw(st.integers(2, 4))
+    ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    weight = st.sampled_from(["1", "2", "3", "1/2", "5/3", "7"])
+    return {"n": n, "edges": [{"u": u, "v": v, "wu": draw(weight), "wv": draw(weight)}
+                              for u, v in draw(st.lists(ends, max_size=7))]}
+
+
+@st.composite
+def _valid_allocation_docs(draw):
+    bundles = [[] for _ in range(draw(st.integers(2, 4)))]
+    for e in range(draw(st.integers(0, 6))):
+        holder = draw(st.integers(-1, len(bundles) - 1))
+        if holder >= 0:
+            bundles[holder].append(e)
+    return {"bundles": bundles}
+
+
+_instance_docs = st.one_of(_documents, _valid_instance_docs(), st.fixed_dictionaries({
+    "n": st.one_of(st.integers(1, 4), _leaves),
+    "edges": st.lists(st.fixed_dictionaries({"u": _agent, "v": _agent, "wu": _weight, "wv": _weight}),
+                      max_size=5)}))
+_allocation_docs = st.one_of(_documents, _valid_allocation_docs(), st.fixed_dictionaries({
+    "bundles": st.lists(st.one_of(st.lists(st.one_of(st.integers(-1, 5), _leaves), max_size=3), _leaves),
+                        max_size=4)}))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    save_instance(build_instance(2, [(0, 1, 1, 2), (0, 1, 3, 1), (0, 1, 2, 2)]), path / "known.json")
+    return path
+
+
+def _contract(argv) -> None:
+    """Exit code 0-4 and no exception; one JSON document on stdout for 0 and 2,
+    else an empty stdout and an error line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(5)
+    if code in (0, 2):
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().splitlines()[-1].startswith("error:")
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_instance_docs, _allocation_docs)
+def test_cli_contract_holds_for_any_document(fuzz_dir, instance_doc, allocation_doc):
+    inst_path, alloc_path = fuzz_dir / "inst.json", fuzz_dir / "alloc.json"
+    inst_path.write_text(json.dumps(instance_doc))
+    alloc_path.write_text(json.dumps(allocation_doc))
+    known = str(fuzz_dir / "known.json")
+    for argv in (["analyze", str(inst_path)],
+                 ["solve", str(inst_path), "--budget", "5000"],
+                 ["decide", str(inst_path), "--target", "orientation", "--budget", "5000"],
+                 ["decide", str(inst_path), "--target", "allocation", "--budget", "5000"],
+                 ["verify", str(inst_path), str(alloc_path)],
+                 ["verify", known, str(alloc_path)]):
+        _contract(argv)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +21,7 @@ from efx_multigraph import (
     parse_rational,
     two_coloring,
 )
-from efx_multigraph.model import allocation_from_json, instance_from_json
+from efx_multigraph.model import allocation_from_json, connected_components, instance_from_json
 
 
 def test_parse_rational_forms():
@@ -67,6 +68,14 @@ def test_negative_weight_rejected():
         load_instance(io.StringIO(
             '{"n": 2, "edges": [{"u": 0, "v": 1, "wu": "1", "wv": "1"},'
             ' {"u": 0, "v": 1, "wu": "-2", "wv": "1"}]}'))
+
+
+@pytest.mark.parametrize("n, spec", [(3, (True, 2, 1, 1)), (3, (2, False, 1, 1)),
+                                     (True, ()), (2, (0, True, 1, 1))])
+def test_bool_agent_ids_and_count_rejected(n, spec):
+    # bool is an int subclass: without the check True would pass for agent 1.
+    with pytest.raises(InstanceError):
+        build_instance(n, [spec] if spec else [])
 
 
 def test_edge_set(walkthrough):
@@ -189,3 +198,51 @@ def test_round_trip_property(inst):
     text = instance_to_text(inst)
     assert load_instance(io.StringIO(text)) == inst
     assert json.loads(text)["n"] == inst.n
+
+
+@st.composite
+def skeletons(draw):
+    """Unit-valued instances on up to six agents: any simple or multi skeleton,
+    disconnected ones and odd cycles included."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    specs = draw(st.lists(ends, max_size=9)) if n > 1 else []
+    return build_instance(n, [(u, v, 1, 1) for u, v in specs])
+
+
+def _closure(inst, agent):
+    """Literal component: grow {agent} by adjacency until nothing is added."""
+    comp = {agent}
+    while True:
+        grown = comp | {e.v for e in inst.edges if e.u in comp} | {e.u for e in inst.edges if e.v in comp}
+        if grown == comp:
+            return comp
+        comp = grown
+
+
+def _has_odd_cycle(inst):
+    """Literal search: some odd-length sequence of distinct agents closes a cycle."""
+    adjacent = {(e.u, e.v) for e in inst.edges} | {(e.v, e.u) for e in inst.edges}
+    return any(all((cyc[i], cyc[(i + 1) % k]) in adjacent for i in range(k))
+               for k in range(3, inst.n + 1, 2) for cyc in permutations(range(inst.n), k))
+
+
+@given(skeletons())
+def test_components_and_two_coloring_match_definitions(inst):
+    comps = connected_components(inst)
+    assert sorted(v for comp in comps for v in comp) == list(range(inst.n))
+    assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
+    for comp in comps:
+        assert comp == sorted(_closure(inst, comp[0]))
+
+    parts = two_coloring(inst)
+    assert (parts is None) == _has_odd_cycle(inst)
+    assert analyze_structure(inst).bipartition == parts
+    if parts is None:
+        return
+    s_set, t_set = set(parts[0]), set(parts[1])
+    assert s_set | t_set == set(range(inst.n)) and not s_set & t_set
+    for e in inst.edges:
+        assert (e.u in s_set) != (e.v in s_set)
+    assert 0 in s_set
+    assert all(comp[0] in s_set for comp in comps)

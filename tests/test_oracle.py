@@ -14,6 +14,7 @@ from efx_multigraph import (
     decide_efx_orientation,
     envied_set,
     p3_block,
+    p4_qn,
     random_instance,
 )
 
@@ -115,14 +116,15 @@ def test_orientation_implies_allocation():
 
 
 def test_parallel_jobs_deterministic():
-    inst = c4_counter()
-    solo = decide_efx_orientation(inst, count=True, jobs=1)
-    duo = decide_efx_orientation(inst, count=True, jobs=2)
-    assert (solo.exists, solo.count, solo.witness) == (duo.exists, duo.count, duo.witness)
-    block = p3_block()
-    solo = decide_efx_orientation(block, count=True, jobs=1)
-    quad = decide_efx_orientation(block, count=True, jobs=4)
-    assert (solo.exists, solo.count, solo.witness) == (quad.exists, quad.count, quad.witness)
+    # explored counts every node once, whichever task reaches it: the nodes above
+    # the split depth are shared by several tasks.
+    for inst, explored in ((c4_counter(), 101), (p3_block(), 13), (p4_qn(6), 2808)):
+        solo = decide_efx_orientation(inst, count=True, jobs=1)
+        assert solo.explored == explored
+        for jobs in (2, 4):
+            many = decide_efx_orientation(inst, count=True, jobs=jobs)
+            assert (solo.exists, solo.count, solo.witness, solo.explored) == \
+                (many.exists, many.count, many.witness, many.explored)
 
 
 def test_pipeline_agrees_with_oracle():

@@ -86,8 +86,8 @@ def least_valued_item(inst: Instance, viewer: int, bundle: Iterable[int]) -> tup
     EFX bar every strong-envy test compares against.
     """
     # A loop over the sorted ids, not a min over (value, id) pairs: comparing
-    # pairs adds a Fraction equality test per item, and the oracle calls this in
-    # its innermost loop.
+    # pairs adds a Fraction equality test per item, and check_efx and
+    # achieved_alpha call this once per envied pair.
     edges = inst.edges
     item = -1
     least = None

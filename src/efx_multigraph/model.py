@@ -21,6 +21,10 @@ FAMILY_TREE = "multi-tree"
 FAMILY_BIPARTITE = "bipartite"
 FAMILY_GENERAL = "general"
 
+# The most agents an instance document may declare.  Several commands do work
+# quadratic in the agent count (an n-by-n value matrix), even with no edges.
+MAX_AGENTS = 1000
+
 
 class InstanceError(ValueError):
     """Malformed instance or allocation data."""
@@ -412,6 +416,8 @@ def instance_from_json(doc: object) -> Instance:
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InstanceError(f"'n' must be a positive integer, got {n!r}")
+    if n > MAX_AGENTS:
+        raise InstanceError(f"'n' is {n}, above the limit of {MAX_AGENTS} agents")
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise InstanceError("'edges' must be a list")

@@ -4,14 +4,17 @@ The search walks assignment vectors in lexicographic edge order, so the first
 witness found is canonical regardless of pruning or worker count.  Pruning cuts a
 branch only when some agent whose own value is already final strongly envies a
 bundle that can only keep growing, which cannot be repaired by later assignments.
+
+The search runs on exact integers, each agent's values scaled by the LCM of that
+agent's own denominators; the witness is re-verified with exact rationals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
+from math import lcm
 
-from .fairness import check_efx, least_valued_item
+from .fairness import check_efx
 from .model import Allocation, Instance
 
 DEFAULT_BUDGET = 10_000_000
@@ -42,7 +45,16 @@ class OracleResult:
 
 
 class _Search:
-    """DFS state shared across the recursion; values are exact rationals.
+    """DFS state shared across the recursion; values are exact integers, each
+    agent's scaled by the LCM of the denominators of its own values.
+
+    Every test the search makes (envy, and the EFX bar "bundle value minus the
+    least-valued item") compares values of one viewer only, so scaling a viewer's
+    values by a positive integer changes no verdict.
+
+    Edges are placed in id order, so an agent's own value is final from its last
+    incident edge on; the agents that close at each depth, and those already
+    final, are listed once up front.
 
     A search may be confined to the subtree below a fixed ``prefix`` of
     assignments (one parallel task).  The nodes above the prefix's end are shared
@@ -54,34 +66,59 @@ class _Search:
     def __init__(self, inst: Instance, choices: list[tuple[int, ...]], prune: bool,
                  counting: bool, prefix: tuple[int, ...] = ()):
         n = inst.n
-        self.inst = inst
         self.options = [(k,) for k in prefix] + choices[len(prefix):]
         self.count_from = len(prefix)
         while self.count_from and prefix[self.count_from - 1] == choices[self.count_from - 1][0]:
             self.count_from -= 1
         self.prune = prune
         self.counting = counting
-        self.val = [[Fraction(0)] * n for _ in range(n)]
-        self.bundles: list[list[int]] = [[] for _ in range(n)]
-        self.remaining = [0] * n
+
+        scale = [1] * n
+        last = [-1] * n
         for e in inst.edges:
-            self.remaining[e.u] += 1
-            self.remaining[e.v] += 1
+            scale[e.u] = lcm(scale[e.u], e.wu.denominator)
+            scale[e.v] = lcm(scale[e.v], e.wv.denominator)
+            last[e.u] = last[e.v] = e.id
+        # Agents no edge touches value every bundle at 0 and never envy: they get
+        # no rows.  weight[x][e] is x's scaled value of item e (0 off x's edges).
+        self.agents = [x for x in range(n) if last[x] >= 0]
+        self.weight: list[list[int] | None] = [None] * n
+        self.val: list[list[int] | None] = [None] * n
+        for x in self.agents:
+            self.weight[x] = [0] * inst.m
+            self.val[x] = [0] * n
+        self.steps = []
+        for e in inst.edges:
+            wu = e.wu.numerator * (scale[e.u] // e.wu.denominator)
+            wv = e.wv.numerator * (scale[e.v] // e.wv.denominator)
+            self.weight[e.u][e.id] = wu
+            self.weight[e.v][e.id] = wv
+            closing = tuple(x for x in (e.u, e.v) if last[x] == e.id)
+            final = tuple(x for x in self.agents if last[x] < e.id)
+            self.steps.append((e.u, e.v, wu, wv, closing, final))
+
+        self.bundles: list[list[int]] = [[] for _ in range(n)]
         self.assignment: list[int] = []
         self.witness: list[int] | None = None
         self.count = 0
         self.explored = 0
 
     def _strongly_envies(self, x: int, k: int) -> bool:
-        own = self.val[x][x]
-        other = self.val[x][k]
+        row = self.val[x]
+        own = row[x]
+        other = row[k]
         if other <= own:
             return False
-        return own < other - least_valued_item(self.inst, x, self.bundles[k])[1]
+        return own < other - min(map(self.weight[x].__getitem__, self.bundles[k]))
 
     def _envies_some_bundle(self, x: int) -> bool:
-        for k in range(self.inst.n):
-            if k != x and self.bundles[k] and self._strongly_envies(x, k):
+        row = self.val[x]
+        own = row[x]
+        least = self.weight[x].__getitem__
+        bundles = self.bundles
+        # A bundle worth more than ``own`` is non-empty and is not x's own.
+        for k, other in enumerate(row):
+            if other > own and own < other - min(map(least, bundles[k])):
                 return True
         return False
 
@@ -90,10 +127,9 @@ class _Search:
         no count requested)."""
         if depth >= self.count_from:
             self.explored += 1
-        inst = self.inst
         if depth == len(self.options):
             if not self.prune:
-                for x in range(inst.n):
+                for x in self.agents:
                     if self._envies_some_bundle(x):
                         return False
             if self.witness is None:
@@ -102,35 +138,34 @@ class _Search:
                     return True
             self.count += 1
             return False
-        edge = inst.edges[depth]
+        u, v, wu, wv, closing, final = self.steps[depth]
+        val_u = self.val[u]
+        val_v = self.val[v]
         for k in self.options[depth]:
-            self.val[edge.u][k] += edge.wu
-            self.val[edge.v][k] += edge.wv
-            self.bundles[k].append(depth)
-            self.remaining[edge.u] -= 1
-            self.remaining[edge.v] -= 1
+            val_u[k] += wu
+            val_v[k] += wv
+            bundle = self.bundles[k]
+            bundle.append(depth)
             self.assignment.append(k)
 
             dead = False
             if self.prune:
-                for x in (edge.u, edge.v):
-                    if self.remaining[x] == 0 and self._envies_some_bundle(x):
+                for x in closing:
+                    if self._envies_some_bundle(x):
                         dead = True
                         break
                 if not dead:
-                    for x in range(inst.n):
-                        if x != k and self.remaining[x] == 0 and self._strongly_envies(x, k):
+                    for x in final:
+                        if self._strongly_envies(x, k):
                             dead = True
                             break
 
             stop = False if dead else self.run(depth + 1)
 
             self.assignment.pop()
-            self.remaining[edge.u] += 1
-            self.remaining[edge.v] += 1
-            self.bundles[k].pop()
-            self.val[edge.u][k] -= edge.wu
-            self.val[edge.v][k] -= edge.wv
+            bundle.pop()
+            val_u[k] -= wu
+            val_v[k] -= wv
             if stop:
                 return True
         return False

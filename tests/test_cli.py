@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from efx_multigraph import build_instance, oracle, save_instance, running_example
 from efx_multigraph.cli import main
-from efx_multigraph.model import instance_to_text
+from efx_multigraph.model import MAX_AGENTS, instance_to_text
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -212,6 +212,14 @@ def test_analyze_rejects_malformed_edge(tmp_path, capsys, edge):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"n": 2, "edges": [edge]}))
     _error_exit(capsys, ["analyze", str(path)])
+
+
+def test_analyze_rejects_too_many_agents(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"n": MAX_AGENTS + 1, "edges": []}))
+    _error_exit(capsys, ["analyze", str(path)])
+    path.write_text(json.dumps({"n": MAX_AGENTS, "edges": []}))
+    assert main(["analyze", str(path)]) == 0
 
 
 @pytest.mark.parametrize("bundles", [[[[1]], [0, 2]], [None, [0, 1, 2]], [{}, []]])

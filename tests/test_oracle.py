@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from efx_multigraph import (
     BudgetExceededError,
+    InstanceError,
     build_instance,
     c4_counter,
     check_efx,
@@ -13,9 +15,12 @@ from efx_multigraph import (
     decide_efx_allocation,
     decide_efx_orientation,
     envied_set,
+    make_allocation,
+    np_gadget,
     p3_block,
     p4_qn,
     random_instance,
+    running_example,
 )
 
 
@@ -138,3 +143,122 @@ def test_p3_block_witnesses_leave_agent2_envied():
     inst = p3_block()
     result = decide_efx_orientation(inst, count=True)
     assert 2 in envied_set(inst, result.witness)
+
+
+# Instances whose agents mix large denominators (the gadget's eps/delta reach
+# 1/10^6; the random ones draw them from [1, 1000]), with the search each is
+# run under.  The search scales every agent's values to integers on its own.
+def _mixed_denominator_runs():
+    def orient(inst, count=True):
+        return lambda **kw: decide_efx_orientation(inst, count=count, **kw)
+
+    runs = {
+        "np_gadget(3,1,1,2,2,2)": orient(np_gadget((3, 1, 1, 2, 2, 2))),
+        "running_example": orient(running_example(), count=False),
+    }
+    for seed in (1, 2, 3):
+        inst = random_instance(4, 8, 4, "bipartite", den_max=1000, seed=seed)
+        runs[f"bipartite-4x8-seed{seed}"] = orient(inst)
+    triangle = random_instance(3, 5, 3, "cycle", den_max=1000, seed=1)
+    runs["cycle-3x5-seed1/allocation"] = lambda **kw: decide_efx_allocation(triangle, **kw)
+    return runs
+
+
+def _outcome(result):
+    witness = None if result.witness is None else [sorted(b) for b in result.witness.bundles]
+    return (result.exists, result.count, witness, result.explored)
+
+
+# (exists, count, witness bundles, explored) per (run, prune, jobs), recorded
+# with the search on exact rationals.  A first-witness search (no count) stops
+# each parallel task at its own first witness, so its explored count depends on
+# jobs; a counting search's does not.
+MIXED_DENOMINATOR_PINS = {
+    ('bipartite-4x8-seed1', True, 1):
+        (True, 14, [[5, 6], [0, 4], [1, 2, 7], [3]], 129),
+    ('bipartite-4x8-seed1', True, 2):
+        (True, 14, [[5, 6], [0, 4], [1, 2, 7], [3]], 129),
+    ('bipartite-4x8-seed1', False, 1):
+        (True, 14, [[5, 6], [0, 4], [1, 2, 7], [3]], 511),
+    ('bipartite-4x8-seed1', False, 2):
+        (True, 14, [[5, 6], [0, 4], [1, 2, 7], [3]], 511),
+    ('bipartite-4x8-seed2', True, 1):
+        (True, 13, [[0, 6], [3, 4], [1, 2, 5], [7]], 128),
+    ('bipartite-4x8-seed2', True, 2):
+        (True, 13, [[0, 6], [3, 4], [1, 2, 5], [7]], 128),
+    ('bipartite-4x8-seed2', False, 1):
+        (True, 13, [[0, 6], [3, 4], [1, 2, 5], [7]], 511),
+    ('bipartite-4x8-seed2', False, 2):
+        (True, 13, [[0, 6], [3, 4], [1, 2, 5], [7]], 511),
+    ('bipartite-4x8-seed3', True, 1):
+        (True, 19, [[0, 1, 3, 4, 6], [2], [5], [7]], 134),
+    ('bipartite-4x8-seed3', True, 2):
+        (True, 19, [[0, 1, 3, 4, 6], [2], [5], [7]], 134),
+    ('bipartite-4x8-seed3', False, 1):
+        (True, 19, [[0, 1, 3, 4, 6], [2], [5], [7]], 511),
+    ('bipartite-4x8-seed3', False, 2):
+        (True, 19, [[0, 1, 3, 4, 6], [2], [5], [7]], 511),
+    ('cycle-3x5-seed1/allocation', True, 1):
+        (True, None, [[1, 3], [0, 2], [4]], 28),
+    ('cycle-3x5-seed1/allocation', True, 2):
+        (True, None, [[1, 3], [0, 2], [4]], 46),
+    ('cycle-3x5-seed1/allocation', False, 1):
+        (True, None, [[1, 3], [0, 2], [4]], 142),
+    ('cycle-3x5-seed1/allocation', False, 2):
+        (True, None, [[1, 3], [0, 2], [4]], 263),
+    ('np_gadget(3,1,1,2,2,2)', True, 1):
+        (False, 0, None, 3661),
+    ('np_gadget(3,1,1,2,2,2)', True, 2):
+        (False, 0, None, 3661),
+    ('np_gadget(3,1,1,2,2,2)', False, 1):
+        (False, 0, None, 131071),
+    ('np_gadget(3,1,1,2,2,2)', False, 2):
+        (False, 0, None, 131071),
+    ('running_example', True, 1):
+        (True, None, [[0, 4, 5, 9, 10], [1, 2], [8, 13], [14, 15, 16], [3, 17], [6, 7], [11, 12]], 10853),
+    ('running_example', True, 2):
+        (True, None, [[0, 4, 5, 9, 10], [1, 2], [8, 13], [14, 15, 16], [3, 17], [6, 7], [11, 12]], 11832),
+    ('running_example', False, 1):
+        (True, None, [[0, 4, 5, 9, 10], [1, 2], [8, 13], [14, 15, 16], [3, 17], [6, 7], [11, 12]], 39119),
+    ('running_example', False, 2):
+        (True, None, [[0, 4, 5, 9, 10], [1, 2], [8, 13], [14, 15, 16], [3, 17], [6, 7], [11, 12]], 45469),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_mixed_denominator_runs()))
+def test_mixed_denominator_outcomes_pinned(name):
+    run = _mixed_denominator_runs()[name]
+    for prune in (True, False):
+        for jobs in (1, 2):
+            assert _outcome(run(prune=prune, jobs=jobs)) == MIXED_DENOMINATOR_PINS[name, prune, jobs]
+
+
+def test_count_and_witness_match_the_definition():
+    # Reference: every orientation vector in lexicographic order, judged by the
+    # exact-rational check_efx alone.
+    checked = 0
+    seed = 0
+    while checked < 20:
+        seed += 1
+        rng = random.Random(seed)
+        n, m = rng.randint(2, 4), rng.randint(5, 9)
+        try:
+            inst = random_instance(n, m, 4, "bipartite", den_max=1000, seed=seed)
+        except InstanceError:
+            continue
+        choices = [(e.u, e.v) for e in inst.edges]
+        efx = []
+        for vector in itertools.product(*choices):
+            bundles = [set() for _ in range(inst.n)]
+            for e, k in enumerate(vector):
+                bundles[k].add(e)
+            if check_efx(inst, make_allocation(inst.n, bundles)).passed:
+                efx.append(bundles)
+        for prune in (True, False):
+            result = decide_efx_orientation(inst, count=True, prune=prune)
+            assert result.count == len(efx)
+            if efx:
+                assert [set(b) for b in result.witness.bundles] == efx[0]
+            else:
+                assert result.witness is None
+        checked += 1

@@ -193,17 +193,22 @@ def enforce_safe_sets(inst: Instance, alloc: Allocation, parts: Bipartition | No
     return state.freeze()
 
 
+def _first_unsafe(state: AllocationState, envied: set[int]) -> tuple[int, int] | None:
+    """The lowest envied agent with an envier outside its safe set, and the
+    lowest such envier."""
+    for i in sorted(envied):
+        safe = state.safe_set(i, envied)
+        for j in state.enviers_of(i):
+            if j not in safe:
+                return i, j
+    return None
+
+
 def _safe_loop(state: AllocationState, events: list[dict] | None) -> None:
     inst, parts = state.inst, state.parts
     while True:
         envied = state.envied()
-        target: tuple[int, int] | None = None
-        for i in sorted(envied):
-            safe = state.safe_set(i, envied)
-            unsafe = [j for j in state.enviers_of(i) if j not in safe]
-            if unsafe:
-                target = (i, unsafe[0])
-                break
+        target = _first_unsafe(state, envied)
         if target is None:
             return
         i, j = target
@@ -378,13 +383,8 @@ def _flags(state: AllocationState) -> PropertyFlags:
              for i in range(inst.n) for j in state.neighbours[i])
 
     envied = state.envied()
-    p4 = all(not state.available_set(i) for i in range(inst.n) if i not in envied)
-    p5 = True
-    for i in envied:
-        safe = state.safe_set(i, envied)
-        if any(j not in safe for j in state.enviers_of(i)):
-            p5 = False
-            break
+    p4 = _first_violation(state, envied) is None
+    p5 = _first_unsafe(state, envied) is None
     return PropertyFlags(p1, p2, p3, p4, p5)
 
 

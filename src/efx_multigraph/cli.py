@@ -7,6 +7,7 @@ exceeded, 4 method/structure mismatch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,10 +16,7 @@ from fractions import Fraction
 from . import bipartite, forge, oracle, solvers
 from .fairness import achieved_alpha, check_efx
 from .model import (
-    FAMILY_BIPARTITE,
     FAMILY_CYCLE,
-    FAMILY_STAR,
-    FAMILY_TREE,
     Allocation,
     Instance,
     InstanceError,
@@ -64,6 +62,11 @@ def _parse_fraction(text: str) -> Fraction:
         raise InstanceError(f"not a rational: {text!r} ({exc})") from None
 
 
+def _parse_set(text: str) -> tuple[int, ...]:
+    """A comma-separated partition multiset."""
+    return tuple(int(part) for part in text.split(",") if part != "")
+
+
 def _solve(inst: Instance, method: str, budget: int) -> tuple[Allocation, bipartite.PipelineTrace | None]:
     if method == "bipartite":
         return bipartite.complete_efx(inst)
@@ -74,11 +77,9 @@ def _solve(inst: Instance, method: str, budget: int) -> tuple[Allocation, bipart
     if method == "cycle":
         return _solve_cycle(inst, budget), None
     report = analyze_structure(inst)
-    if report.family in (FAMILY_STAR, FAMILY_TREE, FAMILY_BIPARTITE):
+    if report.bipartition is not None:
         return bipartite.complete_efx(inst)
     if report.family == FAMILY_CYCLE:
-        if report.bipartition is not None:
-            return bipartite.complete_efx(inst)
         return _solve_cycle(inst, budget), None
     raise StructureError(
         "no constructive method covers this instance: its skeleton is neither "
@@ -156,31 +157,14 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    pset = None
-    if args.set is not None:
-        pset = tuple(int(part) for part in args.set.split(",") if part != "")
-    spec = forge.FamilySpec(
-        family=args.family,
-        eps=_parse_fraction(args.eps),
-        delta=_parse_fraction(args.delta),
-        q=args.q,
-        pset=pset,
-        n=args.n,
-        m=args.m,
-        q_max=args.q_max,
-        shape=args.shape,
-        num_max=args.num_max,
-        den_max=args.den_max,
-        symmetric=args.symmetric,
-        seed=args.seed,
-    )
+    fields = dataclasses.fields(forge.FamilySpec)
+    spec = forge.FamilySpec(**{f.name: getattr(args, f.name) for f in fields})
     _emit(instance_to_json(forge.generate(spec)))
     return EXIT_OK
 
 
 def _cmd_reduce_partition(args) -> int:
-    pset = tuple(int(part) for part in args.set.split(",") if part != "")
-    inst = forge.reduce_partition(pset, _parse_fraction(args.eps), _parse_fraction(args.delta))
+    inst = forge.reduce_partition(args.pset, args.eps, args.delta)
     _emit(instance_to_json(inst))
     return EXIT_OK
 
@@ -225,12 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_decide)
 
+    # gen's options are FamilySpec's fields, under the same names (dest).
     p = sub.add_parser("gen", help="generate a benchmark instance")
     p.add_argument("--family", choices=list(forge.ALL_FAMILIES), required=True)
-    p.add_argument("--eps", default="1/100")
-    p.add_argument("--delta", default="1/1000000")
+    p.add_argument("--eps", type=_parse_fraction, default=forge.DEFAULT_EPS)
+    p.add_argument("--delta", type=_parse_fraction, default=forge.DEFAULT_DELTA)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--set", default=None, help="comma-separated partition multiset")
+    p.add_argument("--set", dest="pset", metavar="SET", type=_parse_set, default=None,
+                   help="comma-separated partition multiset")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--q-max", dest="q_max", type=int, default=None)
@@ -242,9 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("reduce-partition", help="emit the partition gadget instance")
-    p.add_argument("--set", required=True, help="comma-separated partition multiset")
-    p.add_argument("--eps", default="1/100")
-    p.add_argument("--delta", default="1/1000000")
+    p.add_argument("--set", dest="pset", metavar="SET", type=_parse_set, required=True,
+                   help="comma-separated partition multiset")
+    p.add_argument("--eps", type=_parse_fraction, default=forge.DEFAULT_EPS)
+    p.add_argument("--delta", type=_parse_fraction, default=forge.DEFAULT_DELTA)
     p.set_defaults(func=_cmd_reduce_partition)
 
     p = sub.add_parser("analyze", help="report the instance structure")

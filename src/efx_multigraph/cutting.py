@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .fairness import bundle_value
 from .model import Instance, edge_set
 
 
@@ -48,8 +49,12 @@ def cut(inst: Instance, cutter: int, other: int) -> CutConfig:
     return CutConfig(cutter, other, frozenset(c1), frozenset(c2))
 
 
+def _margin(inst: Instance, agent: int, cfg: CutConfig) -> Fraction:
+    """The agent's value of c1 minus its value of c2: the sign says which half
+    it prefers, 0 that it is indifferent."""
+    return bundle_value(inst, agent, cfg.c1) - bundle_value(inst, agent, cfg.c2)
+
+
 def preferred_bundle(inst: Instance, agent: int, cfg: CutConfig) -> frozenset[int]:
     """The cut bundle this agent weakly prefers; exact ties go to c1."""
-    v1 = sum((inst.edges[e].value_for(agent) for e in cfg.c1), Fraction(0))
-    v2 = sum((inst.edges[e].value_for(agent) for e in cfg.c2), Fraction(0))
-    return cfg.c1 if v1 >= v2 else cfg.c2
+    return cfg.c1 if _margin(inst, agent, cfg) >= 0 else cfg.c2

@@ -211,29 +211,19 @@ def random_instance(n: int, m: int, q_max: int, shape: str, *, num_max: int = 10
     else:
         raise InstanceError(f"unknown shape {shape!r}")
 
-    if shape == "bipartite":
-        capacity = len(skeleton) * q_max
-        if m > capacity:
-            raise InstanceError(f"cannot place {m} edges, capacity is {capacity}")
-        counts: dict[tuple[int, int], int] = {}
-        chosen: list[tuple[int, int]] = []
-        for _ in range(m):
-            open_pairs = [p for p in skeleton if counts.get(p, 0) < q_max]
-            pair = open_pairs[rng.randrange(len(open_pairs))]
-            counts[pair] = counts.get(pair, 0) + 1
-            chosen.append(pair)
-    else:
-        if n > 1 and m < len(skeleton):
-            raise InstanceError(f"shape {shape!r} on {n} agents needs at least {len(skeleton)} edges")
-        if m > len(skeleton) * q_max:
-            raise InstanceError(f"cannot place {m} edges, capacity is {len(skeleton) * q_max}")
-        counts = {p: 1 for p in skeleton}
-        chosen = list(skeleton)
-        for _ in range(m - len(skeleton)):
-            open_pairs = [p for p in skeleton if counts[p] < q_max]
-            pair = open_pairs[rng.randrange(len(open_pairs))]
-            counts[pair] += 1
-            chosen.append(pair)
+    # Every shape but "bipartite" first puts one edge on each skeleton pair.
+    base = 0 if shape == "bipartite" else 1
+    if m < base * len(skeleton):
+        raise InstanceError(f"shape {shape!r} on {n} agents needs at least {len(skeleton)} edges")
+    if m > len(skeleton) * q_max:
+        raise InstanceError(f"cannot place {m} edges, capacity is {len(skeleton) * q_max}")
+    counts = dict.fromkeys(skeleton, base)
+    chosen = list(skeleton) if base else []
+    for _ in range(m - len(chosen)):
+        open_pairs = [p for p in skeleton if counts[p] < q_max]
+        pair = open_pairs[rng.randrange(len(open_pairs))]
+        counts[pair] += 1
+        chosen.append(pair)
 
     specs = []
     for u, v in chosen:

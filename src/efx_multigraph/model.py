@@ -336,7 +336,8 @@ def _longest_simple_path(adj: dict[int, set[int]], vertices: Sequence[int]) -> i
     return best
 
 
-def _component_family(inst: Instance, comp: list[int], adj: dict[int, set[int]]) -> str:
+def _component_family(comp: list[int], adj: dict[int, set[int]]) -> str:
+    """The most specific family label of one skeleton component."""
     size = len(comp)
     skeleton_edges = sum(len(adj[v]) for v in comp) // 2
     degrees = [len(adj[v]) for v in comp]
@@ -351,6 +352,14 @@ def _component_family(inst: Instance, comp: list[int], adj: dict[int, set[int]])
     return FAMILY_BIPARTITE
 
 
+def _center(adj: dict[int, set[int]], comp: list[int]) -> tuple[int, int, int]:
+    """(center, radius, diameter) of a component: the lowest agent of least
+    eccentricity, that eccentricity, and the greatest one."""
+    ecc = {v: max(bfs_depths(adj, v).values()) for v in comp}
+    radius = min(ecc.values())
+    return min(v for v in comp if ecc[v] == radius), radius, max(ecc.values())
+
+
 def analyze_structure(inst: Instance) -> StructureReport:
     """Compute q, distances, canonical bipartition and the most specific family label."""
     adj = skeleton_adjacency(inst)
@@ -358,14 +367,11 @@ def analyze_structure(inst: Instance) -> StructureReport:
 
     comps = connected_components(inst)
     main = max(comps, key=lambda c: (len(c), -c[0]))
-    dists = {v: bfs_depths(adj, v) for v in main}
-    ecc = {v: max(dists[v].values()) for v in main}
-    diameter = max(ecc.values())
-    center = min(v for v in main if ecc[v] == min(ecc.values()))
+    center, _, diameter = _center(adj, main)
     longest = _longest_simple_path(adj, range(inst.n)) if inst.n <= 12 else None
 
     bipartition = two_coloring(inst)
-    families = {_component_family(inst, comp, adj) for comp in comps}
+    families = {_component_family(comp, adj) for comp in comps}
     if len(comps) == 1:
         family = next(iter(families))
     elif families <= {FAMILY_STAR}:

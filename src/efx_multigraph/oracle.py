@@ -60,7 +60,8 @@ class _Search:
     assignments (one parallel task).  The nodes above the prefix's end are shared
     by several tasks; each is counted in ``explored`` only by the task whose
     prefix takes the first option from that node's depth on, so the task counts
-    sum to the single search's count.
+    sum to the single search's count (without a count requested, over the tasks
+    up to the first that finds a witness).
     """
 
     def __init__(self, inst: Instance, choices: list[tuple[int, ...]], prune: bool,
@@ -206,7 +207,7 @@ def _decide(inst: Instance, choices: list[tuple[int, ...]], target: str, budget:
     witness = None
     count = 0
     explored = 0
-    for task_witness, task_count, task_explored in _map_tasks(tasks, jobs):
+    for task_witness, task_count, task_explored in _map_tasks(tasks, jobs, counting):
         if witness is None and task_witness is not None:
             witness = task_witness
         count += task_count
@@ -228,16 +229,28 @@ def _decide(inst: Instance, choices: list[tuple[int, ...]], target: str, budget:
     )
 
 
-def _map_tasks(tasks: list, jobs: int) -> list:
+def _map_tasks(tasks: list, jobs: int, counting: bool) -> list:
+    """Task results in prefix order.  Without a count, none is needed after the
+    first task that finds a witness: the single search stops in that task too, so
+    the tasks up to it explore exactly the single search's nodes."""
     if len(tasks) == 1:
         return [_run_task(tasks[0])]
     try:
         from multiprocessing import Pool
 
         with Pool(processes=jobs) as pool:
-            return pool.map(_run_task, tasks)
+            return _until_witness(pool.imap(_run_task, tasks), counting)
     except (ImportError, OSError, PermissionError):
-        return [_run_task(task) for task in tasks]
+        return _until_witness(map(_run_task, tasks), counting)
+
+
+def _until_witness(results, counting: bool) -> list:
+    out = []
+    for result in results:
+        out.append(result)
+        if result[0] is not None and not counting:
+            break
+    return out
 
 
 def decide_efx_orientation(inst: Instance, budget: int | None = None, count: bool = False,

@@ -8,13 +8,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bipartite import complete_efx
-from .cutting import cut, preferred_bundle
-from .derived import Bipartition
+from .cutting import CutConfig, _margin, cut, preferred_bundle
 from .fairness import bundle_value, check_efx, enviers_of, envies
 from .model import (
+    FAMILY_CYCLE,
+    FAMILY_STAR,
+    FAMILY_TREE,
     Allocation,
+    EdgeItem,
     Instance,
     StructureError,
+    _center,
+    _component_family,
     bfs_depths,
     connected_components,
     edge_set,
@@ -25,7 +30,10 @@ from .model import (
 )
 
 
-def _assert_result(inst: Instance, alloc: Allocation, orientation: bool, label: str) -> None:
+def _checked(inst: Instance, cur: list[set[int]], orientation: bool, label: str) -> Allocation:
+    """The allocation with these bundles, asserted complete, EFX and, where
+    promised, an orientation."""
+    alloc = make_allocation(inst.n, cur)
     if not is_complete(inst, alloc):
         raise StructureError(f"{label}: output is not complete")
     if orientation and not is_orientation(inst, alloc):
@@ -33,6 +41,13 @@ def _assert_result(inst: Instance, alloc: Allocation, orientation: bool, label: 
     verdict = check_efx(inst, alloc)
     if not verdict.passed:
         raise StructureError(f"{label}: output is not EFX ({verdict.witnesses[0]})")
+    return alloc
+
+
+def _halves(inst: Instance, cfg: CutConfig, agent: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The half of the cut the agent weakly prefers (ties to c1), then the other."""
+    mine = preferred_bundle(inst, agent, cfg)
+    return mine, cfg.c2 if mine == cfg.c1 else cfg.c1
 
 
 # ---------------------------------------------------------------------------
@@ -49,25 +64,15 @@ def solve_multistar(inst: Instance) -> Allocation:
     adj = skeleton_adjacency(inst)
     cur: list[set[int]] = [set() for _ in range(inst.n)]
     for comp in connected_components(inst):
-        size = len(comp)
-        if size == 1:
-            continue
-        hubs = [v for v in comp if len(adj[v]) == size - 1]
-        if not hubs:
+        if _component_family(comp, adj) != FAMILY_STAR:
             raise StructureError("skeleton component is not a star")
-        hub = min(hubs)
-        leaves = [v for v in comp if v != hub]
-        if any(len(adj[v]) != 1 for v in leaves):
-            raise StructureError("skeleton component is not a star")
-        for leaf in sorted(leaves):
-            cfg = cut(inst, hub, leaf)
-            mine = preferred_bundle(inst, leaf, cfg)
-            rest = cfg.c2 if mine == cfg.c1 else cfg.c1
-            cur[leaf] |= mine
-            cur[hub] |= rest
-    out = make_allocation(inst.n, cur)
-    _assert_result(inst, out, orientation=True, label="multi-star solver")
-    return out
+        hub = min(v for v in comp if len(adj[v]) == len(comp) - 1)
+        for leaf in comp:
+            if leaf != hub:
+                mine, rest = _halves(inst, cut(inst, hub, leaf), leaf)
+                cur[leaf] |= mine
+                cur[hub] |= rest
+    return _checked(inst, cur, orientation=True, label="multi-star solver")
 
 
 # ---------------------------------------------------------------------------
@@ -96,75 +101,57 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
     an envied depth-1 agent does not envy the center.
     """
     adj = skeleton_adjacency(inst)
-    pairs = inst.pairs()
-    if any(len(edge_set(inst, a, b)) > 2 for a, b in pairs):
+    if any(len(edge_set(inst, a, b)) > 2 for a, b in inst.pairs()):
         raise StructureError("multiplicity above 2 is unsupported by the tree solver")
     cur: list[set[int]] = [set() for _ in range(inst.n)]
 
-    def record() -> None:
+    def checkpoint(center: int, depth1: list[int]) -> Allocation:
+        """Snapshot the state and assert the step invariants on it."""
+        frozen = make_allocation(inst.n, cur)
         if snapshots is not None:
-            snapshots.append(make_allocation(inst.n, cur))
+            snapshots.append(frozen)
+        _assert_tree_invariants(inst, frozen, center, depth1)
+        return frozen
 
     for comp in connected_components(inst):
-        size = len(comp)
-        comp_edges = {e.id for e in inst.edges if e.u in comp}
-        skeleton_count = len({(min(a, b), max(a, b)) for a, b in pairs if a in comp})
-        if skeleton_count != size - 1:
+        if _component_family(comp, adj) not in (FAMILY_STAR, FAMILY_TREE):
             raise StructureError("skeleton component is not a tree")
-        if size == 1:
+        if len(comp) == 1:
             continue
-        dists = {v: bfs_depths(adj, v) for v in comp}
-        ecc = {v: max(dists[v].values()) for v in comp}
-        center = min(v for v in comp if ecc[v] == min(ecc.values()))
-        if ecc[center] > 2:
+        center, radius, _ = _center(adj, comp)
+        if radius > 2:
             raise StructureError("tree diameter above 4 is unsupported")
         depth1 = sorted(adj[center])
-        children = {t: sorted(set(adj[t]) - {center}) for t in depth1}
 
-        center_edges = sorted(e for e in comp_edges
-                              if center in inst.edges[e].endpoints())
-        if center_edges:
-            favorite = _best_edge(inst, center, center_edges)
-            cur[center].add(favorite)
-            for e in center_edges:
-                if e != favorite:
-                    u, v = inst.edges[e].endpoints()
-                    cur[u if v == center else v].add(e)
-        record()
-        _assert_tree_invariants(inst, cur, center, depth1)
+        favorite = _best_edge(inst, center, inst.incident(center))
+        cur[center].add(favorite)
+        for e in inst.incident(center) - {favorite}:
+            u, v = inst.edges[e].endpoints()
+            cur[u if v == center else v].add(e)
+        frozen = checkpoint(center, depth1)
 
         for agent in depth1:
-            kids = children[agent]
+            kids = sorted(adj[agent] - {center})
             if not kids:
                 continue
-            frozen = make_allocation(inst.n, cur)
-            envied = bool(enviers_of(inst, frozen, agent))
-            child_edges = [e for kid in kids for e in edge_set(inst, agent, kid)]
-            favorite_child_edge = _best_edge(inst, agent, child_edges)
-            shared = edge_set(inst, center, agent)
-            if not envied:
+            if not enviers_of(inst, frozen, agent):
                 for kid in kids:
                     pe = edge_set(inst, agent, kid)
                     pick = _best_edge(inst, kid, pe)
                     cur[kid].add(pick)
                     cur[agent].update(pe - {pick})
             else:
+                shared = edge_set(inst, center, agent)
                 if not shared <= cur[agent]:
                     raise StructureError("envied depth-1 agent does not hold its center edges")
-                if bundle_value(inst, agent, shared) >= inst.edges[favorite_child_edge].value_for(agent):
-                    for kid in kids:
-                        cur[kid].update(edge_set(inst, agent, kid))
-                else:
+                child_edges = [e for kid in kids for e in edge_set(inst, agent, kid)]
+                favorite = _best_edge(inst, agent, child_edges)
+                if bundle_value(inst, agent, shared) < inst.value(agent, favorite):
+                    # Re-root the agent on its favorite child-shared item.
                     center_envier = enviers_of(inst, frozen, center)
-                    j0 = next(kid for kid in kids
-                              if favorite_child_edge in edge_set(inst, agent, kid))
                     cur[agent] -= shared
                     cur[center] |= shared
-                    cur[agent].add(favorite_child_edge)
-                    cur[j0].update(edge_set(inst, agent, j0) - {favorite_child_edge})
-                    for kid in kids:
-                        if kid != j0:
-                            cur[kid].update(edge_set(inst, agent, kid))
+                    cur[agent].add(favorite)
                     if center_envier:
                         if len(center_envier) != 1:
                             raise StructureError("center has more than one envier")
@@ -176,16 +163,16 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
                         cur[h] -= from_h
                         cur[center] |= from_h
                         cur[h] |= from_center
-            record()
-            _assert_tree_invariants(inst, cur, center, depth1)
+                # Each child takes what it shares with the agent, but for the
+                # favorite item that a re-rooted agent keeps.
+                for kid in kids:
+                    cur[kid].update(edge_set(inst, agent, kid) - cur[agent])
+            frozen = checkpoint(center, depth1)
 
-    out = make_allocation(inst.n, cur)
-    _assert_result(inst, out, orientation=True, label="multi-tree solver")
-    return out
+    return _checked(inst, cur, orientation=True, label="multi-tree solver")
 
 
-def _assert_tree_invariants(inst: Instance, cur: list[set[int]], center: int, depth1: list[int]) -> None:
-    frozen = make_allocation(inst.n, cur)
+def _assert_tree_invariants(inst: Instance, frozen: Allocation, center: int, depth1: list[int]) -> None:
     verdict = check_efx(inst, frozen)
     if not verdict.passed:
         raise StructureError(f"tree solver state is not EFX ({verdict.witnesses[0]})")
@@ -203,61 +190,30 @@ def _assert_tree_invariants(inst: Instance, cur: list[set[int]], center: int, de
 # multi-cycles
 
 
-def _sub_instance(inst: Instance, keep: list[int]) -> tuple[Instance, list[int]]:
-    """Instance restricted to the given edge ids (same agents, edges reindexed)."""
-    from .model import EdgeItem
-
-    edges = tuple(
-        EdgeItem(k, inst.edges[old].u, inst.edges[old].v, inst.edges[old].wu, inst.edges[old].wv)
-        for k, old in enumerate(keep)
-    )
-    return Instance(inst.n, edges), keep
-
-
-def _path_parts_with_ends_in_t(inst_sub: Instance, end_a: int, end_b: int) -> Bipartition:
-    """Bipartition of a path skeleton placing both (even-distance) ends in T;
-    isolated agents go to S."""
-    depth = bfs_depths(skeleton_adjacency(inst_sub), end_a)
+def _solve_path_rest(inst: Instance, drop: list[set[int]], end_a: int, end_b: int) -> list[set[int]]:
+    """Bundles of the three-stage solver on the instance without the edges of the
+    dropped pairs: an even path with both ends on the T side (agents left without
+    edges go to S).  Edge ids are the instance's own."""
+    keep = [e for e in inst.edges if {e.u, e.v} not in drop]
+    sub = Instance(inst.n, tuple(EdgeItem(k, e.u, e.v, e.wu, e.wv) for k, e in enumerate(keep)))
+    depth = bfs_depths(skeleton_adjacency(sub), end_a)
     if end_b not in depth or depth[end_b] % 2:
         raise StructureError("path ends do not share a side; the cycle parity is off")
-    s_side = tuple(v for v in range(inst_sub.n) if depth.get(v, 1) % 2)
-    t_side = tuple(v for v in range(inst_sub.n) if depth.get(v, 1) % 2 == 0)
-    return (s_side, t_side)
+    s_side = tuple(v for v in range(inst.n) if depth.get(v, 1) % 2)
+    t_side = tuple(v for v in range(inst.n) if depth.get(v, 1) % 2 == 0)
+    sub_alloc, _ = complete_efx(sub, (s_side, t_side))
+    return [{keep[e].id for e in bundle} for bundle in sub_alloc.bundles]
 
 
-def _cycle_order(inst: Instance) -> list[int]:
-    adj = skeleton_adjacency(inst)
-    start = 0
-    order = [start, min(adj[start])]
-    while len(order) < inst.n:
-        nxt = [x for x in adj[order[-1]] if x != order[-2]]
-        order.append(nxt[0])
-    return order
-
-
-def _divergent_split(inst: Instance, a: int, b: int, cfg) -> tuple[frozenset[int], frozenset[int]] | None:
+def _divergent_split(inst: Instance, a: int, b: int, cfg: CutConfig) -> tuple[frozenset[int], frozenset[int]] | None:
     """A (bundle-for-a, bundle-for-b) labeling under which the endpoints weakly
     prefer opposite halves, at least one strictly; None when both rank the halves
-    the same way."""
-    da = bundle_value(inst, a, cfg.c1) - bundle_value(inst, a, cfg.c2)
-    db = bundle_value(inst, b, cfg.c1) - bundle_value(inst, b, cfg.c2)
-    if da >= 0 and db <= 0 and (da > 0 or db < 0):
-        return cfg.c1, cfg.c2
-    if da <= 0 and db >= 0 and (da < 0 or db > 0):
-        return cfg.c2, cfg.c1
-    return None
-
-
-def _normalize(inst: Instance, cfg, primary: int, secondary: int) -> tuple[frozenset[int], frozenset[int]]:
-    """Label the halves so index 1 is the half both named agents weakly prefer."""
-    c1, c2 = cfg.c1, cfg.c2
-    d_primary = bundle_value(inst, primary, c1) - bundle_value(inst, primary, c2)
-    d_secondary = bundle_value(inst, secondary, c1) - bundle_value(inst, secondary, c2)
-    if d_primary < 0 or (d_primary == 0 and d_secondary < 0):
-        c1, c2 = c2, c1
-    if bundle_value(inst, secondary, c1) < bundle_value(inst, secondary, c2):
-        raise StructureError("pair endpoints disagree on the preferred half")
-    return c1, c2
+    the same way.  Each endpoint gets the half it likes more than the other does."""
+    da = _margin(inst, a, cfg)
+    db = _margin(inst, b, cfg)
+    if da * db > 0 or da == db:
+        return None
+    return (cfg.c1, cfg.c2) if da > db else (cfg.c2, cfg.c1)
 
 
 def solve_multicycle(inst: Instance) -> Allocation:
@@ -272,8 +228,8 @@ def solve_multicycle(inst: Instance) -> Allocation:
     exhaustive value comparisons.
     """
     adj = skeleton_adjacency(inst)
-    if len(connected_components(inst)) != 1 or inst.n < 3 \
-            or any(len(adj[v]) != 2 for v in range(inst.n)) or len(inst.pairs()) != inst.n:
+    comps = connected_components(inst)
+    if len(comps) != 1 or _component_family(comps[0], adj) != FAMILY_CYCLE:
         raise StructureError("skeleton is not a single cycle")
     if inst.n == 3:
         raise StructureError("odd 3-cycle unsupported; use oracle")
@@ -282,40 +238,31 @@ def solve_multicycle(inst: Instance) -> Allocation:
 
     # Case 1: hunt for a pair and a cut whose halves the endpoints rank oppositely.
     for a, b in inst.pairs():
-        for cutter in (a, b):
-            cfg = cut(inst, cutter, b if cutter == a else a)
-            split = _divergent_split(inst, a, b, cfg)
+        for cutter, other in ((a, b), (b, a)):
+            split = _divergent_split(inst, a, b, cut(inst, cutter, other))
             if split is not None:
-                keep = [e.id for e in inst.edges if {e.u, e.v} != {a, b}]
-                sub, old_ids = _sub_instance(inst, keep)
-                parts = _path_parts_with_ends_in_t(sub, a, b)
-                sub_alloc, _ = complete_efx(sub, parts)
-                cur = [set(old_ids[e] for e in bundle) for bundle in sub_alloc.bundles]
+                cur = _solve_path_rest(inst, [{a, b}], a, b)
                 cur[a] |= split[0]
                 cur[b] |= split[1]
-                out = make_allocation(inst.n, cur)
-                _assert_result(inst, out, orientation=False, label="multi-cycle solver")
-                return out
+                return _checked(inst, cur, orientation=False, label="multi-cycle solver")
 
-    # Case 2: all pairs agree on every cut.  Lift out two adjacent agents.
-    order = _cycle_order(inst)
-    jq, j, i, ip = order[0], order[1], order[2], order[3]
-    keep = [e.id for e in inst.edges
-            if {e.u, e.v} not in ({jq, j}, {j, i}, {i, ip})]
-    sub, old_ids = _sub_instance(inst, keep)
-    parts = _path_parts_with_ends_in_t(sub, ip, jq)
-    sub_alloc, _ = complete_efx(sub, parts)
-    cur = [set(old_ids[e] for e in bundle) for bundle in sub_alloc.bundles]
+    # Case 2: all pairs agree on every cut.  Lift out two adjacent agents: j and
+    # i, the next two along the cycle from agent 0 toward its lower neighbour.
+    walk = [0, min(adj[0])]
+    while len(walk) < 4:
+        walk.extend(adj[walk[-1]] - {walk[-2]})
+    jq, j, i, ip = walk
+    cur = _solve_path_rest(inst, [{jq, j}, {j, i}, {i, ip}], ip, jq)
 
-    c1, c2 = _normalize(inst, cut(inst, jq, j), jq, j)
-    d1, d2 = _normalize(inst, cut(inst, i, j), j, i)
-    e1, e2 = _normalize(inst, cut(inst, ip, i), i, ip)
+    # Case 1 found no divergent cut, so both endpoints of each of these pairs
+    # rank its halves alike, or are both indifferent: the first half named is
+    # one that both weakly prefer.
+    c1, c2 = _halves(inst, cut(inst, jq, j), jq)
+    d1, d2 = _halves(inst, cut(inst, i, j), j)
+    e1, e2 = _halves(inst, cut(inst, ip, i), i)
 
     def val(agent: int, *bundles: frozenset[int]) -> Fraction:
-        total = Fraction(0)
-        for bundle in bundles:
-            total += bundle_value(inst, agent, bundle)
-        return total
+        return sum(bundle_value(inst, agent, bundle) for bundle in bundles)
 
     if val(j, c2, d2) >= max(val(j, c1), val(j, d1)):
         if val(i, d1, e2) >= val(i, e1):
@@ -334,6 +281,4 @@ def solve_multicycle(inst: Instance) -> Allocation:
             gifts = {jq: c1, j: d1, i: e1, ip: c2 | d2 | e2}
     for agent, bundle in gifts.items():
         cur[agent] |= bundle
-    out = make_allocation(inst.n, cur)
-    _assert_result(inst, out, orientation=False, label="multi-cycle solver")
-    return out
+    return _checked(inst, cur, orientation=False, label="multi-cycle solver")

@@ -195,6 +195,19 @@ def test_gen_bad_family_usage(capsys):
     assert main(["gen", "--family", "nonsense"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "c4-counter", "--eps", "1/0"],
+    ["gen", "--family", "np-gadget", "--set", "1,x"],
+    ["reduce-partition", "--set", "1,2", "--delta", "abc"],
+])
+def test_gen_bad_option_value_usage(capsys, argv):
+    # Option values are parsed as the command line is: a bad one is a usage error.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1
+
+
 def _error_exit(capsys, argv) -> None:
     """The failure half of the CLI contract: exit 1, empty stdout, one error line."""
     assert main(argv) == 1

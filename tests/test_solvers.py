@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from efx_multigraph import (
     StructureError,
+    allocation_to_json,
     build_instance,
+    bundle_value,
     c4_counter,
     check_efx,
     check_envied_singleton,
+    cut,
     decide_efx_orientation,
     is_complete,
     is_orientation,
@@ -182,3 +187,70 @@ def test_cycle_random_sweep():
                                symmetric=bool(seed % 2), seed=seed)
         _solved(inst, solve_multicycle(inst), orientation=False)
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# output pin
+
+
+def _pin_instances(k):
+    """Seeded star, tree and cycle instances for solve k.  Small value ranges
+    make exact ties, which the cut-half tie rules decide."""
+    rng = random.Random(k)
+    num_max, den_max = ((3, 1), (10, 3), (1000, 1000))[k % 3]
+    kw = dict(num_max=num_max, den_max=den_max, symmetric=bool(k // 3 % 2), seed=k)
+    n = rng.randint(2, 8)
+    star = random_instance(n, rng.randint(n - 1, 3 * (n - 1)), 3, "star", **kw)
+    n = rng.randint(2, 9)
+    tree = random_instance(n, rng.randint(n - 1, 2 * (n - 1)), 2, "tree", **kw)
+    n = rng.randint(3, 9)
+    cycle = random_instance(n, rng.randint(n, 3 * n), 3, "cycle", **kw)
+    return star, tree, cycle
+
+
+def _pin_outcome(solve, inst, **kw):
+    try:
+        return allocation_to_json(solve(inst, **kw))["bundles"]
+    except StructureError as exc:
+        return str(exc)
+
+
+def _ranked_alike(inst, a, b):
+    """Both endpoints of (a, b) rank the halves of each of the pair's two cuts
+    the same way (strictly, or both indifferent)."""
+    for cutter, other in ((a, b), (b, a)):
+        cfg = cut(inst, cutter, other)
+        da, db = (bundle_value(inst, x, cfg.c1) - bundle_value(inst, x, cfg.c2) for x in (a, b))
+        if not (da * db > 0 or da == db == 0):
+            return False
+    return True
+
+
+def _shrinks(snapshots):
+    """Some bundle loses an edge between consecutive tree-solver snapshots: only
+    the re-root step takes edges away."""
+    return any(not old <= new for before, after in zip(snapshots, snapshots[1:])
+               for old, new in zip(before.bundles, after.bundles))
+
+
+# SHA-256 over the outputs of the batch below, recorded before the solvers were
+# rebuilt on the shared cut and shape rules.
+SOLVER_PIN_SHA = "0ffaa2bdda50c606247bcb596b301b9acab856ebd4729208ec6d8ac7aefdf6b6"
+
+
+def test_structure_solver_outputs_pinned():
+    outcomes = []
+    odd_case2 = reroots = 0
+    for k in range(300):
+        star, tree, cycle = _pin_instances(k)
+        snaps = []
+        outcomes.append(_pin_outcome(solve_multistar, star))
+        outcomes.append(_pin_outcome(solve_multitree_d4_q2, tree, snapshots=snaps))
+        outcomes.append(_pin_outcome(solve_multicycle, cycle))
+        reroots += _shrinks(snaps)
+        if cycle.n % 2 and cycle.n > 3 and all(_ranked_alike(cycle, a, b) for a, b in cycle.pairs()):
+            odd_case2 += 1
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    # The batch reaches the odd-cycle case-2 path and the tree re-root step.
+    assert (odd_case2, reroots) == (64, 10)
+    assert digest == SOLVER_PIN_SHA

@@ -24,7 +24,6 @@ from .derived import (
     available_set,
     safe_set,
     t_side_of,
-    unallocated_incident,
 )
 from .fairness import (
     Verdict,
@@ -38,7 +37,6 @@ from .fairness import (
     enviers_of,
     is_efx_feasible,
     strongly_envies,
-    value_matrix,
 )
 from .forge import (
     FamilySpec,

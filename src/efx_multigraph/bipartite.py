@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cutting import cut
-from .derived import AllocationState, Bipartition, t_side_of, unallocated_incident
-from .fairness import bundle_value, check_efx, envied_set
+from .derived import AllocationState, Bipartition, t_side_of
+from .fairness import check_efx
 from .model import (
     Allocation,
     Instance,
@@ -93,14 +93,13 @@ def greedy_orientation(inst: Instance, parts: Bipartition | None = None,
 
 
 def _greedy(state: AllocationState, events: list[dict] | None) -> None:
-    inst = state.inst
     for agent in state.parts[0] + state.parts[1]:
         best_k = -1
         best_bundle: frozenset[int] = frozenset()
-        best_val = Fraction(0)
+        best_val = 0
         for k in state.neighbours[agent]:
             bundle = state.available(agent, k)
-            val = bundle_value(inst, agent, bundle)
+            val = state.worth(agent, bundle)
             if val > best_val:
                 best_k, best_bundle, best_val = k, bundle, val
         if best_val > 0:
@@ -197,7 +196,7 @@ def _first_unsafe(state: AllocationState, envied: set[int]) -> tuple[int, int] |
     """The lowest envied agent with an envier outside its safe set, and the
     lowest such envier."""
     for i in sorted(envied):
-        safe = state.safe_set(i, envied)
+        safe = state.safe_set(i, envied, state.enviers[i])
         for j in state.enviers_of(i):
             if j not in safe:
                 return i, j
@@ -379,44 +378,10 @@ def _flags(state: AllocationState) -> PropertyFlags:
             p2 = False
             break
 
-    p3 = all(bundle_value(inst, i, state.available(i, j)) <= state.val[i][i]
+    p3 = all(state.worth(i, state.available(i, j)) <= state.val[i][i]
              for i in range(inst.n) for j in state.neighbours[i])
 
     envied = state.envied()
     p4 = _first_violation(state, envied) is None
     p5 = _first_unsafe(state, envied) is None
     return PropertyFlags(p1, p2, p3, p4, p5)
-
-
-def envied_only_in_s(inst: Instance, alloc: Allocation, parts: Bipartition) -> bool:
-    """Every envied agent lies on the S side."""
-    return envied_set(inst, alloc) <= set(parts[0])
-
-
-def claim_leftover_pairs(inst: Instance, alloc: Allocation, parts: Bipartition) -> bool:
-    """After stage 2: every unallocated edge sits in a pair whose envied endpoint
-    could still claim it while the non-envied endpoint holds the rest."""
-    state = AllocationState(inst, parts, alloc)
-    try:
-        leftovers = _leftovers(state)
-    except StructureError:
-        return False
-    for i, j, pair, free in leftovers:
-        if state.available(i, j) != free:
-            return False
-        if not (edge_set(inst, *pair) - free) <= alloc.bundles[j]:
-            return False
-    return True
-
-
-def claim_non_envied_bound(inst: Instance, alloc: Allocation) -> bool:
-    """After stage 2: no non-envied agent values her unallocated incident edges
-    above her own bundle."""
-    envied = envied_set(inst, alloc)
-    for i in range(inst.n):
-        if i in envied:
-            continue
-        pending = unallocated_incident(inst, alloc, i)
-        if bundle_value(inst, i, pending) > bundle_value(inst, i, alloc.bundles[i]):
-            return False
-    return True

@@ -3,14 +3,13 @@
 The cutter's greedy: walk the pair's items in descending cutter-value (ties by
 lowest edge id) and drop each onto the currently lighter bundle (ties toward c1).
 The running lighter-bundle invariant makes both halves EFX-feasible for the cutter.
+Values are the cutter's integer weights (``Instance.weights``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .fairness import bundle_value
 from .model import Instance, edge_set
 
 
@@ -32,14 +31,13 @@ def cut(inst: Instance, cutter: int, other: int) -> CutConfig:
     """Deterministic balanced split of E(cutter, other) under the cutter's values."""
     if cutter == other:
         raise ValueError(f"cut needs two distinct agents, got ({cutter}, {other})")
-    items = sorted(edge_set(inst, cutter, other),
-                   key=lambda e: (-inst.edges[e].value_for(cutter), e))
+    weights = inst.weights[cutter]
+    items = sorted(edge_set(inst, cutter, other), key=lambda e: (-weights[e], e))
     c1: set[int] = set()
     c2: set[int] = set()
-    v1 = Fraction(0)
-    v2 = Fraction(0)
+    v1 = v2 = 0
     for e in items:
-        w = inst.edges[e].value_for(cutter)
+        w = weights[e]
         if v1 <= v2:
             c1.add(e)
             v1 += w
@@ -49,10 +47,11 @@ def cut(inst: Instance, cutter: int, other: int) -> CutConfig:
     return CutConfig(cutter, other, frozenset(c1), frozenset(c2))
 
 
-def _margin(inst: Instance, agent: int, cfg: CutConfig) -> Fraction:
-    """The agent's value of c1 minus its value of c2: the sign says which half
-    it prefers, 0 that it is indifferent."""
-    return bundle_value(inst, agent, cfg.c1) - bundle_value(inst, agent, cfg.c2)
+def _margin(inst: Instance, agent: int, cfg: CutConfig) -> int:
+    """The agent's value of c1 minus its value of c2, in its integer weights:
+    the sign says which half it prefers, 0 that it is indifferent."""
+    weights = inst.weights[agent]
+    return sum(weights.get(e, 0) for e in cfg.c1) - sum(weights.get(e, 0) for e in cfg.c2)
 
 
 def preferred_bundle(inst: Instance, agent: int, cfg: CutConfig) -> frozenset[int]:

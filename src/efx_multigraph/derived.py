@@ -9,16 +9,16 @@ A[i,j](X) is what i could still claim from E(i,j):
   * i already holds items, or a third
     agent holds items of E(i,j)        -> empty
 
-From these: A_i = union over j, B_i = the list of per-pair bundles, U_i = all
-unallocated incident edges, and the safe set S_i = non-envied agents k that i would
-still not envy after k absorbed all of A_i.
+From these: A_i = union over j, B_i = the list of per-pair bundles, and the safe
+set S_i = non-envied agents k that i would still not envy after k absorbed all of
+A_i.
 """
 from __future__ import annotations
 
 from typing import Iterable
 
 from .cutting import cut, preferred_bundle
-from .fairness import bundle_value, value_matrix
+from .fairness import value_rows
 from .model import Allocation, Instance, edge_set
 
 Bipartition = tuple[tuple[int, ...], tuple[int, ...]]
@@ -84,16 +84,18 @@ class Availability:
 class AllocationState(Availability):
     """A mutable allocation of one instance, with everything the pipeline asks of it.
 
-    Besides the bundles and the holder map it keeps the value matrix
-    ``val[i][k] = v_i(X_k)`` and every agent's set of enviers, and updates all of
-    them on each move, so no query re-scans the edges or re-sums values.
+    Besides the bundles and the holder map it keeps every agent's value row
+    ``val[i][k] = scale_i * v_i(X_k)`` (sparse, as ``fairness.value_rows`` builds
+    it: agent i and the holders of i's edges) and every agent's set of enviers,
+    and updates all of them on each move, so no query re-scans the edges or
+    re-sums values.
     """
 
     def __init__(self, inst: Instance, parts: Bipartition, alloc: Allocation | None = None):
         if alloc is None:
             alloc = Allocation((frozenset(),) * inst.n)
         super().__init__(inst, parts, alloc.holder_map())
-        self.val = value_matrix(inst, alloc)
+        self.val = value_rows(inst, alloc)
         self.bundles = [set(b) for b in alloc.bundles]
         self.enviers: list[set[int]] = [set() for _ in range(inst.n)]
         for i in range(inst.n):
@@ -102,43 +104,53 @@ class AllocationState(Availability):
     def freeze(self) -> Allocation:
         return Allocation(tuple(frozenset(b) for b in self.bundles))
 
+    def worth(self, i: int, edges: Iterable[int]) -> int:
+        """``scale_i * v_i(edges)`` for edges incident to agent i."""
+        return sum(map(self.inst.weights[i].__getitem__, edges))
+
     # -- moves
 
     def give(self, agent: int, edges: Iterable[int]) -> None:
-        self._move(agent, edges, True)
+        self._move(agent, edges, 1)
 
     def take(self, agent: int, edges: Iterable[int]) -> None:
-        self._move(agent, edges, False)
+        self._move(agent, edges, -1)
 
-    def _move(self, agent: int, edges: Iterable[int], adding: bool) -> None:
+    def _move(self, agent: int, edges: Iterable[int], sign: int) -> None:
         bundle = self.bundles[agent]
+        weights = self.inst.weights
         touched: set[int] = set()
         for e in edges:
             edge = self.inst.edges[e]
-            if adding:
+            if sign > 0:
                 bundle.add(e)
                 self.holder[e] = agent
-                self.val[edge.u][agent] += edge.wu
-                self.val[edge.v][agent] += edge.wv
             else:
                 bundle.remove(e)
                 del self.holder[e]
-                self.val[edge.u][agent] -= edge.wu
-                self.val[edge.v][agent] -= edge.wv
-            touched.update(edge.endpoints())
+            for x in (edge.u, edge.v):
+                row = self.val[x]
+                v = row.get(agent, 0) + sign * weights[x][e]
+                # A row keeps its own agent's entry and only positive others.
+                if v or x == agent:
+                    row[agent] = v
+                else:
+                    del row[agent]
+                touched.add(x)
         for x in touched:
             if x == agent:
                 self._refresh_row(x)
-            elif self.val[x][agent] > self.val[x][x]:
+            elif self.val[x].get(agent, 0) > self.val[x][x]:
                 self.enviers[agent].add(x)
             else:
                 self.enviers[agent].discard(x)
 
     def _refresh_row(self, i: int) -> None:
-        """Re-derive whom agent i envies, after i's own value changed."""
+        """Re-derive whom agent i envies, after i's own value changed.  Agents
+        off the row are worth 0 to i, and so are not envied by i."""
         row = self.val[i]
         own = row[i]
-        for k, v in enumerate(row):
+        for k, v in row.items():
             if v > own:
                 self.enviers[k].add(i)
             else:
@@ -152,13 +164,15 @@ class AllocationState(Availability):
     def enviers_of(self, i: int) -> list[int]:
         return sorted(self.enviers[i])
 
-    def safe_set(self, i: int, envied: set[int]) -> set[int]:
+    def safe_set(self, i: int, envied: set[int], among: Iterable[int] | None = None) -> set[int]:
+        """S_i(X), or its members among the given agents."""
         if i not in envied:
             raise ValueError(f"agent {i} is not envied; its safe set is undefined")
         # A_i holds only unallocated edges, so v_i(X_k | A_i) = val[i][k] + v_i(A_i).
         row = self.val[i]
-        bar = row[i] - bundle_value(self.inst, i, self.available_set(i))
-        return {k for k, v in enumerate(row) if k != i and k not in envied and v <= bar}
+        bar = row[i] - self.worth(i, self.available_set(i))
+        among = range(self.inst.n) if among is None else among
+        return {k for k in among if k != i and k not in envied and row.get(k, 0) <= bar}
 
 
 def available(inst: Instance, alloc: Allocation, i: int, j: int, parts: Bipartition) -> frozenset[int]:
@@ -175,11 +189,6 @@ def available_bundles(inst: Instance, alloc: Allocation, i: int, parts: Bipartit
     """B_i(X): one available bundle per adjacent j (empty ones included)."""
     view = Availability(inst, parts, alloc.holder_map())
     return [view.available(i, j) for j in range(inst.n) if j != i]
-
-
-def unallocated_incident(inst: Instance, alloc: Allocation, i: int) -> frozenset[int]:
-    """U_i(X): unallocated edges incident to i."""
-    return inst.incident(i) - alloc.assigned()
 
 
 def safe_set(inst: Instance, alloc: Allocation, i: int, parts: Bipartition) -> set[int]:

@@ -3,6 +3,11 @@
 Everything here is a pure function of (instance, allocation); comparisons are exact.
 A bundle ``B`` seen through agent ``i``'s eyes is worth the sum of ``i``'s endpoint
 values over the edges of ``B`` incident to ``i``.
+
+The verifiers compare each viewer's integer values (``Instance.weights``), and only
+over the bundles that hold one of the viewer's edges: every other bundle is worth
+0 to it.  Witnesses and alphas are reported as rationals; ``bundle_value`` and
+``is_efx_feasible`` stay literal rational definitions.
 """
 from __future__ import annotations
 
@@ -58,19 +63,36 @@ def bundle_value(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
     return total
 
 
-def value_matrix(inst: Instance, alloc: Allocation) -> list[list[Fraction]]:
-    """``val[i][k] = v_i(X_k)`` for every agent pair, in one pass over the bundles:
-    an edge adds only to the rows of its two endpoints."""
-    zero = Fraction(0)
-    val = [[zero] * inst.n for _ in range(inst.n)]
+def value_rows(inst: Instance, alloc: Allocation) -> list[dict[int, int]]:
+    """``rows[i][k] = scale_i * v_i(X_k)``, in one pass over the bundles.
+
+    Row i holds agent i itself and every agent whose bundle holds one of i's
+    edges; every other bundle is worth 0 to i.
+    """
+    m = inst.m
+    edges = inst.edges
+    weights = inst.weights
+    rows: list[dict[int, int]] = [{i: 0} for i in range(inst.n)]
     for k, bundle in enumerate(alloc.bundles):
         for e in bundle:
-            if not (0 <= e < inst.m):
+            if not (0 <= e < m):
                 raise ValueError(f"invalid edge id {e}")
-            edge = inst.edges[e]
-            val[edge.u][k] += edge.wu
-            val[edge.v][k] += edge.wv
-    return val
+            edge = edges[e]
+            for x in (edge.u, edge.v):
+                row = rows[x]
+                row[k] = row.get(k, 0) + weights[x][e]
+    return rows
+
+
+def envier_lists(rows: list[dict[int, int]]) -> list[list[int]]:
+    """Per agent k, the agents that strictly envy k's bundle, ascending."""
+    out: list[list[int]] = [[] for _ in rows]
+    for j, row in enumerate(rows):
+        own = row[j]
+        for k, v in row.items():
+            if v > own:
+                out[k].append(j)
+    return out
 
 
 def envies(inst: Instance, alloc: Allocation, i: int, j: int) -> bool:
@@ -78,23 +100,20 @@ def envies(inst: Instance, alloc: Allocation, i: int, j: int) -> bool:
     return bundle_value(inst, i, alloc.bundles[j]) > bundle_value(inst, i, alloc.bundles[i])
 
 
-def least_valued_item(inst: Instance, viewer: int, bundle: Iterable[int]) -> tuple[int, Fraction]:
-    """The item of a non-empty bundle that the viewer values least, and its value;
-    ties go to the lowest edge id.
+def least_valued_item(weights: dict[int, int], bundle: Iterable[int]) -> tuple[int, int]:
+    """The item of a non-empty bundle that a viewer with these integer weights
+    values least, and its weight; ties go to the lowest edge id.
 
     Removing this item leaves the viewer the most, so ``value - least`` is the
-    EFX bar every strong-envy test compares against.
+    EFX bar every strong-envy test compares against.  An item off the viewer's
+    edges weighs 0, so the lowest such id wins whenever there is one.
     """
-    # A loop over the sorted ids, not a min over (value, id) pairs: comparing
-    # pairs adds a Fraction equality test per item, and check_efx and
-    # achieved_alpha call this once per envied pair.
-    edges = inst.edges
     item = -1
-    least = None
-    for e in sorted(bundle):
-        value = edges[e].value_for(viewer)
-        if least is None or value < least:
-            item, least = e, value
+    least = 0
+    for e in bundle:
+        w = weights.get(e, 0)
+        if item < 0 or w < least or (w == least and e < item):
+            item, least = e, w
     return item, least
 
 
@@ -111,25 +130,20 @@ def strongly_envies(inst: Instance, alloc: Allocation, i: int, j: int) -> Witnes
     other = bundle_value(inst, i, target)
     if other <= own:
         return None
-    g, g_val = least_valued_item(inst, i, target)
-    surviving = other - g_val
+    g, g_weight = least_valued_item(inst.weights[i], target)
+    surviving = other - Fraction(g_weight, inst.scales[i])
     if own < surviving:
         return Witness(i, j, g, own, surviving)
     return None
 
 
 def enviers_of(inst: Instance, alloc: Allocation, i: int) -> list[int]:
-    return _enviers(value_matrix(inst, alloc), i)
-
-
-def _enviers(val: list[list[Fraction]], i: int) -> list[int]:
-    return [j for j, row in enumerate(val) if j != i and row[i] > row[j]]
+    return envier_lists(value_rows(inst, alloc))[i]
 
 
 def envied_set(inst: Instance, alloc: Allocation) -> set[int]:
     """Agents whose bundle some other agent strictly envies."""
-    val = value_matrix(inst, alloc)
-    return {j for i, row in enumerate(val) for j, v in enumerate(row) if v > row[i]}
+    return {k for j, row in enumerate(value_rows(inst, alloc)) for k, v in row.items() if v > row[j]}
 
 
 def check_efx(inst: Instance, alloc: Allocation, alpha: Fraction = ONE) -> Verdict:
@@ -140,37 +154,48 @@ def check_efx(inst: Instance, alloc: Allocation, alpha: Fraction = ONE) -> Verdi
     """
     if not (0 < alpha <= 1):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    num, den = alpha.numerator, alpha.denominator
     witnesses: list[Witness] = []
-    val = value_matrix(inst, alloc)
-    for i, row in enumerate(val):
+    for i, row in enumerate(value_rows(inst, alloc)):
         own = row[i]
-        for j, other in enumerate(row):
-            # The bar alpha * (other - g_val) never exceeds other: alpha <= 1 and
+        weights = inst.weights[i]
+        for j, other in row.items():
+            # The bar alpha * (other - g) never exceeds other: alpha <= 1 and
             # every item is worth >= 0.  So a pair with other <= own cannot fail.
             if other <= own:
                 continue
-            g, g_val = least_valued_item(inst, i, alloc.bundles[j])
-            bar = alpha * (other - g_val)
-            if own < bar:
-                witnesses.append(Witness(i, j, g, own, bar))
+            g, g_weight = least_valued_item(weights, alloc.bundles[j])
+            bar = num * (other - g_weight)
+            if own * den < bar:
+                scale = inst.scales[i]
+                witnesses.append(Witness(i, j, g, Fraction(own, scale), Fraction(bar, den * scale)))
+    # Each (envier, envied) pair occurs once, so the sort never compares values.
+    witnesses.sort()
     return Verdict(not witnesses, tuple(witnesses), alpha)
 
 
 def achieved_alpha(inst: Instance, alloc: Allocation, agent: int) -> Fraction:
-    """Largest alpha in (0, 1] this agent satisfies (1 when unconstrained)."""
-    own = bundle_value(inst, agent, alloc.bundles[agent])
-    best = ONE
-    for j in range(inst.n):
-        if j == agent or not alloc.bundles[j]:
-            continue
-        other = bundle_value(inst, agent, alloc.bundles[j])
-        if other == 0:
-            continue
-        _, g_val = least_valued_item(inst, agent, alloc.bundles[j])
-        surviving = other - g_val
-        if surviving > own:
-            best = min(best, own / surviving)
-    return best
+    """Largest alpha in (0, 1] this agent satisfies (1 when unconstrained).
+
+    It is own / surviving for the bundle whose value minus its least-valued item
+    is largest, when that exceeds the agent's own value; the scale cancels.
+    """
+    # The holder map is cached on the allocation, so a call per agent costs
+    # O(deg) past the first, beyond the edge-id check that value_rows makes.
+    holder = alloc._holder
+    if holder and (min(holder) < 0 or max(holder) >= inst.m):
+        bad = next(e for b in alloc.bundles for e in b if not (0 <= e < inst.m))
+        raise ValueError(f"invalid edge id {bad}")
+    weights = inst.weights[agent]
+    row: dict[int, int] = {}
+    for e, w in weights.items():
+        k = holder.get(e)
+        if k is not None:
+            row[k] = row.get(k, 0) + w
+    own = row.pop(agent, 0)
+    surviving = max((other - least_valued_item(weights, alloc.bundles[k])[1]
+                     for k, other in row.items()), default=0)
+    return Fraction(own, surviving) if surviving > own else ONE
 
 
 def is_efx_feasible(inst: Instance, agent: int, partition: Sequence[Iterable[int]], k: int) -> bool:
@@ -200,17 +225,18 @@ def check_envied_singleton(inst: Instance, alloc: Allocation) -> Verdict:
     if not check_efx(inst, alloc).passed:
         raise ValueError("input orientation is not EFX")
     witnesses: list[Witness] = []
-    val = value_matrix(inst, alloc)
-    for i in range(inst.n):
-        js = _enviers(val, i)
+    rows = value_rows(inst, alloc)
+    scales = inst.scales
+    for i, js in enumerate(envier_lists(rows)):
         if not js:
             continue
-        own_i = val[i][i]
         if len(js) != 1:
             for j in js[1:]:
-                witnesses.append(Witness(j, i, None, val[j][j], val[j][i]))
+                witnesses.append(Witness(j, i, None, Fraction(rows[j][j], scales[j]),
+                                         Fraction(rows[j][i], scales[j])))
             continue
         j = js[0]
+        own_i = Fraction(rows[i][i], scales[i])
         stray = [e for e in sorted(alloc.bundles[i]) if {inst.edges[e].u, inst.edges[e].v} != {i, j}]
         for e in stray:
             witnesses.append(Witness(j, i, e, own_i, own_i))

@@ -1,8 +1,11 @@
 """Multi-graph fair-division instances: exact rational values, structure queries, JSON I/O.
 
 Agents are vertices, items are edges; an item is worth something only to its two
-endpoint agents.  All arithmetic is exact (``fractions.Fraction``); nothing in this
-package touches floating point.
+endpoint agents.  All arithmetic is exact; nothing in this package touches
+floating point.  Values are read and written as ``fractions.Fraction``, and every
+comparison runs on each agent's integer valuation (``Instance.scales`` and
+``Instance.weights``): the agent's values of its own edges, scaled by the LCM of
+their denominators.
 """
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -21,9 +25,9 @@ FAMILY_TREE = "multi-tree"
 FAMILY_BIPARTITE = "bipartite"
 FAMILY_GENERAL = "general"
 
-# The most agents an instance document may declare.  Several commands do work
-# quadratic in the agent count (an n-by-n value matrix), even with no edges.
-MAX_AGENTS = 1000
+# The most agents an instance document may declare.  The commands do work linear
+# in the agent count even with no edges (one bundle and one value row per agent).
+MAX_AGENTS = 10_000
 
 
 class InstanceError(ValueError):
@@ -34,7 +38,7 @@ class StructureError(ValueError):
     """An operation was asked to run on a graph shape it does not support."""
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
 def parse_rational(raw: int | str) -> Fraction:
@@ -44,10 +48,11 @@ def parse_rational(raw: int | str) -> Fraction:
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
-        text = raw.strip()
-        if _RATIONAL_RE.match(text):
+        match = _RATIONAL_RE.match(raw.strip())
+        if match:
+            num, den = match.groups()
             try:
-                return Fraction(text)
+                return Fraction(int(num), int(den or 1))
             except ZeroDivisionError:
                 raise InstanceError(f"not a rational: {raw!r} (zero denominator)") from None
     raise InstanceError(f"not a rational: {raw!r} (expected digits or digits/digits)")
@@ -101,9 +106,10 @@ class Instance:
             if e.wu <= 0 or e.wv <= 0:
                 raise InstanceError(f"edge {k}: non-positive weight")
 
-    # The index and the hash are built on first use and kept: the solvers query
-    # pairs and incidences on every loop turn, and the cut cache hashes the
-    # instance on every call.  Parsing alone builds neither.
+    # The index, the integer valuation and the hash are built on first use and
+    # kept: the solvers query pairs, incidences and values on every loop turn,
+    # and the cut cache hashes the instance on every call.  Parsing alone builds
+    # none of them.
 
     @cached_property
     def _pair_edges(self) -> dict[tuple[int, int], frozenset[int]]:
@@ -120,6 +126,30 @@ class Instance:
             incident[e.u].append(e.id)
             incident[e.v].append(e.id)
         return tuple(frozenset(ids) for ids in incident)
+
+    @cached_property
+    def scales(self) -> tuple[int, ...]:
+        """Per agent, the LCM of the denominators of its values of its own edges."""
+        scale = [1] * self.n
+        for e in self.edges:
+            scale[e.u] = lcm(scale[e.u], e.wu.denominator)
+            scale[e.v] = lcm(scale[e.v], e.wv.denominator)
+        return tuple(scale)
+
+    @cached_property
+    def weights(self) -> tuple[dict[int, int], ...]:
+        """Per agent, ``{incident edge id: value * scale}``, exact integers.
+
+        Every EFX test compares values of one viewer only, so scaling a viewer's
+        values by a positive integer changes no verdict; an agent values every
+        edge missing from its map at 0.
+        """
+        scale = self.scales
+        weights: list[dict[int, int]] = [{} for _ in range(self.n)]
+        for e in self.edges:
+            weights[e.u][e.id] = e.wu.numerator * (scale[e.u] // e.wu.denominator)
+            weights[e.v][e.id] = e.wv.numerator * (scale[e.v] // e.wv.denominator)
+        return tuple(weights)
 
     @cached_property
     def _hash(self) -> int:
@@ -172,8 +202,13 @@ class Allocation:
             out |= b
         return frozenset(out)
 
-    def holder_map(self) -> dict[int, int]:
+    @cached_property
+    def _holder(self) -> dict[int, int]:
         return {e: a for a, b in enumerate(self.bundles) for e in b}
+
+    def holder_map(self) -> dict[int, int]:
+        """Edge id -> the agent holding it (a fresh dict the caller may change)."""
+        return dict(self._holder)
 
 
 def make_allocation(n: int, bundles: Iterable[Iterable[int]]) -> Allocation:

@@ -5,14 +5,13 @@ witness found is canonical regardless of pruning or worker count.  Pruning cuts 
 branch only when some agent whose own value is already final strongly envies a
 bundle that can only keep growing, which cannot be repaired by later assignments.
 
-The search runs on exact integers, each agent's values scaled by the LCM of that
-agent's own denominators; the witness is re-verified with exact rationals.
+The search runs on each agent's exact integer values (``Instance.weights``); the
+witness is re-verified by ``check_efx``, which reports it in exact rationals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import lcm
 
 from .fairness import check_efx
 from .model import Allocation, Instance
@@ -45,12 +44,8 @@ class OracleResult:
 
 
 class _Search:
-    """DFS state shared across the recursion; values are exact integers, each
-    agent's scaled by the LCM of the denominators of its own values.
-
-    Every test the search makes (envy, and the EFX bar "bundle value minus the
-    least-valued item") compares values of one viewer only, so scaling a viewer's
-    values by a positive integer changes no verdict.
+    """DFS state shared across the recursion; values are each agent's integer
+    weights (``Instance.weights``), laid out as dense per-edge rows.
 
     Edges are placed in id order, so an agent's own value is final from its last
     incident edge on; the agents that close at each depth, and those already
@@ -74,11 +69,8 @@ class _Search:
         self.prune = prune
         self.counting = counting
 
-        scale = [1] * n
         last = [-1] * n
         for e in inst.edges:
-            scale[e.u] = lcm(scale[e.u], e.wu.denominator)
-            scale[e.v] = lcm(scale[e.v], e.wv.denominator)
             last[e.u] = last[e.v] = e.id
         # Agents no edge touches value every bundle at 0 and never envy: they get
         # no rows.  weight[x][e] is x's scaled value of item e (0 off x's edges).
@@ -87,13 +79,13 @@ class _Search:
         self.val: list[list[int] | None] = [None] * n
         for x in self.agents:
             self.weight[x] = [0] * inst.m
+            for e, w in inst.weights[x].items():
+                self.weight[x][e] = w
             self.val[x] = [0] * n
         self.steps = []
         for e in inst.edges:
-            wu = e.wu.numerator * (scale[e.u] // e.wu.denominator)
-            wv = e.wv.numerator * (scale[e.v] // e.wv.denominator)
-            self.weight[e.u][e.id] = wu
-            self.weight[e.v][e.id] = wv
+            wu = self.weight[e.u][e.id]
+            wv = self.weight[e.v][e.id]
             closing = tuple(x for x in (e.u, e.v) if last[x] == e.id)
             final = tuple(x for x in self.agents if last[x] < e.id)
             self.steps.append((e.u, e.v, wu, wv, closing, final))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .bipartite import complete_efx
 from .cutting import CutConfig, _margin, cut, preferred_bundle
-from .fairness import bundle_value, check_efx, enviers_of, envies
+from .fairness import bundle_value, check_efx, envier_lists, value_rows
 from .model import (
     FAMILY_CYCLE,
     FAMILY_STAR,
@@ -105,13 +105,13 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
         raise StructureError("multiplicity above 2 is unsupported by the tree solver")
     cur: list[set[int]] = [set() for _ in range(inst.n)]
 
-    def checkpoint(center: int, depth1: list[int]) -> Allocation:
-        """Snapshot the state and assert the step invariants on it."""
+    def checkpoint(center: int, depth1: list[int]) -> list[list[int]]:
+        """Snapshot the state, assert the step invariants on it, and return every
+        agent's enviers in it, which the next attach step reads."""
         frozen = make_allocation(inst.n, cur)
         if snapshots is not None:
             snapshots.append(frozen)
-        _assert_tree_invariants(inst, frozen, center, depth1)
-        return frozen
+        return _assert_tree_invariants(inst, frozen, center, depth1)
 
     for comp in connected_components(inst):
         if _component_family(comp, adj) not in (FAMILY_STAR, FAMILY_TREE):
@@ -128,13 +128,13 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
         for e in inst.incident(center) - {favorite}:
             u, v = inst.edges[e].endpoints()
             cur[u if v == center else v].add(e)
-        frozen = checkpoint(center, depth1)
+        enviers = checkpoint(center, depth1)
 
         for agent in depth1:
             kids = sorted(adj[agent] - {center})
             if not kids:
                 continue
-            if not enviers_of(inst, frozen, agent):
+            if not enviers[agent]:
                 for kid in kids:
                     pe = edge_set(inst, agent, kid)
                     pick = _best_edge(inst, kid, pe)
@@ -148,7 +148,7 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
                 favorite = _best_edge(inst, agent, child_edges)
                 if bundle_value(inst, agent, shared) < inst.value(agent, favorite):
                     # Re-root the agent on its favorite child-shared item.
-                    center_envier = enviers_of(inst, frozen, center)
+                    center_envier = enviers[center]
                     cur[agent] -= shared
                     cur[center] |= shared
                     cur[agent].add(favorite)
@@ -167,23 +167,29 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
                 # favorite item that a re-rooted agent keeps.
                 for kid in kids:
                     cur[kid].update(edge_set(inst, agent, kid) - cur[agent])
-            frozen = checkpoint(center, depth1)
+            enviers = checkpoint(center, depth1)
 
     return _checked(inst, cur, orientation=True, label="multi-tree solver")
 
 
-def _assert_tree_invariants(inst: Instance, frozen: Allocation, center: int, depth1: list[int]) -> None:
+def _assert_tree_invariants(inst: Instance, frozen: Allocation, center: int,
+                            depth1: list[int]) -> list[list[int]]:
+    """Assert the step invariants; returns every agent's enviers."""
     verdict = check_efx(inst, frozen)
     if not verdict.passed:
         raise StructureError(f"tree solver state is not EFX ({verdict.witnesses[0]})")
+    rows = value_rows(inst, frozen)
+    enviers = envier_lists(rows)
+    assigned = frozen.assigned()
     for x in depth1:
-        if enviers_of(inst, frozen, x):
+        if enviers[x]:
             shared = edge_set(inst, center, x)
-            placed = shared & frozen.assigned()
+            placed = shared & assigned
             if placed and not (placed <= frozen.bundles[x] or placed <= frozen.bundles[center]):
                 raise StructureError(f"center edges of envied agent {x} are split")
-            if envies(inst, frozen, x, center):
+            if rows[x].get(center, 0) > rows[x][x]:
                 raise StructureError(f"envied agent {x} envies the center")
+    return enviers
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +214,11 @@ def _solve_path_rest(inst: Instance, drop: list[set[int]], end_a: int, end_b: in
 def _divergent_split(inst: Instance, a: int, b: int, cfg: CutConfig) -> tuple[frozenset[int], frozenset[int]] | None:
     """A (bundle-for-a, bundle-for-b) labeling under which the endpoints weakly
     prefer opposite halves, at least one strictly; None when both rank the halves
-    the same way.  Each endpoint gets the half it likes more than the other does."""
+    the same way.  Each endpoint gets the half it likes more than the other does.
+
+    The margins are in each endpoint's own integer weights.  Past the first test
+    they have opposite signs or a zero, so the comparisons read signs only, and
+    the two scales cannot change the outcome."""
     da = _margin(inst, a, cfg)
     db = _margin(inst, b, cfg)
     if da * db > 0 or da == db:

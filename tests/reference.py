@@ -1,0 +1,73 @@
+"""Literal definitions and stage claims that only the tests use.
+
+The package computes these through its integer, sparse valuation; the tests
+keep the rational, dense forms here as the reference.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from efx_multigraph import (
+    Allocation,
+    Instance,
+    StructureError,
+    bundle_value,
+    edge_set,
+    envied_set,
+)
+from efx_multigraph.bipartite import _leftovers
+from efx_multigraph.derived import AllocationState, Bipartition
+
+
+def value_matrix(inst: Instance, alloc: Allocation) -> list[list[Fraction]]:
+    """``val[i][k] = v_i(X_k)`` for every agent pair, in one pass over the bundles:
+    an edge adds only to the rows of its two endpoints."""
+    zero = Fraction(0)
+    val = [[zero] * inst.n for _ in range(inst.n)]
+    for k, bundle in enumerate(alloc.bundles):
+        for e in bundle:
+            if not (0 <= e < inst.m):
+                raise ValueError(f"invalid edge id {e}")
+            edge = inst.edges[e]
+            val[edge.u][k] += edge.wu
+            val[edge.v][k] += edge.wv
+    return val
+
+
+def unallocated_incident(inst: Instance, alloc: Allocation, i: int) -> frozenset[int]:
+    """U_i(X): unallocated edges incident to i."""
+    return inst.incident(i) - alloc.assigned()
+
+
+def envied_only_in_s(inst: Instance, alloc: Allocation, parts: Bipartition) -> bool:
+    """Every envied agent lies on the S side."""
+    return envied_set(inst, alloc) <= set(parts[0])
+
+
+def claim_leftover_pairs(inst: Instance, alloc: Allocation, parts: Bipartition) -> bool:
+    """After stage 2: every unallocated edge sits in a pair whose envied endpoint
+    could still claim it while the non-envied endpoint holds the rest."""
+    state = AllocationState(inst, parts, alloc)
+    try:
+        leftovers = _leftovers(state)
+    except StructureError:
+        return False
+    for i, j, pair, free in leftovers:
+        if state.available(i, j) != free:
+            return False
+        if not (edge_set(inst, *pair) - free) <= alloc.bundles[j]:
+            return False
+    return True
+
+
+def claim_non_envied_bound(inst: Instance, alloc: Allocation) -> bool:
+    """After stage 2: no non-envied agent values her unallocated incident edges
+    above her own bundle."""
+    envied = envied_set(inst, alloc)
+    for i in range(inst.n):
+        if i in envied:
+            continue
+        pending = unallocated_incident(inst, alloc, i)
+        if bundle_value(inst, i, pending) > bundle_value(inst, i, alloc.bundles[i]):
+            return False
+    return True

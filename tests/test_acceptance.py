@@ -53,13 +53,7 @@ from efx_multigraph import (
     solve_multitree_d4_q2,
     two_coloring,
 )
-from efx_multigraph.bipartite import (
-    PipelineTrace,
-    claim_leftover_pairs,
-    claim_non_envied_bound,
-    enforce_safe_sets,
-    envied_only_in_s,
-)
+from efx_multigraph.bipartite import PipelineTrace, enforce_safe_sets
 from conftest import (
     FINAL_ACTUAL,
     STAGE1_BUNDLES,
@@ -68,6 +62,7 @@ from conftest import (
     STAGE3_ACTUAL,
     WALKTHROUGH_EVENTS,
 )
+from reference import claim_leftover_pairs, claim_non_envied_bound, envied_only_in_s
 
 
 @contextmanager

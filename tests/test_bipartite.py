@@ -25,12 +25,8 @@ from efx_multigraph import (
     saturate_non_envied,
     two_coloring,
 )
-from efx_multigraph.bipartite import (
-    claim_leftover_pairs,
-    claim_non_envied_bound,
-    envied_only_in_s,
-)
 from conftest import STAGE1_BUNDLES, STAGE2_ACTUAL
+from reference import claim_leftover_pairs, claim_non_envied_bound, envied_only_in_s
 
 
 def test_greedy_matches_walkthrough(walkthrough):

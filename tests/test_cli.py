@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,21 @@ def test_analyze_rejects_too_many_agents(tmp_path, capsys):
     _error_exit(capsys, ["analyze", str(path)])
     path.write_text(json.dumps({"n": MAX_AGENTS, "edges": []}))
     assert main(["analyze", str(path)]) == 0
+
+
+def test_empty_instance_at_the_agent_limit(tmp_path, capsys):
+    # No command does work quadratic in the agent count: each ran under 0.5 s here.
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({"n": MAX_AGENTS, "edges": []}))
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(json.dumps({"bundles": [[]] * MAX_AGENTS}))
+    inst = str(inst_path)
+    for argv in (["analyze", inst], ["solve", inst], ["orient", inst, "--method", "half-efx"],
+                 ["verify", inst, str(alloc_path)]):
+        start = time.perf_counter()
+        code, doc = run_cli(capsys, argv)
+        assert code == 0 and doc is not None, argv
+        assert time.perf_counter() - start < 10.0, argv
 
 
 @pytest.mark.parametrize("bundles", [[[[1]], [0, 2]], [None, [0, 1, 2]], [{}, []]])

@@ -14,8 +14,8 @@ from efx_multigraph import (
     random_instance,
     safe_set,
     two_coloring,
-    unallocated_incident,
 )
+from reference import unallocated_incident
 
 
 def test_available_remainder_rule(walkthrough):

@@ -34,6 +34,15 @@ def test_parse_rational_forms():
             parse_rational(bad)
 
 
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**30), st.sampled_from(["", "0", "00"]))
+def test_parse_rational_reads_both_parts_once(num, den, pad):
+    text = f"{'-' if num < 0 else ''}{pad}{abs(num)}/{pad}{den}"
+    assert parse_rational(text) == Fraction(num, den)
+    assert parse_rational(f" {num} ") == Fraction(num)
+    with pytest.raises(InstanceError, match="zero denominator"):
+        parse_rational(f"{num}/{pad}0")
+
+
 def test_load_running_example_shape(walkthrough):
     assert walkthrough.n == 7
     assert walkthrough.m == 18

@@ -3,8 +3,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from efx_multigraph import (
     StructureError,
@@ -23,6 +25,7 @@ from efx_multigraph import (
     solve_multistar,
     solve_multitree_d4_q2,
 )
+from efx_multigraph.solvers import _divergent_split
 
 
 def _solved(inst, alloc, orientation):
@@ -254,3 +257,36 @@ def test_structure_solver_outputs_pinned():
     # The batch reaches the odd-cycle case-2 path and the tree re-root step.
     assert (odd_case2, reroots) == (64, 10)
     assert digest == SOLVER_PIN_SHA
+
+
+def _rational_split(inst, a, b, cfg):
+    """The divergent labeling by the rational margins v(c1) - v(c2)."""
+    da, db = (bundle_value(inst, x, cfg.c1) - bundle_value(inst, x, cfg.c2) for x in (a, b))
+    if da * db > 0 or da == db:
+        return None
+    return (cfg.c1, cfg.c2) if da > db else (cfg.c2, cfg.c1)
+
+
+def test_divergent_split_across_scales():
+    # Agent 0's values are whole (scale 1), agent 1's are sevenths (scale 7).
+    # Cut by 0: c1 = {0} (3 against 2).  Agent 0's margin is 1, agent 1's is
+    # 1/7 - 5/7 = -4/7, or -4 in its own integer weights: larger in size than
+    # agent 0's 1, smaller as a rational.  The halves still go by the signs.
+    inst = build_instance(2, [(0, 1, 3, Fraction(1, 7)), (0, 1, 2, Fraction(5, 7))])
+    assert inst.scales == (1, 7)
+    cfg = cut(inst, 0, 1)
+    assert (cfg.c1, cfg.c2) == ({0}, {1})
+    assert _divergent_split(inst, 0, 1, cfg) == ({0}, {1})
+    assert _divergent_split(inst, 1, 0, cfg) == ({1}, {0})
+
+
+_weight = st.builds(Fraction, st.integers(1, 60), st.sampled_from([1, 2, 3, 7, 10, 12, 1000]))
+
+
+@given(st.lists(st.tuples(_weight, _weight), min_size=1, max_size=5))
+def test_divergent_split_matches_rational_margins(weights):
+    inst = build_instance(2, [(0, 1, wu, wv) for wu, wv in weights])
+    for cutter in (0, 1):
+        cfg = cut(inst, cutter, 1 - cutter)
+        for a in (0, 1):
+            assert _divergent_split(inst, a, 1 - a, cfg) == _rational_split(inst, a, 1 - a, cfg)

@@ -3,6 +3,10 @@
 Exactly one JSON document goes to stdout; human-readable notes go to stderr.
 Exit codes: 0 ok, 1 usage/parse errors, 2 verification failure, 3 oracle budget
 exceeded, 4 method/structure mismatch.
+
+Each call builds the argument parser of the invoked command only (``COMMANDS``
+holds one entry per command); ``-h``, a missing or an unknown command get the
+parser of every command, so every argv gives the same output either way.
 """
 from __future__ import annotations
 
@@ -175,42 +179,36 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="efx-multigraph",
-                                     description="EFX solvers, verifier and oracle "
-                                                 "for multi-graph fair division")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="compute a complete EFX allocation")
+def _solve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance", nargs="?", default="-")
     p.add_argument("--method", choices=["auto", "bipartite", "star", "tree4", "cycle"],
                    default="auto")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("orient", help="compute an EFX / half-EFX orientation")
+
+def _orient_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance", nargs="?", default="-")
     p.add_argument("--method", choices=["star", "tree4", "half-efx"], required=True)
-    p.set_defaults(func=_cmd_orient)
 
-    p = sub.add_parser("verify", help="check an allocation for alpha-EFX")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     p.add_argument("allocation")
     p.add_argument("--alpha", default="1")
     p.add_argument("--orientation", action="store_true")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("decide", help="exhaustive existence search")
+
+def _decide_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance", nargs="?", default="-")
     p.add_argument("--target", choices=["orientation", "allocation"], required=True)
     p.add_argument("--count", action="store_true")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_decide)
 
+
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
     # gen's options are FamilySpec's fields, under the same names (dest).
-    p = sub.add_parser("gen", help="generate a benchmark instance")
     p.add_argument("--family", choices=list(forge.ALL_FAMILIES), required=True)
     p.add_argument("--eps", type=_parse_fraction, default=forge.DEFAULT_EPS)
     p.add_argument("--delta", type=_parse_fraction, default=forge.DEFAULT_DELTA)
@@ -225,24 +223,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--den-max", dest="den_max", type=int, default=1000)
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("reduce-partition", help="emit the partition gadget instance")
+
+def _reduce_partition_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", dest="pset", metavar="SET", type=_parse_set, required=True,
                    help="comma-separated partition multiset")
     p.add_argument("--eps", type=_parse_fraction, default=forge.DEFAULT_EPS)
     p.add_argument("--delta", type=_parse_fraction, default=forge.DEFAULT_DELTA)
-    p.set_defaults(func=_cmd_reduce_partition)
 
-    p = sub.add_parser("analyze", help="report the instance structure")
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance", nargs="?", default="-")
-    p.set_defaults(func=_cmd_analyze)
 
+
+# Command name -> (help, argument adder, handler), in the order of the usage line.
+COMMANDS = {
+    "solve": ("compute a complete EFX allocation", _solve_arguments, _cmd_solve),
+    "orient": ("compute an EFX / half-EFX orientation", _orient_arguments, _cmd_orient),
+    "verify": ("check an allocation for alpha-EFX", _verify_arguments, _cmd_verify),
+    "decide": ("exhaustive existence search", _decide_arguments, _cmd_decide),
+    "gen": ("generate a benchmark instance", _gen_arguments, _cmd_gen),
+    "reduce-partition": ("emit the partition gadget instance", _reduce_partition_arguments,
+                         _cmd_reduce_partition),
+    "analyze": ("report the instance structure", _analyze_arguments, _cmd_analyze),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``command`` of that command only.
+
+    Either parser reads an argv that starts with ``command`` the same way.
+    """
+    parser = argparse.ArgumentParser(prog="efx-multigraph",
+                                     description="EFX solvers, verifier and oracle "
+                                                 "for multi-graph fair division")
+    # The top-level usage line (shown for unrecognized arguments) lists every command.
+    # Without a command the default metavar does that, and "invalid choice" still
+    # names the argument "command".
+    listed = {} if command is None else {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **listed)
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        if command is None or name == command:
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # -h, no command and an unknown command get the full parser and its text.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -103,7 +103,8 @@ class Instance:
                     raise InstanceError(f"edge {k}: agent id {a!r} is not an integer")
                 if not (0 <= a < self.n):
                     raise InstanceError(f"edge {k}: agent id {a} out of range [0, {self.n})")
-            if e.wu <= 0 or e.wv <= 0:
+            # A Fraction keeps its sign in the numerator, which compares as a plain int.
+            if e.wu.numerator <= 0 or e.wv.numerator <= 0:
                 raise InstanceError(f"edge {k}: non-positive weight")
 
     # The index, the integer valuation and the hash are built on first use and
@@ -477,7 +478,7 @@ def instance_from_json(doc: object) -> Instance:
         for a in (u, v):
             if not isinstance(a, int) or isinstance(a, bool):
                 raise InstanceError(f"edge {k}: agent id {a!r} is not an integer")
-        if wu <= 0 or wv <= 0:
+        if wu.numerator <= 0 or wv.numerator <= 0:
             raise InstanceError(f"non-positive weight at edge {k}")
         edges.append(EdgeItem(k, u, v, wu, wv))
     return Instance(n, tuple(edges))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from efx_multigraph import build_instance, oracle, save_instance, running_example
+from efx_multigraph import build_instance, cli, oracle, save_instance, running_example
 from efx_multigraph.cli import main
 from efx_multigraph.model import MAX_AGENTS, instance_to_text
 
@@ -369,3 +370,112 @@ def test_cli_contract_holds_for_any_document(fuzz_dir, instance_doc, allocation_
                  ["verify", str(inst_path), str(alloc_path)],
                  ["verify", known, str(alloc_path)]):
         _contract(argv)
+
+
+def _captured(call, argv):
+    """``call(argv)``'s result, or its SystemExit as ("exit", code), with its output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _same_as_full_parser(argv) -> None:
+    """``main`` reads argv as the parser of every command does: the same Namespace
+    reaches the handler, or the same exit code, stdout and stderr."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        # Every handler records its Namespace, so nothing runs past the parse.
+        for name, (help_text, add_arguments, _) in cli.COMMANDS.items():
+            mp.setitem(cli.COMMANDS, name, (help_text, add_arguments, seen.append))
+        full, full_out, full_err = _captured(lambda a: cli.build_parser().parse_args(a), argv)
+        code, out, err = _captured(main, argv)
+    assert (out, err) == (full_out, full_err), argv
+    if isinstance(full, tuple):
+        assert seen == [], argv
+        assert code == (cli.EXIT_OK if full[1] in (0, None) else cli.EXIT_USAGE), argv
+    else:
+        assert seen == [full], argv
+
+
+def _vocabulary() -> tuple[list[str], list[str]]:
+    """Every option string and every choice of every command."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options, values = set(), set()
+    for parser in sub.choices.values():
+        for action in parser._actions:
+            options.update(action.option_strings)
+            values.update(str(choice) for choice in action.choices or ())
+    return sorted(options), sorted(values)
+
+
+_OPTIONS, _CHOICES = _vocabulary()
+_JUNK = ["bogus", "--bogus", "-x", "--met", "--method=star", "--jobs=2", "-hx", "--he", "inst.json", ""]
+_VALUES = _CHOICES + ["1", "0", "-3", "1/2", "1/0", "1,2", "1,x", "abc"]
+_first = st.sampled_from([*cli.COMMANDS, "-h", "--help", "--", "-", *_JUNK])
+_token = st.one_of(st.sampled_from([*cli.COMMANDS, *_OPTIONS, "-h", "--help", "--", "-"]),
+                   st.sampled_from(_VALUES), st.sampled_from(_JUNK))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just([]), st.builds(lambda first, rest: [first, *rest], _first,
+                                        st.lists(_token, max_size=6))))
+def test_main_parses_every_argv_as_the_full_parser(argv):
+    _same_as_full_parser(argv)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["analyze", "a", "b"], ["solve", "-h"]])
+def test_main_parses_pinned_argvs_as_the_full_parser(argv):
+    _same_as_full_parser(argv)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # The top level reports unrecognized arguments, so its usage line must not
+    # shrink to the one command whose parser was built.
+    (["analyze", "a", "b"], "unrecognized arguments: b"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+                + ", ".join(repr(name) for name in cli.COMMANDS) + ")"),
+    ([], "the following arguments are required: command"),
+])
+def test_top_level_usage_errors(capsys, argv, message):
+    assert main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: efx-multigraph [-h]")
+    assert "{" + ",".join(cli.COMMANDS) + "}" in err
+    assert err.splitlines()[-1] == "efx-multigraph: error: " + message
+
+
+def test_main_builds_only_the_invoked_commands_parser(tmp_path, capsys, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    path = tmp_path / "inst.json"
+    save_instance(running_example(), path)
+    assert main(["analyze", str(path)]) == 0
+    assert added == ["analyze"]
+    for argv in (["-h"], ["bogus"]):
+        added.clear()
+        main(argv)
+        assert added == list(cli.COMMANDS), argv
+    capsys.readouterr()
+
+
+def test_full_parser_reads_every_command():
+    # build_parser() with no argument stays the parser of every command.
+    minimal = {"solve": [], "orient": ["--method", "star"], "verify": ["i.json", "a.json"],
+               "decide": ["--target", "orientation"], "gen": ["--family", "c4-counter"],
+               "reduce-partition": ["--set", "1,2"], "analyze": []}
+    assert set(minimal) == set(cli.COMMANDS)
+    parser = cli.build_parser()
+    for name, rest in minimal.items():
+        args = parser.parse_args([name, *rest])
+        assert args.command == name
+        assert args.func is cli.COMMANDS[name][2]

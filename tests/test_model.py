@@ -79,6 +79,25 @@ def test_negative_weight_rejected():
             ' {"u": 0, "v": 1, "wu": "-2", "wv": "1"}]}'))
 
 
+@pytest.mark.parametrize("weight", ["0", "-0", "0/7", "-3/4"])
+def test_reader_rejects_non_positive_weight(weight):
+    # The reader's sign check runs before the constructor's, and before its self-loop check.
+    for u, v in ((0, 1), (1, 1)):
+        doc = {"n": 2, "edges": [{"u": 0, "v": 1, "wu": "1", "wv": "1"},
+                                 {"u": u, "v": v, "wu": "2", "wv": weight}]}
+        with pytest.raises(InstanceError, match="^non-positive weight at edge 1$"):
+            instance_from_json(doc)
+
+
+@pytest.mark.parametrize("weight", [Fraction(0), Fraction(-1, 2)])
+def test_constructor_rejects_non_positive_weight(weight):
+    with pytest.raises(InstanceError, match="^edge 1: non-positive weight$"):
+        build_instance(2, [(0, 1, 1, 1), (0, 1, weight, 1)])
+    # The shape checks come first.
+    with pytest.raises(InstanceError, match="self-loop"):
+        build_instance(2, [(1, 1, weight, 1)])
+
+
 @pytest.mark.parametrize("n, spec", [(3, (True, 2, 1, 1)), (3, (2, False, 1, 1)),
                                      (True, ()), (2, (0, True, 1, 1))])
 def test_bool_agent_ids_and_count_rejected(n, spec):

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
-from .cutting import cut
-from .derived import AllocationState, Bipartition, t_side_of
-from .fairness import check_efx
+from .derived import AllocationState, Bipartition
+from .fairness import ONE, check_efx
 from .model import (
     Allocation,
     Instance,
@@ -32,6 +32,7 @@ from .model import (
     edge_set,
     is_complete,
     is_orientation,
+    make_allocation,
     two_coloring,
 )
 
@@ -65,6 +66,22 @@ class PipelineTrace:
             "flags": {name: fl.to_json() for name, fl in self.flags.items()},
             "events": self.events,
         }
+
+
+def checked(inst: Instance, bundles: Iterable[Iterable[int]], orientation: bool, label: str,
+            alpha: Fraction = ONE) -> Allocation:
+    """The allocation with these bundles, asserted complete, alpha-EFX and, where
+    promised, an orientation."""
+    alloc = make_allocation(inst.n, bundles)
+    if not is_complete(inst, alloc):
+        raise StructureError(f"{label}: output is not complete")
+    if orientation and not is_orientation(inst, alloc):
+        raise StructureError(f"{label}: output is not an orientation")
+    verdict = check_efx(inst, alloc, alpha)
+    if not verdict.passed:
+        kind = "EFX" if alpha == 1 else f"{alpha}-EFX"
+        raise StructureError(f"{label}: output is not {kind} ({verdict.witnesses[0]})")
+    return alloc
 
 
 def resolve_bipartition(inst: Instance, parts: Bipartition | None) -> Bipartition:
@@ -122,7 +139,7 @@ def _first_violation(state: AllocationState, envied: set[int]) -> tuple[int, int
 
 def _saturate_loop(state: AllocationState, events: list[dict] | None, stage: str) -> None:
     """Drain every non-envied agent's available sets in place (the stage-2 cases)."""
-    inst, parts = state.inst, state.parts
+    inst = state.inst
     while True:
         envied = state.envied()
         hit = _first_violation(state, envied)
@@ -133,8 +150,7 @@ def _saturate_loop(state: AllocationState, events: list[dict] | None, stage: str
             state.give(i, a_ij)
             case = 1
         else:
-            cutter = t_side_of((i, j), parts)
-            cfg = cut(inst, cutter, j if cutter == i else i)
+            cfg = state.pair_cut(i, j)
             if a_ij not in (cfg.c1, cfg.c2):
                 raise StructureError("available bundle does not match the pair's cut")
             if j not in envied:
@@ -142,7 +158,7 @@ def _saturate_loop(state: AllocationState, events: list[dict] | None, stage: str
                 state.give(j, cfg.c2 if a_ij == cfg.c1 else cfg.c1)
                 case = 2
             else:
-                if cutter != i:
+                if cfg.cutter != i:
                     raise StructureError("envied agent found on the cutting side")
                 state.give(i, a_ij)
                 case = 3
@@ -204,18 +220,16 @@ def _first_unsafe(state: AllocationState, envied: set[int]) -> tuple[int, int] |
 
 
 def _safe_loop(state: AllocationState, events: list[dict] | None) -> None:
-    inst, parts = state.inst, state.parts
     while True:
         envied = state.envied()
         target = _first_unsafe(state, envied)
         if target is None:
             return
         i, j = target
-        cutter = t_side_of((i, j), parts)
-        if cutter != j:
+        cfg = state.pair_cut(i, j)
+        if cfg.cutter != j:
             raise StructureError("unsafe envier found on the non-cutting side")
-        cfg = cut(inst, j, i)
-        pair_edges = edge_set(inst, i, j)
+        pair_edges = edge_set(state.inst, i, j)
         held_i = pair_edges & state.bundles[i]
         held_j = pair_edges & state.bundles[j]
         if {held_i, held_j} != {cfg.c1, cfg.c2}:
@@ -297,14 +311,9 @@ def complete_efx(inst: Instance, parts: Bipartition | None = None) -> tuple[Allo
         state.give(k, free)
         trace.events.append({"stage": "completion", "pair": pair, "to": k,
                              "edges": sorted(free)})
-    final = state.freeze()
+    final = checked(inst, state.bundles, False, "three-stage solver")
     trace.snapshots["final"] = final
     trace.flags["final"] = _flags(state)
-    if not is_complete(inst, final):
-        raise StructureError("completion left unallocated edges")
-    verdict = check_efx(inst, final)
-    if not verdict.passed:
-        raise StructureError(f"completed allocation is not EFX: {verdict.witnesses[0]}")
     return final, trace
 
 
@@ -337,15 +346,9 @@ def half_efx_orientation(inst: Instance, trace: PipelineTrace | None = None) -> 
         if trace is not None:
             trace.events.append({"stage": "orient-leftovers", "pair": pair, "to": j,
                                  "edges": sorted(free)})
-    final = state.freeze()
+    final = checked(inst, state.bundles, True, "half-EFX orientation", Fraction(1, 2))
     if trace is not None:
         trace.snapshots["final"] = final
-    if not (is_complete(inst, final) and is_orientation(inst, final)):
-        raise StructureError("result is not a complete orientation")
-    half = Fraction(1, 2)
-    verdict = check_efx(inst, final, half)
-    if not verdict.passed:
-        raise StructureError(f"orientation is not half-EFX: {verdict.witnesses[0]}")
     return final
 
 
@@ -355,7 +358,7 @@ def check_properties(inst: Instance, alloc: Allocation, parts: Bipartition | Non
 
 
 def _flags(state: AllocationState) -> PropertyFlags:
-    inst, parts = state.inst, state.parts
+    inst = state.inst
     alloc = state.freeze()
     p1 = is_orientation(inst, alloc) and check_efx(inst, alloc).passed
 
@@ -367,8 +370,7 @@ def _flags(state: AllocationState) -> PropertyFlags:
             break
         held_a = pair_edges & alloc.bundles[a]
         held_b = pair_edges & alloc.bundles[b]
-        cutter = t_side_of((a, b), parts)
-        cfg = cut(inst, cutter, b if cutter == a else a)
+        cfg = state.pair_cut(a, b)
         halves = {cfg.c1, cfg.c2}
         ok = (not held_a and not held_b) \
             or {held_a, held_b} == halves \

@@ -9,16 +9,16 @@ A[i,j](X) is what i could still claim from E(i,j):
   * i already holds items, or a third
     agent holds items of E(i,j)        -> empty
 
-From these: A_i = union over j, B_i = the list of per-pair bundles, and the safe
-set S_i = non-envied agents k that i would still not envy after k absorbed all of
-A_i.
+From these: A_i = union over j, B_i = the list of A[i,j] over every other agent j
+(empty ones included), and the safe set S_i = non-envied agents k that i would
+still not envy after k absorbed all of A_i.
 """
 from __future__ import annotations
 
 from typing import Iterable
 
-from .cutting import cut, preferred_bundle
-from .fairness import value_rows
+from .cutting import CutConfig, cut, preferred_bundle
+from .fairness import envier_lists, value_rows
 from .model import Allocation, Instance, edge_set
 
 Bipartition = tuple[tuple[int, ...], tuple[int, ...]]
@@ -33,73 +33,31 @@ def t_side_of(pair: tuple[int, int], parts: Bipartition) -> int:
     return a if a in t else b
 
 
-class Availability:
-    """The available sets of one allocation, read from its holder map.
-
-    Memoizes, per ordered pair (i, j), i's preferred bundle of the pair's T-side
-    cut, which depends on the instance alone.
-    """
-
-    def __init__(self, inst: Instance, parts: Bipartition, holder: dict[int, int]):
-        self.inst = inst
-        self.parts = parts
-        self.holder = holder
-        self.neighbours: list[list[int]] = [[] for _ in range(inst.n)]
-        for a, b in inst.pairs():
-            self.neighbours[a].append(b)
-            self.neighbours[b].append(a)
-        self._preferred: dict[tuple[int, int], frozenset[int]] = {}
-
-    def available(self, i: int, j: int) -> frozenset[int]:
-        pair_edges = edge_set(self.inst, i, j)
-        held_j: set[int] = set()
-        for e in pair_edges:
-            h = self.holder.get(e)
-            if h == j:
-                held_j.add(e)
-            elif h is not None:
-                return frozenset()
-        if held_j:
-            return pair_edges - held_j
-        if not pair_edges:
-            return frozenset()
-        return self.preferred(i, j)
-
-    def preferred(self, i: int, j: int) -> frozenset[int]:
-        """i's preferred bundle of the cut of E(i,j), made by the pair's T-side agent."""
-        bundle = self._preferred.get((i, j))
-        if bundle is None:
-            cutter = t_side_of((i, j), self.parts)
-            bundle = preferred_bundle(self.inst, i, cut(self.inst, cutter, j if cutter == i else i))
-            self._preferred[(i, j)] = bundle
-        return bundle
-
-    def available_set(self, i: int) -> frozenset[int]:
-        out: set[int] = set()
-        for j in self.neighbours[i]:
-            out |= self.available(i, j)
-        return frozenset(out)
-
-
-class AllocationState(Availability):
+class AllocationState:
     """A mutable allocation of one instance, with everything the pipeline asks of it.
 
     Besides the bundles and the holder map it keeps every agent's value row
     ``val[i][k] = scale_i * v_i(X_k)`` (sparse, as ``fairness.value_rows`` builds
     it: agent i and the holders of i's edges) and every agent's set of enviers,
     and updates all of them on each move, so no query re-scans the edges or
-    re-sums values.
+    re-sums values.  It memoizes, per ordered pair (i, j), i's preferred bundle of
+    the pair's T-side cut, which depends on the instance alone.
     """
 
     def __init__(self, inst: Instance, parts: Bipartition, alloc: Allocation | None = None):
         if alloc is None:
             alloc = Allocation((frozenset(),) * inst.n)
-        super().__init__(inst, parts, alloc.holder_map())
+        self.inst = inst
+        self.parts = parts
+        self.holder = alloc.holder_map()
+        self.neighbours: list[list[int]] = [[] for _ in range(inst.n)]
+        for a, b in inst.pairs():
+            self.neighbours[a].append(b)
+            self.neighbours[b].append(a)
+        self._preferred: dict[tuple[int, int], frozenset[int]] = {}
         self.val = value_rows(inst, alloc)
         self.bundles = [set(b) for b in alloc.bundles]
-        self.enviers: list[set[int]] = [set() for _ in range(inst.n)]
-        for i in range(inst.n):
-            self._refresh_row(i)
+        self.enviers = [set(js) for js in envier_lists(self.val)]
 
     def freeze(self) -> Allocation:
         return Allocation(tuple(frozenset(b) for b in self.bundles))
@@ -107,6 +65,11 @@ class AllocationState(Availability):
     def worth(self, i: int, edges: Iterable[int]) -> int:
         """``scale_i * v_i(edges)`` for edges incident to agent i."""
         return sum(map(self.inst.weights[i].__getitem__, edges))
+
+    def pair_cut(self, i: int, j: int) -> CutConfig:
+        """The cut of E(i,j), made by the pair's T-side agent."""
+        cutter = t_side_of((i, j), self.parts)
+        return cut(self.inst, cutter, j if cutter == i else i)
 
     # -- moves
 
@@ -158,6 +121,32 @@ class AllocationState(Availability):
 
     # -- queries
 
+    def available(self, i: int, j: int) -> frozenset[int]:
+        """A[i,j](X): edges of E(i,j) still claimable by i."""
+        pair_edges = edge_set(self.inst, i, j)
+        held_j: set[int] = set()
+        for e in pair_edges:
+            h = self.holder.get(e)
+            if h == j:
+                held_j.add(e)
+            elif h is not None:
+                return frozenset()
+        if held_j:
+            return pair_edges - held_j
+        if not pair_edges:
+            return frozenset()
+        bundle = self._preferred.get((i, j))
+        if bundle is None:
+            bundle = self._preferred[(i, j)] = preferred_bundle(self.inst, i, self.pair_cut(i, j))
+        return bundle
+
+    def available_set(self, i: int) -> frozenset[int]:
+        """A_i(X): the union of A[i,j](X) over i's neighbours."""
+        out: set[int] = set()
+        for j in self.neighbours[i]:
+            out |= self.available(i, j)
+        return frozenset(out)
+
     def envied(self) -> set[int]:
         return {k for k, who in enumerate(self.enviers) if who}
 
@@ -177,18 +166,19 @@ class AllocationState(Availability):
 
 def available(inst: Instance, alloc: Allocation, i: int, j: int, parts: Bipartition) -> frozenset[int]:
     """A[i,j](X): edges of E(i,j) still claimable by i."""
-    return Availability(inst, parts, alloc.holder_map()).available(i, j)
+    return AllocationState(inst, parts, alloc).available(i, j)
 
 
 def available_set(inst: Instance, alloc: Allocation, i: int, parts: Bipartition) -> frozenset[int]:
     """A_i(X): the union of A[i,j](X) over all other agents j."""
-    return Availability(inst, parts, alloc.holder_map()).available_set(i)
+    return AllocationState(inst, parts, alloc).available_set(i)
 
 
 def available_bundles(inst: Instance, alloc: Allocation, i: int, parts: Bipartition) -> list[frozenset[int]]:
-    """B_i(X): one available bundle per adjacent j (empty ones included)."""
-    view = Availability(inst, parts, alloc.holder_map())
-    return [view.available(i, j) for j in range(inst.n) if j != i]
+    """B_i(X): A[i,j](X) for every other agent j in ascending order, empty ones
+    included (n - 1 entries)."""
+    state = AllocationState(inst, parts, alloc)
+    return [state.available(i, j) for j in range(inst.n) if j != i]
 
 
 def safe_set(inst: Instance, alloc: Allocation, i: int, parts: Bipartition) -> set[int]:

@@ -143,7 +143,7 @@ def enviers_of(inst: Instance, alloc: Allocation, i: int) -> list[int]:
 
 def envied_set(inst: Instance, alloc: Allocation) -> set[int]:
     """Agents whose bundle some other agent strictly envies."""
-    return {k for j, row in enumerate(value_rows(inst, alloc)) for k, v in row.items() if v > row[j]}
+    return {k for k, js in enumerate(envier_lists(value_rows(inst, alloc))) if js}
 
 
 def check_efx(inst: Instance, alloc: Allocation, alpha: Fraction = ONE) -> Verdict:
@@ -180,10 +180,11 @@ def achieved_alpha(inst: Instance, alloc: Allocation, agent: int) -> Fraction:
     It is own / surviving for the bundle whose value minus its least-valued item
     is largest, when that exceeds the agent's own value; the scale cancels.
     """
-    # The holder map is cached on the allocation, so a call per agent costs
-    # O(deg) past the first, beyond the edge-id check that value_rows makes.
+    # The holder map and its id bounds are cached on the allocation, so a call
+    # per agent costs O(deg) past the first.
     holder = alloc._holder
-    if holder and (min(holder) < 0 or max(holder) >= inst.m):
+    lo, hi = alloc._id_bounds
+    if lo < 0 or hi >= inst.m:
         bad = next(e for b in alloc.bundles for e in b if not (0 <= e < inst.m))
         raise ValueError(f"invalid edge id {bad}")
     weights = inst.weights[agent]

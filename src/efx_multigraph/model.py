@@ -207,6 +207,12 @@ class Allocation:
     def _holder(self) -> dict[int, int]:
         return {e: a for a, b in enumerate(self.bundles) for e in b}
 
+    @cached_property
+    def _id_bounds(self) -> tuple[int, int]:
+        """(least, greatest) held edge id; (0, -1) when nothing is held."""
+        holder = self._holder
+        return (min(holder), max(holder)) if holder else (0, -1)
+
     def holder_map(self) -> dict[int, int]:
         """Edge id -> the agent holding it (a fresh dict the caller may change)."""
         return dict(self._holder)
@@ -219,19 +225,6 @@ def make_allocation(n: int, bundles: Iterable[Iterable[int]]) -> Allocation:
         raise InstanceError(f"allocation has {len(parts)} bundles for {n} agents")
     parts += [frozenset()] * (n - len(parts))
     return Allocation(tuple(parts))
-
-
-def validate_allocation(inst: Instance, alloc: Allocation) -> None:
-    if len(alloc.bundles) != inst.n:
-        raise InstanceError(f"allocation has {len(alloc.bundles)} bundles for {inst.n} agents")
-    seen: set[int] = set()
-    for a, bundle in enumerate(alloc.bundles):
-        for e in bundle:
-            if not isinstance(e, int) or isinstance(e, bool) or not (0 <= e < inst.m):
-                raise InstanceError(f"bundle {a}: edge id {e!r} out of range [0, {inst.m})")
-            if e in seen:
-                raise InstanceError(f"edge id {e} assigned to more than one agent")
-            seen.add(e)
 
 
 def is_complete(inst: Instance, alloc: Allocation) -> bool:
@@ -356,20 +349,14 @@ def two_coloring(inst: Instance) -> tuple[tuple[int, ...], tuple[int, ...]] | No
 
 
 def _longest_simple_path(adj: dict[int, set[int]], vertices: Sequence[int]) -> int:
-    best = 0
-
-    def extend(x: int, visited: set[int], length: int) -> None:
-        nonlocal best
-        best = max(best, length)
-        for y in adj[x]:
-            if y not in visited:
-                visited.add(y)
-                extend(y, visited, length + 1)
-                visited.remove(y)
-
-    for v in vertices:
-        extend(v, {v}, 0)
-    return best
+    """Edges on the longest simple path starting in ``vertices``.  Layer k holds
+    each (visited set as a bitmask, end agent) state of the k-edge paths once, so
+    paths that differ only in their order of visits are extended once."""
+    layer = {(1 << v, v) for v in vertices}
+    length = 0
+    while layer := {(seen | 1 << y, y) for seen, x in layer for y in adj[x] if not seen >> y & 1}:
+        length += 1
+    return length
 
 
 def _component_family(comp: list[int], adj: dict[int, set[int]]) -> str:
@@ -523,7 +510,14 @@ def allocation_from_json(doc: object, inst: Instance) -> Allocation:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise InstanceError(f"bundle {a}: edge id {e!r} is not an integer")
     alloc = Allocation(tuple(frozenset(b) for b in raw))
-    validate_allocation(inst, alloc)
+    seen: set[int] = set()
+    for a, bundle in enumerate(alloc.bundles):
+        for e in bundle:
+            if not (0 <= e < inst.m):
+                raise InstanceError(f"bundle {a}: edge id {e!r} out of range [0, {inst.m})")
+            if e in seen:
+                raise InstanceError(f"edge id {e} assigned to more than one agent")
+            seen.add(e)
     return alloc
 
 

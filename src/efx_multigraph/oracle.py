@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .fairness import check_efx
-from .model import Allocation, Instance
+from .model import Allocation, Instance, make_allocation
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -164,13 +164,6 @@ class _Search:
         return False
 
 
-def _witness_allocation(inst: Instance, assignment: list[int]) -> Allocation:
-    bundles: list[set[int]] = [set() for _ in range(inst.n)]
-    for e, k in enumerate(assignment):
-        bundles[k].add(e)
-    return Allocation(tuple(frozenset(b) for b in bundles))
-
-
 def _run_task(args: tuple[Instance, list[tuple[int, ...]], tuple[int, ...], bool, bool]) -> tuple[list[int] | None, int, int]:
     inst, choices, prefix, prune, counting = args
     search = _Search(inst, choices, prune, counting, prefix)
@@ -207,7 +200,8 @@ def _decide(inst: Instance, choices: list[tuple[int, ...]], target: str, budget:
 
     alloc = None
     if witness is not None:
-        alloc = _witness_allocation(inst, witness)
+        alloc = make_allocation(inst.n, ([e for e, k in enumerate(witness) if k == a]
+                                         for a in range(inst.n)))
         verdict = check_efx(inst, alloc)
         if not verdict.passed:
             raise AssertionError(f"oracle produced a non-EFX witness: {verdict.witnesses[0]}")

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bipartite import complete_efx
+from .bipartite import checked, complete_efx
 from .cutting import CutConfig, _margin, cut, preferred_bundle
 from .fairness import bundle_value, check_efx, envier_lists, value_rows
 from .model import (
@@ -23,25 +23,9 @@ from .model import (
     bfs_depths,
     connected_components,
     edge_set,
-    is_complete,
-    is_orientation,
     make_allocation,
     skeleton_adjacency,
 )
-
-
-def _checked(inst: Instance, cur: list[set[int]], orientation: bool, label: str) -> Allocation:
-    """The allocation with these bundles, asserted complete, EFX and, where
-    promised, an orientation."""
-    alloc = make_allocation(inst.n, cur)
-    if not is_complete(inst, alloc):
-        raise StructureError(f"{label}: output is not complete")
-    if orientation and not is_orientation(inst, alloc):
-        raise StructureError(f"{label}: output is not an orientation")
-    verdict = check_efx(inst, alloc)
-    if not verdict.passed:
-        raise StructureError(f"{label}: output is not EFX ({verdict.witnesses[0]})")
-    return alloc
 
 
 def _halves(inst: Instance, cfg: CutConfig, agent: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -72,7 +56,7 @@ def solve_multistar(inst: Instance) -> Allocation:
                 mine, rest = _halves(inst, cut(inst, hub, leaf), leaf)
                 cur[leaf] |= mine
                 cur[hub] |= rest
-    return _checked(inst, cur, orientation=True, label="multi-star solver")
+    return checked(inst, cur, orientation=True, label="multi-star solver")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +153,7 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
                     cur[kid].update(edge_set(inst, agent, kid) - cur[agent])
             enviers = checkpoint(center, depth1)
 
-    return _checked(inst, cur, orientation=True, label="multi-tree solver")
+    return checked(inst, cur, orientation=True, label="multi-tree solver")
 
 
 def _assert_tree_invariants(inst: Instance, frozen: Allocation, center: int,
@@ -254,7 +238,7 @@ def solve_multicycle(inst: Instance) -> Allocation:
                 cur = _solve_path_rest(inst, [{a, b}], a, b)
                 cur[a] |= split[0]
                 cur[b] |= split[1]
-                return _checked(inst, cur, orientation=False, label="multi-cycle solver")
+                return checked(inst, cur, orientation=False, label="multi-cycle solver")
 
     # Case 2: all pairs agree on every cut.  Lift out two adjacent agents: j and
     # i, the next two along the cycle from agent 0 toward its lower neighbour.
@@ -291,4 +275,4 @@ def solve_multicycle(inst: Instance) -> Allocation:
             gifts = {jq: c1, j: d1, i: e1, ip: c2 | d2 | e2}
     for agent, bundle in gifts.items():
         cur[agent] |= bundle
-    return _checked(inst, cur, orientation=False, label="multi-cycle solver")
+    return checked(inst, cur, orientation=False, label="multi-cycle solver")

@@ -71,3 +71,22 @@ def claim_non_envied_bound(inst: Instance, alloc: Allocation) -> bool:
         if bundle_value(inst, i, pending) > bundle_value(inst, i, alloc.bundles[i]):
             return False
     return True
+
+
+def longest_simple_path(adj: dict[int, set[int]], vertices) -> int:
+    """Edges on the longest simple path starting in ``vertices``, by a DFS over
+    every simple path."""
+    best = 0
+
+    def extend(x: int, visited: set[int], length: int) -> None:
+        nonlocal best
+        best = max(best, length)
+        for y in adj[x]:
+            if y not in visited:
+                visited.add(y)
+                extend(y, visited, length + 1)
+                visited.remove(y)
+
+    for v in vertices:
+        extend(v, {v}, 0)
+    return best

@@ -25,6 +25,7 @@ from efx_multigraph import (
     saturate_non_envied,
     two_coloring,
 )
+from efx_multigraph.bipartite import checked
 from conftest import STAGE1_BUNDLES, STAGE2_ACTUAL
 from reference import claim_leftover_pairs, claim_non_envied_bound, envied_only_in_s
 
@@ -228,3 +229,25 @@ def test_random_pipeline_sweep():
         assert check_efx(inst, final).passed
         assert trace.flags["safe"].as_tuple() == (True, True, True, True, True)
         done += 1
+
+
+def test_checked_names_the_failing_condition():
+    star, cycle = "multi-star solver", "multi-cycle solver"
+    pair = build_instance(2, [(0, 1, 4, 4), (0, 1, 3, 3), (0, 1, 3, 3)])
+    assert checked(pair, [{0}, {1, 2}], True, star) == make_allocation(2, [{0}, {1, 2}])
+    with pytest.raises(StructureError, match=rf"^{star}: output is not complete$"):
+        checked(pair, [{0}, {1}], True, star)
+    # [{1}, {0, 2}]: agent 0 has 3 against 7 - 3, so 3/4-EFX but not EFX.
+    # [{}, {0, 1, 2}]: agent 0 has 0 against 10 - 3, so not even 1/2-EFX.
+    with pytest.raises(StructureError, match=rf"^{star}: output is not EFX \(Witness"):
+        checked(pair, [{1}, {0, 2}], True, star)
+    assert checked(pair, [{1}, {0, 2}], True, star, Fraction(1, 2))
+    with pytest.raises(StructureError, match=rf"^{star}: output is not 1/2-EFX \(Witness"):
+        checked(pair, [set(), {0, 1, 2}], True, star, Fraction(1, 2))
+
+    # Agent 2 holds the edge of pair (0, 1): complete and EFX, not an orientation.
+    path = build_instance(3, [(0, 1, 1, 1), (1, 2, 1, 1)])
+    waste = [set(), {1}, {0}]
+    assert checked(path, waste, False, cycle) == make_allocation(3, waste)
+    with pytest.raises(StructureError, match=rf"^{cycle}: output is not an orientation$"):
+        checked(path, waste, True, cycle)

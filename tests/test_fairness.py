@@ -79,6 +79,17 @@ def test_alpha_monotonicity():
     assert achieved_alpha(inst, skew, 1) == 1
 
 
+def test_achieved_alpha_rejects_invalid_edge_ids():
+    inst = build_instance(2, [(0, 1, 1, 1), (0, 1, 2, 2)])
+    for bad in (-1, 2, 9):
+        alloc = make_allocation(2, [{0}, {1, bad}])
+        # The id bounds are cached after the first call; later calls still raise.
+        for agent in (0, 1, 0):
+            with pytest.raises(ValueError, match=f"invalid edge id {bad}$"):
+                achieved_alpha(inst, alloc, agent)
+    assert achieved_alpha(inst, make_allocation(2, []), 0) == 1
+
+
 def test_is_efx_feasible_examples():
     inst = build_instance(2, [(0, 1, 10, 10), (0, 1, 9, 9)])
     assert is_efx_feasible(inst, 1, [{0}, {1}], 0)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -21,7 +22,14 @@ from efx_multigraph import (
     parse_rational,
     two_coloring,
 )
-from efx_multigraph.model import allocation_from_json, connected_components, instance_from_json
+from efx_multigraph.model import (
+    _longest_simple_path,
+    allocation_from_json,
+    connected_components,
+    instance_from_json,
+    skeleton_adjacency,
+)
+from reference import longest_simple_path
 
 
 def test_parse_rational_forms():
@@ -144,6 +152,32 @@ def test_analyze_c4_counter():
     assert rep.diameter == 2
     assert rep.longest_path == 3
     assert rep.bipartition is not None  # even cycle
+
+
+@st.composite
+def simple_skeletons(draw):
+    """Unit-valued instances on up to eight agents, one edge per chosen pair."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_instance(n, [(u, v, 1, 1) for u, v in chosen])
+
+
+@given(simple_skeletons())
+def test_longest_path_matches_dfs(inst):
+    adj = skeleton_adjacency(inst)
+    expected = longest_simple_path(adj, range(inst.n))
+    assert _longest_simple_path(adj, range(inst.n)) == expected
+    assert analyze_structure(inst).longest_path == expected
+
+
+def test_analyze_complete_skeleton_in_time():
+    # K_12 has about 10^9 simple paths, but only 12 * 2^11 (visited set, end) states.
+    k12 = build_instance(12, [(u, v, 1, 1) for u in range(12) for v in range(u + 1, 12)])
+    start = time.perf_counter()
+    rep = analyze_structure(k12)
+    assert time.perf_counter() - start < 2
+    assert rep.longest_path == 11
 
 
 def test_analyze_families():

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .derived import AllocationState, Bipartition
 from .fairness import ONE, check_efx
@@ -126,8 +127,11 @@ def _greedy(state: AllocationState, events: list[dict] | None) -> None:
                                "edges": sorted(best_bundle)})
 
 
-def _first_violation(state: AllocationState, envied: set[int]) -> tuple[int, int, frozenset[int]] | None:
-    for i in range(state.inst.n):
+def _violation_among(state: AllocationState, envied: set[int],
+                     agents: Iterable[int]) -> tuple[int, int, frozenset[int]] | None:
+    """The first of ``agents`` that is not envied and has a non-empty available
+    set, with its lowest such co-agent j and A[i,j]."""
+    for i in agents:
         if i in envied:
             continue
         for j in state.neighbours[i]:
@@ -137,12 +141,30 @@ def _first_violation(state: AllocationState, envied: set[int]) -> tuple[int, int
     return None
 
 
+def _first_violation(state: AllocationState, envied: set[int]) -> tuple[int, int, frozenset[int]] | None:
+    """The full scan over every agent (flag P4)."""
+    return _violation_among(state, envied, range(state.inst.n))
+
+
+def _next_violation(state: AllocationState, envied: set[int]) -> tuple[int, int, frozenset[int]] | None:
+    """``_first_violation`` over the dirty agents only: every other agent was
+    found clean and nothing it depends on has moved since.  Clean agents leave
+    the worklist."""
+    dirty = state.dirty
+    for i in sorted(dirty):
+        hit = _violation_among(state, envied, (i,))
+        if hit is not None:
+            return hit
+        dirty.discard(i)
+    return None
+
+
 def _saturate_loop(state: AllocationState, events: list[dict] | None, stage: str) -> None:
     """Drain every non-envied agent's available sets in place (the stage-2 cases)."""
     inst = state.inst
     while True:
         envied = state.envied()
-        hit = _first_violation(state, envied)
+        hit = _next_violation(state, envied)
         if hit is None:
             return
         i, j, a_ij = hit
@@ -167,9 +189,9 @@ def _saturate_loop(state: AllocationState, events: list[dict] | None, stage: str
                            "edges": sorted(a_ij)})
 
 
-def _require(flags: PropertyFlags, count: int, stage: str) -> None:
+def _require(flags: Iterable[bool], count: int, stage: str) -> None:
     """Raise unless the first ``count`` property flags hold on a stage's output."""
-    if not all(flags.as_tuple()[:count]):
+    if not all(islice(flags, count)):
         raise StructureError(f"input allocation does not satisfy the {stage} invariants")
 
 
@@ -185,7 +207,7 @@ def saturate_non_envied(inst: Instance, alloc: Allocation, parts: Bipartition | 
                                              preferred bundle only.
     """
     state = AllocationState(inst, resolve_bipartition(inst, parts), alloc)
-    _require(_flags(state), 3, "stage-1")
+    _require(_flag_values(state), 3, "stage-1")
     _saturate_loop(state, events, "saturate")
     return state.freeze()
 
@@ -203,7 +225,7 @@ def enforce_safe_sets(inst: Instance, alloc: Allocation, parts: Bipartition | No
     monotonically (the swap never creates envy), so the loop terminates.
     """
     state = AllocationState(inst, resolve_bipartition(inst, parts), alloc)
-    _require(_flags(state), 4, "stage-2")
+    _require(_flag_values(state), 4, "stage-2")
     _safe_loop(state, events)
     return state.freeze()
 
@@ -250,29 +272,30 @@ def _safe_loop(state: AllocationState, events: list[dict] | None) -> None:
 
 
 def _run_stages(state: AllocationState, trace: PipelineTrace | None, record_flags: bool) -> None:
-    """Stages 1-3 on ``state`` in place.  The flags of the stage-1 and stage-2
-    outputs are the entry checks of stages 2 and 3.  A trace gets every stage's
-    output and, with ``record_flags``, its flags too (the stage-3 output's included)."""
+    """Stages 1-3 on ``state`` in place.  Flags P1-P3 of the stage-1 output and
+    P1-P4 of the stage-2 output are the entry checks of stages 2 and 3.  A trace
+    gets every stage's output and, with ``record_flags``, all five of its flags
+    (the stage-3 output's included)."""
     events = trace.events if trace is not None else None
     _greedy(state, events)
     _require(_record(state, trace, "greedy", record_flags), 3, "stage-1")
     _saturate_loop(state, events, "saturate")
     _require(_record(state, trace, "saturate", record_flags), 4, "stage-2")
     _safe_loop(state, events)
-    if trace is not None:
-        trace.snapshots["safe"] = state.freeze()
-        if record_flags:
-            trace.flags["safe"] = _flags(state)
+    _record(state, trace, "safe", record_flags)
 
 
 def _record(state: AllocationState, trace: PipelineTrace | None, name: str,
-            record_flags: bool) -> PropertyFlags:
-    flags = _flags(state)
+            record_flags: bool) -> Iterable[bool]:
+    """Snapshot the state into the trace, and its flags too with ``record_flags``.
+    Returns the flags in order; those no trace records are evaluated only as
+    they are read."""
     if trace is not None:
         trace.snapshots[name] = state.freeze()
         if record_flags:
-            trace.flags[name] = flags
-    return flags
+            flags = trace.flags[name] = _flags(state)
+            return flags.as_tuple()
+    return _flag_values(state)
 
 
 def _leftovers(state: AllocationState) -> list[tuple[int, int, list[int], frozenset[int]]]:
@@ -293,9 +316,18 @@ def _leftovers(state: AllocationState) -> list[tuple[int, int, list[int], frozen
 
 def complete_efx(inst: Instance, parts: Bipartition | None = None) -> tuple[Allocation, PipelineTrace]:
     """Run the three stages, then hand each leftover set to the unique envier of its
-    envied endpoint.  The result is a complete EFX allocation (possibly wasteful)."""
-    state = AllocationState(inst, resolve_bipartition(inst, parts))
+    envied endpoint.  The result is a complete EFX allocation (possibly wasteful),
+    with the trace of the run."""
     trace = PipelineTrace()
+    return efx_completion(inst, parts, trace), trace
+
+
+def efx_completion(inst: Instance, parts: Bipartition | None = None,
+                   trace: PipelineTrace | None = None) -> Allocation:
+    """``complete_efx``'s allocation.  A given trace gets every stage's output,
+    its five flags and the events; without one, no snapshot is taken and only
+    the flags that the stage gates read are evaluated."""
+    state = AllocationState(inst, resolve_bipartition(inst, parts))
     _run_stages(state, trace, True)
     # Every envier is read on the stage-3 state, before any handoff moves.
     handoffs = []
@@ -309,12 +341,14 @@ def complete_efx(inst: Instance, parts: Bipartition | None = None) -> tuple[Allo
         handoffs.append((k, pair, free))
     for k, pair, free in handoffs:
         state.give(k, free)
-        trace.events.append({"stage": "completion", "pair": pair, "to": k,
-                             "edges": sorted(free)})
+        if trace is not None:
+            trace.events.append({"stage": "completion", "pair": pair, "to": k,
+                                 "edges": sorted(free)})
     final = checked(inst, state.bundles, False, "three-stage solver")
-    trace.snapshots["final"] = final
-    trace.flags["final"] = _flags(state)
-    return final, trace
+    if trace is not None:
+        trace.snapshots["final"] = final
+        trace.flags["final"] = _flags(state)
+    return final
 
 
 def half_efx_parts(inst: Instance) -> Bipartition:
@@ -358,16 +392,28 @@ def check_properties(inst: Instance, alloc: Allocation, parts: Bipartition | Non
 
 
 def _flags(state: AllocationState) -> PropertyFlags:
+    return PropertyFlags(*_flag_values(state))
+
+
+def _flag_values(state: AllocationState) -> Iterator[bool]:
+    """P1..P5 of the state, in order, each evaluated only when it is read."""
     inst = state.inst
     alloc = state.freeze()
-    p1 = is_orientation(inst, alloc) and check_efx(inst, alloc).passed
+    yield is_orientation(inst, alloc) and check_efx(inst, alloc).passed
+    yield _cut_shaped(state, alloc)
+    yield all(state.worth(i, state.available(i, j)) <= state.val[i][i]
+              for i in range(inst.n) for j in state.neighbours[i])
+    envied = state.envied()
+    yield _first_violation(state, envied) is None
+    yield _first_unsafe(state, envied) is None
 
-    p2 = True
-    for a, b in inst.pairs():
-        pair_edges = edge_set(inst, a, b)
+
+def _cut_shaped(state: AllocationState, alloc: Allocation) -> bool:
+    """P2: every pair is untouched, split into its cut's two halves, or holds one
+    half at one endpoint and nothing at the other."""
+    for (a, b), pair_edges in state.inst._pair_edges.items():
         if any(state.holder.get(e) not in (None, a, b) for e in pair_edges):
-            p2 = False
-            break
+            return False
         held_a = pair_edges & alloc.bundles[a]
         held_b = pair_edges & alloc.bundles[b]
         cfg = state.pair_cut(a, b)
@@ -377,13 +423,5 @@ def _flags(state: AllocationState) -> PropertyFlags:
             or (not held_b and held_a in halves) \
             or (not held_a and held_b in halves)
         if not ok:
-            p2 = False
-            break
-
-    p3 = all(state.worth(i, state.available(i, j)) <= state.val[i][i]
-             for i in range(inst.n) for j in state.neighbours[i])
-
-    envied = state.envied()
-    p4 = _first_violation(state, envied) is None
-    p5 = _first_unsafe(state, envied) is None
-    return PropertyFlags(p1, p2, p3, p4, p5)
+            return False
+    return True

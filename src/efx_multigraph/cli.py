@@ -56,7 +56,12 @@ def _oracle_budget(args) -> int:
     if args.budget is not None:
         return args.budget
     env = os.environ.get("EFX_ORACLE_BUDGET")
-    return int(env) if env else oracle.DEFAULT_BUDGET
+    if not env:
+        return oracle.DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise InstanceError(f"EFX_ORACLE_BUDGET must be an integer, got {env!r}") from None
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -71,9 +76,12 @@ def _parse_set(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part != "")
 
 
-def _solve(inst: Instance, method: str, budget: int) -> tuple[Allocation, bipartite.PipelineTrace | None]:
+def _solve(inst: Instance, method: str, budget: int,
+           traced: bool) -> tuple[Allocation, bipartite.PipelineTrace | None]:
+    """The allocation, with the pipeline's trace when ``traced`` and the
+    bipartite pipeline ran; an untraced run records nothing."""
     if method == "bipartite":
-        return bipartite.complete_efx(inst)
+        return _pipeline(inst, traced)
     if method == "star":
         return solvers.solve_multistar(inst), None
     if method == "tree4":
@@ -82,13 +90,18 @@ def _solve(inst: Instance, method: str, budget: int) -> tuple[Allocation, bipart
         return _solve_cycle(inst, budget), None
     report = analyze_structure(inst)
     if report.bipartition is not None:
-        return bipartite.complete_efx(inst)
+        return _pipeline(inst, traced)
     if report.family == FAMILY_CYCLE:
         return _solve_cycle(inst, budget), None
     raise StructureError(
         "no constructive method covers this instance: its skeleton is neither "
         "bipartite nor a single cycle, and EFX existence on general multi-graphs "
         "is an open question")
+
+
+def _pipeline(inst: Instance, traced: bool) -> tuple[Allocation, bipartite.PipelineTrace | None]:
+    trace = bipartite.PipelineTrace() if traced else None
+    return bipartite.efx_completion(inst, trace=trace), trace
 
 
 def _solve_cycle(inst: Instance, budget: int) -> Allocation:
@@ -106,7 +119,7 @@ def _solve_cycle(inst: Instance, budget: int) -> Allocation:
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
-    alloc, trace = _solve(inst, args.method, _oracle_budget(args))
+    alloc, trace = _solve(inst, args.method, _oracle_budget(args), args.trace)
     doc = allocation_to_json(alloc)
     if args.trace:
         doc["trace"] = trace.to_json() if trace is not None else {"snapshots": {"final": allocation_to_json(alloc)["bundles"]}, "events": []}

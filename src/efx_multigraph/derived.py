@@ -26,11 +26,14 @@ Bipartition = tuple[tuple[int, ...], tuple[int, ...]]
 
 def t_side_of(pair: tuple[int, int], parts: Bipartition) -> int:
     """The T-side agent of an adjacent pair under the given bipartition."""
-    t = set(parts[1])
+    return _t_end(pair, frozenset(parts[1]))
+
+
+def _t_end(pair: tuple[int, int], t_side: frozenset[int]) -> int:
     a, b = pair
-    if (a in t) == (b in t):
+    if (a in t_side) == (b in t_side):
         raise ValueError(f"agents {a} and {b} lie on the same bipartition side")
-    return a if a in t else b
+    return a if a in t_side else b
 
 
 class AllocationState:
@@ -42,6 +45,12 @@ class AllocationState:
     and updates all of them on each move, so no query re-scans the edges or
     re-sums values.  It memoizes, per ordered pair (i, j), i's preferred bundle of
     the pair's T-side cut, which depends on the instance alone.
+
+    ``dirty`` holds every agent whose edges or envied status may have changed
+    since the stage-2 loop last found it with nothing to claim; it starts with
+    every agent.  Each move marks the mover and both endpoints of each moved
+    edge, and each re-derived row marks the agents on it, which covers every
+    agent whose available sets or envied status a move can change.
     """
 
     def __init__(self, inst: Instance, parts: Bipartition, alloc: Allocation | None = None):
@@ -49,6 +58,7 @@ class AllocationState:
             alloc = Allocation((frozenset(),) * inst.n)
         self.inst = inst
         self.parts = parts
+        self._t_side = frozenset(parts[1])
         self.holder = alloc.holder_map()
         self.neighbours: list[list[int]] = [[] for _ in range(inst.n)]
         for a, b in inst.pairs():
@@ -58,6 +68,7 @@ class AllocationState:
         self.val = value_rows(inst, alloc)
         self.bundles = [set(b) for b in alloc.bundles]
         self.enviers = [set(js) for js in envier_lists(self.val)]
+        self.dirty = set(range(inst.n))
 
     def freeze(self) -> Allocation:
         return Allocation(tuple(frozenset(b) for b in self.bundles))
@@ -68,7 +79,7 @@ class AllocationState:
 
     def pair_cut(self, i: int, j: int) -> CutConfig:
         """The cut of E(i,j), made by the pair's T-side agent."""
-        cutter = t_side_of((i, j), self.parts)
+        cutter = _t_end((i, j), self._t_side)
         return cut(self.inst, cutter, j if cutter == i else i)
 
     # -- moves
@@ -100,6 +111,8 @@ class AllocationState:
                 else:
                     del row[agent]
                 touched.add(x)
+        self.dirty |= touched
+        self.dirty.add(agent)
         for x in touched:
             if x == agent:
                 self._refresh_row(x)
@@ -113,6 +126,7 @@ class AllocationState:
         off the row are worth 0 to i, and so are not envied by i."""
         row = self.val[i]
         own = row[i]
+        self.dirty.update(row)
         for k, v in row.items():
             if v > own:
                 self.enviers[k].add(i)
@@ -123,7 +137,9 @@ class AllocationState:
 
     def available(self, i: int, j: int) -> frozenset[int]:
         """A[i,j](X): edges of E(i,j) still claimable by i."""
-        pair_edges = edge_set(self.inst, i, j)
+        pair_edges = self.inst._pair_edges.get((i, j) if i < j else (j, i))
+        if pair_edges is None:
+            return edge_set(self.inst, i, j)  # empty, or a ValueError for i == j
         held_j: set[int] = set()
         for e in pair_edges:
             h = self.holder.get(e)
@@ -133,8 +149,6 @@ class AllocationState:
                 return frozenset()
         if held_j:
             return pair_edges - held_j
-        if not pair_edges:
-            return frozenset()
         bundle = self._preferred.get((i, j))
         if bundle is None:
             bundle = self._preferred[(i, j)] = preferred_bundle(self.inst, i, self.pair_cut(i, j))

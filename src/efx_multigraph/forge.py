@@ -219,11 +219,15 @@ def random_instance(n: int, m: int, q_max: int, shape: str, *, num_max: int = 10
         raise InstanceError(f"cannot place {m} edges, capacity is {len(skeleton) * q_max}")
     counts = dict.fromkeys(skeleton, base)
     chosen = list(skeleton) if base else []
+    # The pairs with room left, in skeleton order; a pair leaves once it is full.
+    open_pairs = [p for p in skeleton if counts[p] < q_max]
     for _ in range(m - len(chosen)):
-        open_pairs = [p for p in skeleton if counts[p] < q_max]
-        pair = open_pairs[rng.randrange(len(open_pairs))]
+        k = rng.randrange(len(open_pairs))
+        pair = open_pairs[k]
         counts[pair] += 1
         chosen.append(pair)
+        if counts[pair] == q_max:
+            del open_pairs[k]
 
     specs = []
     for u, v in chosen:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bipartite import checked, complete_efx
+from .bipartite import checked, efx_completion
 from .cutting import CutConfig, _margin, cut, preferred_bundle
 from .fairness import bundle_value, check_efx, envier_lists, value_rows
 from .model import (
@@ -191,7 +191,7 @@ def _solve_path_rest(inst: Instance, drop: list[set[int]], end_a: int, end_b: in
         raise StructureError("path ends do not share a side; the cycle parity is off")
     s_side = tuple(v for v in range(inst.n) if depth.get(v, 1) % 2)
     t_side = tuple(v for v in range(inst.n) if depth.get(v, 1) % 2 == 0)
-    sub_alloc, _ = complete_efx(sub, (s_side, t_side))
+    sub_alloc = efx_completion(sub, (s_side, t_side))
     return [{keep[e].id for e in bundle} for bundle in sub_alloc.bundles]
 
 
@@ -228,7 +228,7 @@ def solve_multicycle(inst: Instance) -> Allocation:
     if inst.n == 3:
         raise StructureError("odd 3-cycle unsupported; use oracle")
     if inst.n % 2 == 0:
-        return complete_efx(inst)[0]
+        return efx_completion(inst)
 
     # Case 1: hunt for a pair and a cut whose halves the endpoints rank oppositely.
     for a, b in inst.pairs():

@@ -15,7 +15,7 @@ from efx_multigraph import (
     edge_set,
     envied_set,
 )
-from efx_multigraph.bipartite import _leftovers
+from efx_multigraph.bipartite import _first_violation, _leftovers
 from efx_multigraph.derived import AllocationState, Bipartition
 
 
@@ -71,6 +71,29 @@ def claim_non_envied_bound(inst: Instance, alloc: Allocation) -> bool:
         if bundle_value(inst, i, pending) > bundle_value(inst, i, alloc.bundles[i]):
             return False
     return True
+
+
+def saturate_full_scan(state: AllocationState, events: list[dict], stage: str) -> None:
+    """The stage-2 loop with no worklist: every turn rescans every agent from
+    agent 0 for the lowest non-envied agent with an available set."""
+    while True:
+        envied = state.envied()
+        hit = _first_violation(state, envied)
+        if hit is None:
+            return
+        i, j, a_ij = hit
+        cfg = state.pair_cut(i, j)
+        if edge_set(state.inst, i, j) & state.bundles[j]:
+            state.give(i, a_ij)
+            case = 1
+        elif j not in envied:
+            state.give(i, a_ij)
+            state.give(j, cfg.c2 if a_ij == cfg.c1 else cfg.c1)
+            case = 2
+        else:
+            state.give(i, a_ij)
+            case = 3
+        events.append({"stage": stage, "case": case, "i": i, "j": j, "edges": sorted(a_ij)})
 
 
 def longest_simple_path(adj: dict[int, set[int]], vertices) -> int:

@@ -25,9 +25,16 @@ from efx_multigraph import (
     saturate_non_envied,
     two_coloring,
 )
-from efx_multigraph.bipartite import checked
+from efx_multigraph import bipartite
+from efx_multigraph.bipartite import checked, efx_completion
+from efx_multigraph.derived import AllocationState
 from conftest import STAGE1_BUNDLES, STAGE2_ACTUAL
-from reference import claim_leftover_pairs, claim_non_envied_bound, envied_only_in_s
+from reference import (
+    claim_leftover_pairs,
+    claim_non_envied_bound,
+    envied_only_in_s,
+    saturate_full_scan,
+)
 
 
 def test_greedy_matches_walkthrough(walkthrough):
@@ -251,3 +258,71 @@ def test_checked_names_the_failing_condition():
     assert checked(path, waste, False, cycle) == make_allocation(3, waste)
     with pytest.raises(StructureError, match=rf"^{cycle}: output is not an orientation$"):
         checked(path, waste, True, cycle)
+
+
+def test_worklist_loop_matches_full_scan(monkeypatch):
+    # Every run of the stage-2 loop, from the greedy state and from the state
+    # after each stage-3 swap, must log the events and reach the bundles of the
+    # full scan from agent 0 on a fresh copy of the same allocation.
+    production = bipartite._saturate_loop
+    starts = {"saturate": 0, "safe-set": 0}
+
+    def compared(state, events, stage):
+        reference = AllocationState(state.inst, state.parts, state.freeze())
+        expected: list[dict] = []
+        saturate_full_scan(reference, expected, stage)
+        mine: list[dict] = []
+        production(state, mine, stage)
+        assert mine == expected
+        assert state.bundles == reference.bundles
+        starts[stage] += 1
+        if events is not None:
+            events.extend(mine)
+
+    monkeypatch.setattr(bipartite, "_saturate_loop", compared)
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        try:
+            inst = random_instance(n, rng.randint(n - 1, 24), 4, "bipartite", num_max=40,
+                                   den_max=5, symmetric=rng.random() < 0.5,
+                                   seed=rng.randrange(10**6))
+        except Exception:
+            continue
+        complete_efx(inst)
+        half_efx_orientation(inst)
+    assert starts["saturate"] > 600
+    assert starts["safe-set"] > 50
+
+
+def _walkthrough_gate_breaks(monkeypatch, stage: int) -> None:
+    """Leave the stage-1 output without its greedy picks (P3 fails), or the
+    stage-2 output unsaturated (P4 fails)."""
+    if stage == 1:
+        monkeypatch.setattr(bipartite, "_greedy", lambda state, events: None)
+    else:
+        monkeypatch.setattr(bipartite, "_saturate_loop", lambda state, events, stage: None)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+@pytest.mark.parametrize("run", [
+    complete_efx,
+    efx_completion,
+    half_efx_orientation,
+    lambda inst: half_efx_orientation(inst, bipartite.PipelineTrace()),
+], ids=["complete_efx", "efx_completion", "half_efx_orientation", "half_efx_traced"])
+def test_stage_gates_fire_with_or_without_a_trace(walkthrough, monkeypatch, stage, run):
+    _walkthrough_gate_breaks(monkeypatch, stage)
+    with pytest.raises(StructureError, match=f"the stage-{stage} invariants"):
+        run(walkthrough)
+
+
+def test_untraced_completion_records_no_flags(walkthrough, monkeypatch):
+    expected, trace = complete_efx(walkthrough)
+    assert set(trace.flags) == {"greedy", "saturate", "safe", "final"}
+
+    def no_flag_record(state):
+        raise AssertionError("an untraced run recorded all five flags")
+
+    monkeypatch.setattr(bipartite, "_flags", no_flag_record)
+    assert efx_completion(walkthrough) == expected

@@ -10,7 +10,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from efx_multigraph import build_instance, cli, oracle, save_instance, running_example
+from efx_multigraph import (
+    build_instance,
+    cli,
+    complete_efx,
+    oracle,
+    random_instance,
+    running_example,
+    save_instance,
+)
 from efx_multigraph.cli import main
 from efx_multigraph.model import MAX_AGENTS, instance_to_text
 
@@ -102,6 +110,37 @@ def test_decide_budget_env_override(capsys, monkeypatch):
     code, _ = run_cli(capsys, ["decide", "--target", "orientation"],
                       stdin_text=instance_to_text(inst), monkeypatch=monkeypatch)
     assert code == 3
+
+
+def test_budget_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("EFX_ORACLE_BUDGET", "abc")
+    inst = build_instance(2, [(0, 1, 1, 1)])
+    monkeypatch.setattr("sys.stdin", io.StringIO(instance_to_text(inst)))
+    assert main(["decide", "--target", "orientation"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: EFX_ORACLE_BUDGET must be an integer, got 'abc'\n"
+
+
+def test_solve_matches_the_pipeline(tmp_path, capsys):
+    # Untraced solves must give complete_efx's bundles, and a traced solve its
+    # whole trace, under both methods that run the pipeline.
+    for seed in range(50):
+        n = 3 + seed % 6
+        inst = random_instance(n, n + 1 + seed % 4, 4, "bipartite", den_max=9, seed=seed)
+        path = tmp_path / f"inst{seed}.json"
+        save_instance(inst, path)
+        alloc, trace = complete_efx(inst)
+        bundles = [sorted(b) for b in alloc.bundles]
+        expected_trace = json.loads(json.dumps(trace.to_json()))
+        for method in ("bipartite", "auto"):
+            code, doc = run_cli(capsys, ["solve", str(path), "--method", method])
+            assert code == 0
+            assert doc == {"bundles": bundles}
+            code, doc = run_cli(capsys, ["solve", str(path), "--method", method, "--trace"])
+            assert code == 0
+            assert doc["bundles"] == bundles
+            assert doc["trace"] == expected_trace
 
 
 def test_decide_count_requires_orientation(capsys, monkeypatch):

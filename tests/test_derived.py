@@ -15,6 +15,7 @@ from efx_multigraph import (
     safe_set,
     two_coloring,
 )
+from efx_multigraph.derived import AllocationState
 from reference import unallocated_incident
 
 
@@ -136,3 +137,43 @@ def test_row_exclusivity_and_subset_of_unallocated():
                 assert not (away and back)
         for i in range(n):
             assert available_set(inst, alloc, i, parts) <= unallocated_incident(inst, alloc, i)
+
+
+def _claims(state: AllocationState, i: int) -> tuple[bool, list[frozenset[int]]]:
+    """What the stage-2 loop reads of agent i: envied or not, and A[i,j] for
+    each neighbour j."""
+    return bool(state.enviers[i]), [state.available(i, j) for j in state.neighbours[i]]
+
+
+def test_moves_mark_every_agent_whose_claims_change():
+    # An agent left out of ``dirty`` must be envied or not, and have the
+    # available sets, that it had when the worklist last dropped it, whatever
+    # the moves: gives and takes, to and from endpoints or third agents.
+    rng = random.Random(11)
+    checked = 0
+    for seed in range(300):
+        n = rng.randint(2, 8)
+        try:
+            inst = random_instance(n, rng.randint(1, 18), 4, "bipartite", num_max=30,
+                                   den_max=5, seed=seed)
+        except Exception:
+            continue
+        bundles = [set() for _ in range(n)]
+        for e in inst.edges:
+            if rng.random() < 0.6:
+                bundles[rng.choice((e.u, e.v, rng.randrange(n)))].add(e.id)
+        state = AllocationState(inst, two_coloring(inst), make_allocation(n, bundles))
+        state.dirty.clear()
+        before = [_claims(state, i) for i in range(n)]
+        for _ in range(rng.randint(1, 4)):
+            e = rng.randrange(inst.m)
+            if e in state.holder:
+                state.take(state.holder[e], [e])
+            else:
+                edge = inst.edges[e]
+                state.give(rng.choice((edge.u, edge.v, rng.randrange(n))), [e])
+        for i in range(n):
+            if i not in state.dirty:
+                assert _claims(state, i) == before[i]
+                checked += 1
+    assert checked > 300

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from efx_multigraph import (
     reduce_partition,
     running_example,
 )
-from efx_multigraph.model import edge_set
+from efx_multigraph.model import edge_set, instance_to_json
 
 
 def test_c4_values_and_shape():
@@ -126,6 +128,46 @@ def test_random_respects_bounds():
 def test_random_symmetric_flag():
     inst = random_instance(5, 8, 2, "bipartite", symmetric=True, seed=9)
     assert all(e.wu == e.wv for e in inst.edges)
+
+
+# SHA-256 over the outputs of _random_grid(), recorded with the generator that
+# rebuilt its list of open pairs for every edge it placed.
+RANDOM_GRID_SHA256 = "e5b71fd176b27a90d82ede256b5bcdf074084f02dba98c2189b641edc3812d82"
+
+
+def _random_grid():
+    """Every shape at a few sizes, q_max 1 to 3, edge counts from none to a full
+    skeleton and one past it, plain and symmetric weights."""
+    for shape in ("star", "tree", "cycle", "bipartite"):
+        for n in (3, 4, 7):
+            if shape == "bipartite":
+                pair_counts = {s * (n - s) for s in range(1, n)}
+            else:
+                pair_counts = {n if shape == "cycle" else n - 1}
+            for q_max in (1, 2, 3):
+                full = {k * q_max for k in pair_counts}
+                for m in sorted({0, 1, n - 1, n} | full | {k + 1 for k in full}):
+                    for seed in (0, 1, 2):
+                        for symmetric in (False, True):
+                            yield (n, m, q_max, shape, symmetric, seed)
+    yield (40, 300, 4, "bipartite", False, 3)
+    yield (128, 1000, 4, "bipartite", False, 3)
+
+
+def test_random_instances_pinned():
+    digest = hashlib.sha256()
+    made = 0
+    for n, m, q_max, shape, symmetric, seed in _random_grid():
+        try:
+            inst = random_instance(n, m, q_max, shape, num_max=9, den_max=7,
+                                   symmetric=symmetric, seed=seed)
+        except InstanceError as exc:
+            digest.update(f"error: {exc}\n".encode())
+            continue
+        digest.update(json.dumps(instance_to_json(inst), sort_keys=True).encode() + b"\n")
+        made += 1
+    assert made > 500
+    assert digest.hexdigest() == RANDOM_GRID_SHA256
 
 
 def test_random_infeasible_parameters():

@@ -29,7 +29,6 @@ from .model import (
     Allocation,
     Instance,
     StructureError,
-    connected_components,
     edge_set,
     is_complete,
     is_orientation,
@@ -354,19 +353,17 @@ def efx_completion(inst: Instance, parts: Bipartition | None = None,
 def half_efx_parts(inst: Instance) -> Bipartition:
     """Role assignment for the orientation variant: per component, the smaller color
     class plays S (tie: the class holding the component's lowest agent id)."""
-    parts = resolve_bipartition(inst, None)
-    s_all = set(parts[0])
-    s_out: set[int] = set()
-    t_out: set[int] = set()
-    for comp in connected_components(inst):
-        # The canonical colouring puts the component's lowest agent in side_a,
-        # so a tie keeps side_a as S.
-        side_a = [v for v in comp if v in s_all]
-        side_b = [v for v in comp if v not in s_all]
-        if len(side_a) > len(side_b):
-            side_a, side_b = side_b, side_a
-        s_out.update(side_a)
-        t_out.update(side_b)
+    resolve_bipartition(inst, None)  # raises unless the skeleton is bipartite
+    s_out: list[int] = []
+    t_out: list[int] = []
+    for depth in inst.component_depths:
+        # Depth 0 is the component's lowest agent, so a tie keeps its class as S.
+        even = [v for v, d in depth.items() if d % 2 == 0]
+        odd = [v for v, d in depth.items() if d % 2]
+        if len(even) > len(odd):
+            even, odd = odd, even
+        s_out += even
+        t_out += odd
     return (tuple(sorted(s_out)), tuple(sorted(t_out)))
 
 

@@ -31,6 +31,8 @@ from .model import (
     is_orientation,
     load_allocation,
     load_instance,
+    skeleton_family,
+    two_coloring,
 )
 
 EXIT_OK = 0
@@ -53,6 +55,8 @@ def _emit(doc: dict) -> None:
 
 
 def _oracle_budget(args) -> int:
+    """The state budget of an oracle run; read only where the oracle runs, so a
+    malformed ``EFX_ORACLE_BUDGET`` fails no command that never searches."""
     if args.budget is not None:
         return args.budget
     env = os.environ.get("EFX_ORACLE_BUDGET")
@@ -76,23 +80,23 @@ def _parse_set(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part != "")
 
 
-def _solve(inst: Instance, method: str, budget: int,
-           traced: bool) -> tuple[Allocation, bipartite.PipelineTrace | None]:
-    """The allocation, with the pipeline's trace when ``traced`` and the
+def _solve(inst: Instance, args) -> tuple[Allocation, bipartite.PipelineTrace | None]:
+    """The allocation, with the pipeline's trace under ``--trace`` when the
     bipartite pipeline ran; an untraced run records nothing."""
-    if method == "bipartite":
-        return _pipeline(inst, traced)
-    if method == "star":
+    if args.method == "bipartite":
+        return _pipeline(inst, args.trace)
+    if args.method == "star":
         return solvers.solve_multistar(inst), None
-    if method == "tree4":
+    if args.method == "tree4":
         return solvers.solve_multitree_d4_q2(inst), None
-    if method == "cycle":
-        return _solve_cycle(inst, budget), None
-    report = analyze_structure(inst)
-    if report.bipartition is not None:
-        return _pipeline(inst, traced)
-    if report.family == FAMILY_CYCLE:
-        return _solve_cycle(inst, budget), None
+    if args.method == "cycle":
+        return _solve_cycle(inst, args), None
+    # The route needs the colouring and the family label, both linear; a full
+    # structure report would add every eccentricity of the largest component.
+    if two_coloring(inst) is not None:
+        return _pipeline(inst, args.trace)
+    if skeleton_family(inst, bipartite=False) == FAMILY_CYCLE:
+        return _solve_cycle(inst, args), None
     raise StructureError(
         "no constructive method covers this instance: its skeleton is neither "
         "bipartite nor a single cycle, and EFX existence on general multi-graphs "
@@ -104,12 +108,13 @@ def _pipeline(inst: Instance, traced: bool) -> tuple[Allocation, bipartite.Pipel
     return bipartite.efx_completion(inst, trace=trace), trace
 
 
-def _solve_cycle(inst: Instance, budget: int) -> Allocation:
+def _solve_cycle(inst: Instance, args) -> Allocation:
     try:
         return solvers.solve_multicycle(inst)
     except StructureError as exc:
         if "3-cycle" not in str(exc):
             raise
+        budget = _oracle_budget(args)
         print("triangle skeleton: falling back to the exhaustive search", file=sys.stderr)
         result = oracle.decide_efx_allocation(inst, budget=budget)
         if not result.exists or result.witness is None:
@@ -119,7 +124,7 @@ def _solve_cycle(inst: Instance, budget: int) -> Allocation:
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
-    alloc, trace = _solve(inst, args.method, _oracle_budget(args), args.trace)
+    alloc, trace = _solve(inst, args)
     doc = allocation_to_json(alloc)
     if args.trace:
         doc["trace"] = trace.to_json() if trace is not None else {"snapshots": {"final": allocation_to_json(alloc)["bundles"]}, "events": []}

@@ -60,10 +60,7 @@ class AllocationState:
         self.parts = parts
         self._t_side = frozenset(parts[1])
         self.holder = alloc.holder_map()
-        self.neighbours: list[list[int]] = [[] for _ in range(inst.n)]
-        for a, b in inst.pairs():
-            self.neighbours[a].append(b)
-            self.neighbours[b].append(a)
+        self.neighbours = inst.neighbours
         self._preferred: dict[tuple[int, int], frozenset[int]] = {}
         self.val = value_rows(inst, alloc)
         self.bundles = [set(b) for b in alloc.bundles]

@@ -29,6 +29,15 @@ def _symmetric(n: int, pairs: list[tuple[int, int, Fraction]]) -> Instance:
     return build_instance(n, [(u, v, w, w) for u, v, w in pairs])
 
 
+def _rigid_block(tip: int, middle: int, inner: int, eps: Fraction) -> list[tuple[int, int, Fraction]]:
+    """The rigid three-agent path tip-middle-inner: the outer pair holds eps and
+    10 + eps/2, the inner pair 10 and eps.  Outer pair first, each pair sorted."""
+    outer = (min(tip, middle), max(tip, middle))
+    inward = (min(middle, inner), max(middle, inner))
+    ten = Fraction(10)
+    return [(*outer, eps), (*outer, ten + eps / 2), (*inward, ten), (*inward, eps)]
+
+
 def c4_counter(eps: Fraction = DEFAULT_EPS, delta: Fraction = DEFAULT_DELTA) -> Instance:
     """Four agents on a cycle; no EFX orientation exists.
 
@@ -79,31 +88,14 @@ def p3_block(eps: Fraction = DEFAULT_EPS, delta: Fraction = DEFAULT_DELTA) -> In
     """Path on three agents with double edges; exactly two EFX orientations exist
     and the far endpoint (agent 2) is envied in both."""
     _check_scales(eps, delta)
-    ten = Fraction(10)
-    return _symmetric(3, [
-        (0, 1, eps),
-        (0, 1, ten + eps / 2),
-        (1, 2, ten),
-        (1, 2, eps),
-    ])
+    return _symmetric(3, _rigid_block(0, 1, 2, eps))
 
 
 def p6_counter(eps: Fraction = DEFAULT_EPS, delta: Fraction = DEFAULT_DELTA) -> Instance:
     """Two three-agent blocks joined by one tiny edge; no EFX orientation even
     though every pair shares at most two edges."""
     _check_scales(eps, delta)
-    ten = Fraction(10)
-    return _symmetric(6, [
-        (0, 1, eps),
-        (0, 1, ten + eps / 2),
-        (1, 2, ten),
-        (1, 2, eps),
-        (2, 3, delta),
-        (4, 5, eps),
-        (4, 5, ten + eps / 2),
-        (3, 4, ten),
-        (3, 4, eps),
-    ])
+    return _symmetric(6, _rigid_block(0, 1, 2, eps) + [(2, 3, delta)] + _rigid_block(5, 4, 3, eps))
 
 
 def np_gadget(pset: tuple[int, ...], eps: Fraction = DEFAULT_EPS,
@@ -121,17 +113,7 @@ def np_gadget(pset: tuple[int, ...], eps: Fraction = DEFAULT_EPS,
         raise InstanceError("the partition multiset must be nonempty")
     if any(p < 0 for p in pset):
         raise InstanceError("partition values must be non-negative integers")
-    ten = Fraction(10)
-    pairs = [
-        (0, 1, eps),
-        (0, 1, ten + eps / 2),
-        (1, 2, ten),
-        (1, 2, eps),
-        (6, 7, eps),
-        (6, 7, ten + eps / 2),
-        (5, 6, ten),
-        (5, 6, eps),
-    ]
+    pairs = _rigid_block(0, 1, 2, eps) + _rigid_block(7, 6, 5, eps)
     pairs += [(3, 4, Fraction(p)) for p in pset if p > 0]
     pairs += [(2, 3, delta), (4, 5, delta)]
     return _symmetric(8, pairs)

@@ -25,8 +25,11 @@ FAMILY_TREE = "multi-tree"
 FAMILY_BIPARTITE = "bipartite"
 FAMILY_GENERAL = "general"
 
-# The most agents an instance document may declare.  The commands do work linear
-# in the agent count even with no edges (one bundle and one value row per agent).
+# The most agents an instance document may declare.  Every command does work
+# linear in the agent count even with no edges (one bundle and one value row per
+# agent).  Walking the skeleton is linear in `solve`, `orient` and `verify`;
+# `analyze` and the tree solver (`--method tree4`) compute every eccentricity of
+# a component, a BFS from each of its agents, which costs O(n * m).
 MAX_AGENTS = 10_000
 
 
@@ -107,10 +110,11 @@ class Instance:
             if e.wu.numerator <= 0 or e.wv.numerator <= 0:
                 raise InstanceError(f"edge {k}: non-positive weight")
 
-    # The index, the integer valuation and the hash are built on first use and
-    # kept: the solvers query pairs, incidences and values on every loop turn,
-    # and the cut cache hashes the instance on every call.  Parsing alone builds
-    # none of them.
+    # The index, the skeleton, the integer valuation and the hash are built on
+    # first use and kept: the solvers query pairs, incidences, neighbours and
+    # values on every loop turn, every structure query and solver reads the
+    # components, and the cut cache hashes the instance on every call.  Parsing
+    # alone builds none of them.
 
     @cached_property
     def _pair_edges(self) -> dict[tuple[int, int], frozenset[int]]:
@@ -127,6 +131,30 @@ class Instance:
             incident[e.u].append(e.id)
             incident[e.v].append(e.id)
         return tuple(frozenset(ids) for ids in incident)
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Per agent, its skeleton neighbours in ascending order."""
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        # The pairs come in ascending order, so every list grows in ascending order.
+        for a, b in self._pair_edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        return tuple(map(tuple, nbrs))
+
+    @cached_property
+    def component_depths(self) -> tuple[dict[int, int], ...]:
+        """BFS depths of each skeleton component from its lowest agent id, lowest
+        first.  A component's agents are its keys, and the parity of the depths
+        is its canonical 2-colouring."""
+        seen: set[int] = set()
+        out: list[dict[int, int]] = []
+        for start in range(self.n):
+            if start not in seen:
+                depth = bfs_depths(self.neighbours, start)
+                seen.update(depth)
+                out.append(depth)
+        return tuple(out)
 
     @cached_property
     def scales(self) -> tuple[int, ...]:
@@ -162,9 +190,6 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def value(self, agent: int, edge_id: int) -> Fraction:
-        return self.edges[edge_id].value_for(agent)
 
     def incident(self, agent: int) -> frozenset[int]:
         return self._incident[agent] if 0 <= agent < self.n else frozenset()
@@ -281,16 +306,9 @@ class StructureReport:
         }
 
 
-def skeleton_adjacency(inst: Instance) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in range(inst.n)}
-    for e in inst.edges:
-        adj[e.u].add(e.v)
-        adj[e.v].add(e.u)
-    return adj
-
-
-def bfs_depths(adj: dict[int, set[int]], source: int) -> dict[int, int]:
-    """Skeleton distance from ``source`` to every agent of its component.
+def bfs_depths(nbrs: Sequence[Iterable[int]], source: int) -> dict[int, int]:
+    """Skeleton distance from ``source`` to every agent of its component, given
+    each agent's neighbours (``Instance.neighbours``).
 
     The one traversal of the skeleton: components are its key sets, and a
     2-colouring is the parity of its depths.
@@ -299,36 +317,24 @@ def bfs_depths(adj: dict[int, set[int]], source: int) -> dict[int, int]:
     queue = deque([source])
     while queue:
         x = queue.popleft()
-        for y in adj[x]:
+        for y in nbrs[x]:
             if y not in dist:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
 
 
-def _component_depths(adj: dict[int, set[int]]) -> list[dict[int, int]]:
-    """BFS depths of each component from its lowest agent id, lowest first."""
-    seen: set[int] = set()
-    out: list[dict[int, int]] = []
-    for start in range(len(adj)):
-        if start not in seen:
-            depth = bfs_depths(adj, start)
-            seen.update(depth)
-            out.append(depth)
-    return out
-
-
-def _has_odd_cycle(adj: dict[int, set[int]], depth: dict[int, int]) -> bool:
+def _has_odd_cycle(nbrs: Sequence[Iterable[int]], depth: dict[int, int]) -> bool:
     """Some skeleton edge of the component joins two agents of equal depth parity."""
     for x, d in depth.items():
-        for y in adj[x]:
+        for y in nbrs[x]:
             if depth[y] % 2 == d % 2:
                 return True
     return False
 
 
 def connected_components(inst: Instance) -> list[list[int]]:
-    return [sorted(depth) for depth in _component_depths(skeleton_adjacency(inst))]
+    return [sorted(depth) for depth in inst.component_depths]
 
 
 def two_coloring(inst: Instance) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -337,75 +343,75 @@ def two_coloring(inst: Instance) -> tuple[tuple[int, ...], tuple[int, ...]] | No
     Per connected component the color class holding the component's lowest agent id
     goes to the S side, so agent 0 always lands in S.
     """
-    adj = skeleton_adjacency(inst)
     s_side: list[int] = []
     t_side: list[int] = []
-    for depth in _component_depths(adj):
-        if _has_odd_cycle(adj, depth):
+    for depth in inst.component_depths:
+        if _has_odd_cycle(inst.neighbours, depth):
             return None
         for v, d in depth.items():
             (t_side if d % 2 else s_side).append(v)
     return (tuple(sorted(s_side)), tuple(sorted(t_side)))
 
 
-def _longest_simple_path(adj: dict[int, set[int]], vertices: Sequence[int]) -> int:
+def _longest_simple_path(nbrs: Sequence[Iterable[int]], vertices: Sequence[int]) -> int:
     """Edges on the longest simple path starting in ``vertices``.  Layer k holds
     each (visited set as a bitmask, end agent) state of the k-edge paths once, so
     paths that differ only in their order of visits are extended once."""
     layer = {(1 << v, v) for v in vertices}
     length = 0
-    while layer := {(seen | 1 << y, y) for seen, x in layer for y in adj[x] if not seen >> y & 1}:
+    while layer := {(seen | 1 << y, y) for seen, x in layer for y in nbrs[x] if not seen >> y & 1}:
         length += 1
     return length
 
 
-def _component_family(comp: list[int], adj: dict[int, set[int]]) -> str:
-    """The most specific family label of one skeleton component."""
-    size = len(comp)
-    skeleton_edges = sum(len(adj[v]) for v in comp) // 2
-    degrees = [len(adj[v]) for v in comp]
+def _component_family(inst: Instance, depth: dict[int, int]) -> str:
+    """The most specific family label of the skeleton component with these
+    depths (one of ``Instance.component_depths``)."""
+    size = len(depth)
+    degrees = [len(inst.neighbours[v]) for v in depth]
+    skeleton_edges = sum(degrees) // 2
     if skeleton_edges == size - 1 and (size <= 2 or max(degrees) == size - 1):
         return FAMILY_STAR
     if size >= 3 and skeleton_edges == size and all(d == 2 for d in degrees):
         return FAMILY_CYCLE
     if skeleton_edges == size - 1:
         return FAMILY_TREE
-    if _has_odd_cycle(adj, bfs_depths(adj, comp[0])):
+    if _has_odd_cycle(inst.neighbours, depth):
         return FAMILY_GENERAL
     return FAMILY_BIPARTITE
 
 
-def _center(adj: dict[int, set[int]], comp: list[int]) -> tuple[int, int, int]:
+def skeleton_family(inst: Instance, bipartite: bool) -> str:
+    """The most specific family label of the skeleton, given whether it is
+    bipartite: its one component's label, or the least specific label that
+    covers every component."""
+    families = {_component_family(inst, depth) for depth in inst.component_depths}
+    if len(inst.component_depths) == 1:
+        return next(iter(families))
+    if families <= {FAMILY_STAR}:
+        return FAMILY_STAR
+    if families <= {FAMILY_STAR, FAMILY_TREE}:
+        return FAMILY_TREE
+    return FAMILY_BIPARTITE if bipartite else FAMILY_GENERAL
+
+
+def _center(inst: Instance, comp: list[int]) -> tuple[int, int, int]:
     """(center, radius, diameter) of a component: the lowest agent of least
-    eccentricity, that eccentricity, and the greatest one."""
-    ecc = {v: max(bfs_depths(adj, v).values()) for v in comp}
+    eccentricity, that eccentricity, and the greatest one.  It runs a BFS from
+    every agent of the component, O(size * edges)."""
+    ecc = {v: max(bfs_depths(inst.neighbours, v).values()) for v in comp}
     radius = min(ecc.values())
     return min(v for v in comp if ecc[v] == radius), radius, max(ecc.values())
 
 
 def analyze_structure(inst: Instance) -> StructureReport:
     """Compute q, distances, canonical bipartition and the most specific family label."""
-    adj = skeleton_adjacency(inst)
     q = max(map(len, inst._pair_edges.values()), default=0)
-
     comps = connected_components(inst)
     main = max(comps, key=lambda c: (len(c), -c[0]))
-    center, _, diameter = _center(adj, main)
-    longest = _longest_simple_path(adj, range(inst.n)) if inst.n <= 12 else None
-
+    center, _, diameter = _center(inst, main)
+    longest = _longest_simple_path(inst.neighbours, range(inst.n)) if inst.n <= 12 else None
     bipartition = two_coloring(inst)
-    families = {_component_family(comp, adj) for comp in comps}
-    if len(comps) == 1:
-        family = next(iter(families))
-    elif families <= {FAMILY_STAR}:
-        family = FAMILY_STAR
-    elif families <= {FAMILY_STAR, FAMILY_TREE}:
-        family = FAMILY_TREE
-    elif bipartition is not None:
-        family = FAMILY_BIPARTITE
-    else:
-        family = FAMILY_GENERAL
-
     return StructureReport(
         n=inst.n,
         m=inst.m,
@@ -415,7 +421,7 @@ def analyze_structure(inst: Instance) -> StructureReport:
         center=center,
         connected=len(comps) == 1,
         bipartition=bipartition,
-        family=family,
+        family=skeleton_family(inst, bipartition is not None),
     )
 
 

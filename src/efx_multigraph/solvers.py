@@ -5,11 +5,11 @@ and an orientation where promised) before returning.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import Iterator
 
 from .bipartite import checked, efx_completion
 from .cutting import CutConfig, _margin, cut, preferred_bundle
-from .fairness import bundle_value, check_efx, envier_lists, value_rows
+from .fairness import check_efx, envier_lists, value_rows
 from .model import (
     FAMILY_CYCLE,
     FAMILY_STAR,
@@ -21,11 +21,19 @@ from .model import (
     _center,
     _component_family,
     bfs_depths,
-    connected_components,
     edge_set,
     make_allocation,
-    skeleton_adjacency,
 )
+
+
+def _components(inst: Instance, families: tuple[str, ...], error: str) -> Iterator[list[int]]:
+    """Each skeleton component's agents in ascending order, lowest component
+    first; each is checked to carry one of the family labels just before it is
+    yielded, so a solver fails at the first component it cannot take."""
+    for depth in inst.component_depths:
+        if _component_family(inst, depth) not in families:
+            raise StructureError(error)
+        yield sorted(depth)
 
 
 def _halves(inst: Instance, cfg: CutConfig, agent: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -45,12 +53,9 @@ def solve_multistar(inst: Instance) -> Allocation:
     prefers and the hub collects the rest.  Leaves end up with bundles they chose,
     and the hub's halves are cut-feasible for it, so nobody strongly envies.
     """
-    adj = skeleton_adjacency(inst)
     cur: list[set[int]] = [set() for _ in range(inst.n)]
-    for comp in connected_components(inst):
-        if _component_family(comp, adj) != FAMILY_STAR:
-            raise StructureError("skeleton component is not a star")
-        hub = min(v for v in comp if len(adj[v]) == len(comp) - 1)
+    for comp in _components(inst, (FAMILY_STAR,), "skeleton component is not a star"):
+        hub = min(v for v in comp if len(inst.neighbours[v]) == len(comp) - 1)
         for leaf in comp:
             if leaf != hub:
                 mine, rest = _halves(inst, cut(inst, hub, leaf), leaf)
@@ -65,7 +70,8 @@ def solve_multistar(inst: Instance) -> Allocation:
 
 def _best_edge(inst: Instance, agent: int, edge_ids) -> int:
     """Highest-valued edge for the agent, ties to the lowest edge id."""
-    return min(edge_ids, key=lambda e: (-inst.edges[e].value_for(agent), e))
+    weights = inst.weights[agent]
+    return min(edge_ids, key=lambda e: (-weights[e], e))
 
 
 def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = None) -> Allocation:
@@ -84,12 +90,11 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
     depth-1 agent holds its center-shared edges entirely (or the center does), and
     an envied depth-1 agent does not envy the center.
     """
-    adj = skeleton_adjacency(inst)
     if any(len(edge_set(inst, a, b)) > 2 for a, b in inst.pairs()):
         raise StructureError("multiplicity above 2 is unsupported by the tree solver")
     cur: list[set[int]] = [set() for _ in range(inst.n)]
 
-    def checkpoint(center: int, depth1: list[int]) -> list[list[int]]:
+    def checkpoint(center: int, depth1: tuple[int, ...]) -> list[list[int]]:
         """Snapshot the state, assert the step invariants on it, and return every
         agent's enviers in it, which the next attach step reads."""
         frozen = make_allocation(inst.n, cur)
@@ -97,15 +102,13 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
             snapshots.append(frozen)
         return _assert_tree_invariants(inst, frozen, center, depth1)
 
-    for comp in connected_components(inst):
-        if _component_family(comp, adj) not in (FAMILY_STAR, FAMILY_TREE):
-            raise StructureError("skeleton component is not a tree")
+    for comp in _components(inst, (FAMILY_STAR, FAMILY_TREE), "skeleton component is not a tree"):
         if len(comp) == 1:
             continue
-        center, radius, _ = _center(adj, comp)
+        center, radius, _ = _center(inst, comp)
         if radius > 2:
             raise StructureError("tree diameter above 4 is unsupported")
-        depth1 = sorted(adj[center])
+        depth1 = inst.neighbours[center]
 
         favorite = _best_edge(inst, center, inst.incident(center))
         cur[center].add(favorite)
@@ -115,7 +118,7 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
         enviers = checkpoint(center, depth1)
 
         for agent in depth1:
-            kids = sorted(adj[agent] - {center})
+            kids = [kid for kid in inst.neighbours[agent] if kid != center]
             if not kids:
                 continue
             if not enviers[agent]:
@@ -130,7 +133,8 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
                     raise StructureError("envied depth-1 agent does not hold its center edges")
                 child_edges = [e for kid in kids for e in edge_set(inst, agent, kid)]
                 favorite = _best_edge(inst, agent, child_edges)
-                if bundle_value(inst, agent, shared) < inst.value(agent, favorite):
+                weights = inst.weights[agent]
+                if sum(weights[e] for e in shared) < weights[favorite]:
                     # Re-root the agent on its favorite child-shared item.
                     center_envier = enviers[center]
                     cur[agent] -= shared
@@ -157,7 +161,7 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
 
 
 def _assert_tree_invariants(inst: Instance, frozen: Allocation, center: int,
-                            depth1: list[int]) -> list[list[int]]:
+                            depth1: tuple[int, ...]) -> list[list[int]]:
     """Assert the step invariants; returns every agent's enviers."""
     verdict = check_efx(inst, frozen)
     if not verdict.passed:
@@ -186,7 +190,7 @@ def _solve_path_rest(inst: Instance, drop: list[set[int]], end_a: int, end_b: in
     edges go to S).  Edge ids are the instance's own."""
     keep = [e for e in inst.edges if {e.u, e.v} not in drop]
     sub = Instance(inst.n, tuple(EdgeItem(k, e.u, e.v, e.wu, e.wv) for k, e in enumerate(keep)))
-    depth = bfs_depths(skeleton_adjacency(sub), end_a)
+    depth = bfs_depths(sub.neighbours, end_a)
     if end_b not in depth or depth[end_b] % 2:
         raise StructureError("path ends do not share a side; the cycle parity is off")
     s_side = tuple(v for v in range(inst.n) if depth.get(v, 1) % 2)
@@ -221,10 +225,9 @@ def solve_multicycle(inst: Instance) -> Allocation:
     even path is solved, and the three boundary cuts are dealt according to six
     exhaustive value comparisons.
     """
-    adj = skeleton_adjacency(inst)
-    comps = connected_components(inst)
-    if len(comps) != 1 or _component_family(comps[0], adj) != FAMILY_CYCLE:
-        raise StructureError("skeleton is not a single cycle")
+    error = "skeleton is not a single cycle"
+    if len(list(_components(inst, (FAMILY_CYCLE,), error))) != 1:
+        raise StructureError(error)
     if inst.n == 3:
         raise StructureError("odd 3-cycle unsupported; use oracle")
     if inst.n % 2 == 0:
@@ -242,9 +245,10 @@ def solve_multicycle(inst: Instance) -> Allocation:
 
     # Case 2: all pairs agree on every cut.  Lift out two adjacent agents: j and
     # i, the next two along the cycle from agent 0 toward its lower neighbour.
-    walk = [0, min(adj[0])]
+    nbrs = inst.neighbours
+    walk = [0, nbrs[0][0]]
     while len(walk) < 4:
-        walk.extend(adj[walk[-1]] - {walk[-2]})
+        walk += [y for y in nbrs[walk[-1]] if y != walk[-2]]
     jq, j, i, ip = walk
     cur = _solve_path_rest(inst, [{jq, j}, {j, i}, {i, ip}], ip, jq)
 
@@ -255,8 +259,10 @@ def solve_multicycle(inst: Instance) -> Allocation:
     d1, d2 = _halves(inst, cut(inst, i, j), j)
     e1, e2 = _halves(inst, cut(inst, ip, i), i)
 
-    def val(agent: int, *bundles: frozenset[int]) -> Fraction:
-        return sum(bundle_value(inst, agent, bundle) for bundle in bundles)
+    def val(agent: int, *bundles: frozenset[int]) -> int:
+        # Each bundle is a half of a cut of one of the agent's own pairs.
+        weights = inst.weights[agent]
+        return sum(weights[e] for bundle in bundles for e in bundle)
 
     if val(j, c2, d2) >= max(val(j, c1), val(j, d1)):
         if val(i, d1, e2) >= val(i, e1):

@@ -96,9 +96,9 @@ def saturate_full_scan(state: AllocationState, events: list[dict], stage: str) -
         events.append({"stage": stage, "case": case, "i": i, "j": j, "edges": sorted(a_ij)})
 
 
-def longest_simple_path(adj: dict[int, set[int]], vertices) -> int:
+def longest_simple_path(adj, vertices) -> int:
     """Edges on the longest simple path starting in ``vertices``, by a DFS over
-    every simple path."""
+    every simple path; ``adj[x]`` lists the neighbours of agent x."""
     best = 0
 
     def extend(x: int, visited: set[int], length: int) -> None:

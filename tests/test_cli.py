@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -120,6 +121,50 @@ def test_budget_env_must_be_an_integer(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: EFX_ORACLE_BUDGET must be an integer, got 'abc'\n"
+
+
+def test_budget_env_is_read_only_where_the_oracle_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EFX_ORACLE_BUDGET", "abc")
+    star = tmp_path / "star.json"
+    save_instance(random_instance(5, 7, 2, "star", seed=0), star)
+    for method in ("bipartite", "star", "tree4"):
+        code, doc = run_cli(capsys, ["solve", str(star), "--method", method])
+        assert code == 0 and doc is not None, method
+    triangle = tmp_path / "triangle.json"
+    save_instance(random_instance(3, 4, 2, "cycle", seed=1), triangle)
+    for argv in (["solve", str(triangle)], ["decide", str(triangle), "--target", "allocation"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: EFX_ORACLE_BUDGET must be an integer, got 'abc'\n"
+
+
+# SHA-256 over the exit code, stdout and stderr of the default solve of each
+# instance below, recorded when that route still built a full structure report.
+AUTO_ROUTE_SHA256 = "6e9c31214a982ceba47bd7b73a1804133e45488aa33bdb6c49ce74c06c4ea84c"
+
+
+def test_auto_route_computes_no_diameter(tmp_path, capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("solve --method auto computed a diameter or a longest path")
+
+    monkeypatch.setattr("efx_multigraph.model._center", forbidden)
+    monkeypatch.setattr("efx_multigraph.model._longest_simple_path", forbidden)
+    cases = [
+        (running_example(), 0),                                 # bipartite
+        (random_instance(5, 9, 3, "cycle", seed=2), 0),         # odd cycle
+        (random_instance(3, 5, 2, "cycle", seed=1), 0),         # triangle: the oracle
+        (build_instance(4, [(0, 1, 1, 1), (1, 2, 1, 1), (0, 2, 1, 1), (2, 3, 1, 1)]), 4),
+    ]
+    digest = hashlib.sha256()
+    for k, (inst, expected) in enumerate(cases):
+        path = tmp_path / f"inst{k}.json"
+        save_instance(inst, path)
+        code = main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == expected, k
+        digest.update(json.dumps([code, captured.out, captured.err]).encode())
+    assert digest.hexdigest() == AUTO_ROUTE_SHA256
 
 
 def test_solve_matches_the_pipeline(tmp_path, capsys):
@@ -277,7 +322,10 @@ def test_analyze_rejects_too_many_agents(tmp_path, capsys):
 
 
 def test_empty_instance_at_the_agent_limit(tmp_path, capsys):
-    # No command does work quadratic in the agent count: each ran under 0.5 s here.
+    # With no edges every command below is linear in the agent count: `solve`,
+    # `orient` and `verify` walk the skeleton in linear time, and `analyze`,
+    # which computes every eccentricity of a component (O(n * m)), meets only
+    # one-agent components.  Each ran under 0.5 s on a 2-core Xeon VM.
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps({"n": MAX_AGENTS, "edges": []}))
     alloc_path = tmp_path / "alloc.json"

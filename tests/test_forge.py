@@ -21,6 +21,7 @@ from efx_multigraph import (
     reduce_partition,
     running_example,
 )
+from efx_multigraph.forge import DEFAULT_DELTA, DEFAULT_EPS
 from efx_multigraph.model import edge_set, instance_to_json
 
 
@@ -179,6 +180,32 @@ def test_random_infeasible_parameters():
         random_instance(4, 2, 2, "tree", seed=0)  # fewer edges than skeleton
     with pytest.raises(InstanceError):
         random_instance(4, 2, 2, "blob", seed=0)
+
+
+# SHA-256 over _fixed_families(), recorded while each family spelled out its
+# rigid three-agent blocks edge by edge.
+FIXED_FAMILIES_SHA256 = "f0b6794ada3d4e8d03fcbd2da2a9f0c28829977d6d650bc86a62be7e2f246d9e"
+
+
+def _fixed_families():
+    scales = [(DEFAULT_EPS, DEFAULT_DELTA), (Fraction(1, 7), Fraction(1, 50))]
+    for eps, delta in scales:
+        yield c4_counter(eps, delta)
+        yield p4_q3(eps, delta)
+        for q in (4, 5, 6):
+            yield p4_qn(q, eps, delta)
+        yield p3_block(eps, delta)
+        yield p6_counter(eps, delta)
+        for pset in ((1, 2, 3), (3, 1, 1, 2, 2, 1), (0, 4, 2, 2)):
+            yield np_gadget(pset, eps, delta)
+    yield running_example()
+
+
+def test_fixed_families_pinned():
+    # The shape tests check values and pairs, not edge order; this pins both.
+    docs = [instance_to_json(inst) for inst in _fixed_families()]
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == FIXED_FAMILIES_SHA256
 
 
 def test_generate_dispatch():

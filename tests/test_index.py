@@ -108,6 +108,7 @@ def literal_envied(inst, alloc) -> set[int]:
 def test_index_matches_edge_scan(inst):
     for i in range(inst.n):
         assert inst.incident(i) == {e.id for e in inst.edges if i in (e.u, e.v)}
+        assert inst.neighbours[i] == tuple(sorted({e.u + e.v - i for e in inst.edges if i in (e.u, e.v)}))
         for j in range(inst.n):
             if i != j:
                 assert edge_set(inst, i, j) == scan_pair(inst, i, j)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import random
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -20,14 +22,18 @@ from efx_multigraph import (
     load_instance,
     make_allocation,
     parse_rational,
+    random_instance,
+    solve_multicycle,
+    solve_multistar,
+    solve_multitree_d4_q2,
     two_coloring,
 )
+from efx_multigraph.bipartite import half_efx_parts
 from efx_multigraph.model import (
     _longest_simple_path,
     allocation_from_json,
     connected_components,
     instance_from_json,
-    skeleton_adjacency,
 )
 from reference import longest_simple_path
 
@@ -165,9 +171,8 @@ def simple_skeletons(draw):
 
 @given(simple_skeletons())
 def test_longest_path_matches_dfs(inst):
-    adj = skeleton_adjacency(inst)
-    expected = longest_simple_path(adj, range(inst.n))
-    assert _longest_simple_path(adj, range(inst.n)) == expected
+    expected = longest_simple_path(inst.neighbours, range(inst.n))
+    assert _longest_simple_path(inst.neighbours, range(inst.n)) == expected
     assert analyze_structure(inst).longest_path == expected
 
 
@@ -308,3 +313,81 @@ def test_components_and_two_coloring_match_definitions(inst):
         assert (e.u in s_set) != (e.v in s_set)
     assert 0 in s_set
     assert all(comp[0] in s_set for comp in comps)
+
+
+# SHA-256 over _skeleton_outcomes(), recorded while every caller built its own
+# skeleton adjacency and ran its own component BFS.
+SKELETON_PIN_SHA256 = "fc2045f22329e7786edf4884a66c5184f49eb79438769498f89ed6ab101a2807"
+
+
+def _multigraph(rng, n, m):
+    """m edges on random pairs of n agents, either endpoint first; small values
+    make ties."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    specs = []
+    for _ in range(m if pairs else 0):
+        u, v = rng.choice(pairs)
+        if rng.random() < 0.5:
+            u, v = v, u
+        specs.append((u, v, Fraction(rng.randint(1, 9), rng.randint(1, 3)),
+                      Fraction(rng.randint(1, 9), rng.randint(1, 3))))
+    return build_instance(n, specs)
+
+
+def _disjoint_union(rng, a, b):
+    """a and b side by side, their agents shuffled together."""
+    label = list(range(a.n + b.n))
+    rng.shuffle(label)
+    edges = [(e.u, e.v, e.wu, e.wv) for e in a.edges]
+    edges += [(e.u + a.n, e.v + a.n, e.wu, e.wv) for e in b.edges]
+    return build_instance(a.n + b.n, [(label[u], label[v], wu, wv) for u, v, wu, wv in edges])
+
+
+def _skeleton_batch():
+    """Seeded stars, trees, cycles, bipartite and general multigraphs; every
+    third one joined with a second, so many are disconnected."""
+    for k in range(400):
+        rng = random.Random(k)
+        shape = ("star", "tree", "cycle", "bipartite", "general")[k % 5]
+        n = rng.randint(3 if shape == "cycle" else 1, 14 if k % 7 == 0 else 9)
+        if shape == "general":
+            inst = _multigraph(rng, n, rng.randint(0, 2 * n))
+        else:
+            # Every split of n agents has at least n - 1 cross pairs.
+            pairs = n if shape == "cycle" else n - 1
+            least = 0 if shape == "bipartite" else pairs
+            inst = random_instance(n, rng.randint(least, 2 * pairs), 2, shape,
+                                   num_max=9, den_max=3, symmetric=k % 2 == 0, seed=k)
+        if k % 3 == 0:
+            inst = _disjoint_union(rng, inst, _multigraph(rng, rng.randint(1, 5), rng.randint(0, 6)))
+        yield inst
+    # A path too long for the tree solver, then a triangle: a solver reports the
+    # first component it cannot take.
+    yield build_instance(9, [(k, k + 1, 1, 1) for k in range(5)] + [(6, 7, 1, 1), (7, 8, 1, 1), (6, 8, 1, 1)])
+
+
+def _outcome(fn, inst):
+    try:
+        out = fn(inst)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return [sorted(b) for b in out.bundles] if hasattr(out, "bundles") else out
+
+
+def _skeleton_outcomes():
+    for inst in _skeleton_batch():
+        yield [analyze_structure(inst).to_json(), two_coloring(inst), connected_components(inst),
+               _outcome(half_efx_parts, inst), _outcome(solve_multistar, inst),
+               _outcome(solve_multitree_d4_q2, inst), _outcome(solve_multicycle, inst)]
+
+
+def test_skeleton_queries_and_solvers_pinned():
+    outcomes = list(_skeleton_outcomes())
+    # The batch reaches every family label, disconnected skeletons and a
+    # solved instance for each solver.
+    assert {o[0]["family"] for o in outcomes} == {
+        "multi-star", "multi-tree", "multi-cycle", "bipartite", "general"}
+    assert sum(not o[0]["connected"] for o in outcomes) > 100
+    assert all(any(isinstance(o[k], list) for o in outcomes) for k in (4, 5, 6))
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == SKELETON_PIN_SHA256

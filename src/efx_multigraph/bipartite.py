@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .derived import AllocationState, Bipartition
 from .fairness import ONE, check_efx
@@ -37,24 +37,18 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class PropertyFlags:
+class PropertyFlags(NamedTuple):
     p1: bool
     p2: bool
     p3: bool
     p4: bool
     p5: bool
 
-    def as_tuple(self) -> tuple[bool, bool, bool, bool, bool]:
-        return (self.p1, self.p2, self.p3, self.p4, self.p5)
-
-    def to_json(self) -> dict:
-        return {"p1": self.p1, "p2": self.p2, "p3": self.p3, "p4": self.p4, "p5": self.p5}
-
 
 @dataclass
 class PipelineTrace:
-    """Stage snapshots, their property flags, and the event log of a solver run."""
+    """Snapshots, their property flags, and the event log of a solver run.  Every
+    solver takes one; ``checked`` records the output as the ``final`` snapshot."""
 
     snapshots: dict[str, Allocation] = field(default_factory=dict)
     flags: dict[str, PropertyFlags] = field(default_factory=dict)
@@ -63,15 +57,15 @@ class PipelineTrace:
     def to_json(self) -> dict:
         return {
             "snapshots": {name: [sorted(b) for b in alloc.bundles] for name, alloc in self.snapshots.items()},
-            "flags": {name: fl.to_json() for name, fl in self.flags.items()},
+            "flags": {name: fl._asdict() for name, fl in self.flags.items()},
             "events": self.events,
         }
 
 
 def checked(inst: Instance, bundles: Iterable[Iterable[int]], orientation: bool, label: str,
-            alpha: Fraction = ONE) -> Allocation:
+            alpha: Fraction = ONE, trace: PipelineTrace | None = None) -> Allocation:
     """The allocation with these bundles, asserted complete, alpha-EFX and, where
-    promised, an orientation."""
+    promised, an orientation; a given trace records it as its ``final`` snapshot."""
     alloc = make_allocation(inst.n, bundles)
     if not is_complete(inst, alloc):
         raise StructureError(f"{label}: output is not complete")
@@ -81,6 +75,8 @@ def checked(inst: Instance, bundles: Iterable[Iterable[int]], orientation: bool,
     if not verdict.passed:
         kind = "EFX" if alpha == 1 else f"{alpha}-EFX"
         raise StructureError(f"{label}: output is not {kind} ({verdict.witnesses[0]})")
+    if trace is not None:
+        trace.snapshots["final"] = alloc
     return alloc
 
 
@@ -292,8 +288,8 @@ def _record(state: AllocationState, trace: PipelineTrace | None, name: str,
     if trace is not None:
         trace.snapshots[name] = state.freeze()
         if record_flags:
-            flags = trace.flags[name] = _flags(state)
-            return flags.as_tuple()
+            trace.flags[name] = _flags(state)
+            return trace.flags[name]
     return _flag_values(state)
 
 
@@ -343,9 +339,8 @@ def efx_completion(inst: Instance, parts: Bipartition | None = None,
         if trace is not None:
             trace.events.append({"stage": "completion", "pair": pair, "to": k,
                                  "edges": sorted(free)})
-    final = checked(inst, state.bundles, False, "three-stage solver")
+    final = checked(inst, state.bundles, False, "three-stage solver", trace=trace)
     if trace is not None:
-        trace.snapshots["final"] = final
         trace.flags["final"] = _flags(state)
     return final
 
@@ -377,10 +372,7 @@ def half_efx_orientation(inst: Instance, trace: PipelineTrace | None = None) -> 
         if trace is not None:
             trace.events.append({"stage": "orient-leftovers", "pair": pair, "to": j,
                                  "edges": sorted(free)})
-    final = checked(inst, state.bundles, True, "half-EFX orientation", Fraction(1, 2))
-    if trace is not None:
-        trace.snapshots["final"] = final
-    return final
+    return checked(inst, state.bundles, True, "half-EFX orientation", Fraction(1, 2), trace=trace)
 
 
 def check_properties(inst: Instance, alloc: Allocation, parts: Bipartition | None = None) -> PropertyFlags:

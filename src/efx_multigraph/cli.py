@@ -80,37 +80,31 @@ def _parse_set(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part != "")
 
 
-def _solve(inst: Instance, args) -> tuple[Allocation, bipartite.PipelineTrace | None]:
-    """The allocation, with the pipeline's trace under ``--trace`` when the
-    bipartite pipeline ran; an untraced run records nothing."""
+def _solve(inst: Instance, args, trace: bipartite.PipelineTrace | None) -> Allocation:
+    """The allocation by ``args.method``; a given trace records the solver's run."""
     if args.method == "bipartite":
-        return _pipeline(inst, args.trace)
+        return bipartite.efx_completion(inst, trace=trace)
     if args.method == "star":
-        return solvers.solve_multistar(inst), None
+        return solvers.solve_multistar(inst, trace)
     if args.method == "tree4":
-        return solvers.solve_multitree_d4_q2(inst), None
+        return solvers.solve_multitree_d4_q2(inst, trace)
     if args.method == "cycle":
-        return _solve_cycle(inst, args), None
+        return _solve_cycle(inst, args, trace)
     # The route needs the colouring and the family label, both linear; a full
     # structure report would add every eccentricity of the largest component.
     if two_coloring(inst) is not None:
-        return _pipeline(inst, args.trace)
+        return bipartite.efx_completion(inst, trace=trace)
     if skeleton_family(inst, bipartite=False) == FAMILY_CYCLE:
-        return _solve_cycle(inst, args), None
+        return _solve_cycle(inst, args, trace)
     raise StructureError(
         "no constructive method covers this instance: its skeleton is neither "
         "bipartite nor a single cycle, and EFX existence on general multi-graphs "
         "is an open question")
 
 
-def _pipeline(inst: Instance, traced: bool) -> tuple[Allocation, bipartite.PipelineTrace | None]:
-    trace = bipartite.PipelineTrace() if traced else None
-    return bipartite.efx_completion(inst, trace=trace), trace
-
-
-def _solve_cycle(inst: Instance, args) -> Allocation:
+def _solve_cycle(inst: Instance, args, trace: bipartite.PipelineTrace | None) -> Allocation:
     try:
-        return solvers.solve_multicycle(inst)
+        return solvers.solve_multicycle(inst, trace)
     except StructureError as exc:
         if "3-cycle" not in str(exc):
             raise
@@ -119,15 +113,16 @@ def _solve_cycle(inst: Instance, args) -> Allocation:
         result = oracle.decide_efx_allocation(inst, budget=budget)
         if not result.exists or result.witness is None:
             raise StructureError("exhaustive search found no complete EFX allocation") from None
-        return result.witness
+        return bipartite.checked(inst, result.witness.bundles, orientation=False,
+                                 label="exhaustive search", trace=trace)
 
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
-    alloc, trace = _solve(inst, args)
-    doc = allocation_to_json(alloc)
-    if args.trace:
-        doc["trace"] = trace.to_json() if trace is not None else {"snapshots": {"final": allocation_to_json(alloc)["bundles"]}, "events": []}
+    trace = bipartite.PipelineTrace() if args.trace else None
+    doc = allocation_to_json(_solve(inst, args, trace))
+    if trace is not None:
+        doc["trace"] = trace.to_json()
     _emit(doc)
     return EXIT_OK
 

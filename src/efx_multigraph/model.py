@@ -27,9 +27,10 @@ FAMILY_GENERAL = "general"
 
 # The most agents an instance document may declare.  Every command does work
 # linear in the agent count even with no edges (one bundle and one value row per
-# agent).  Walking the skeleton is linear in `solve`, `orient` and `verify`;
-# `analyze` and the tree solver (`--method tree4`) compute every eccentricity of
-# a component, a BFS from each of its agents, which costs O(n * m).
+# agent).  Walking the skeleton is linear in `solve`, `orient` and `verify`, the
+# tree solver's center included (two BFS runs); the tree solver's EFX re-check
+# after each step costs O(n * m) at worst, and `analyze` computes every
+# eccentricity of a component, a BFS from each of its agents, also O(n * m).
 MAX_AGENTS = 10_000
 
 
@@ -125,14 +126,6 @@ class Instance:
         return {pair: frozenset(ids) for pair, ids in sorted(pair_edges.items())}
 
     @cached_property
-    def _incident(self) -> tuple[frozenset[int], ...]:
-        incident: list[list[int]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            incident[e.u].append(e.id)
-            incident[e.v].append(e.id)
-        return tuple(frozenset(ids) for ids in incident)
-
-    @cached_property
     def neighbours(self) -> tuple[tuple[int, ...], ...]:
         """Per agent, its skeleton neighbours in ascending order."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
@@ -192,7 +185,8 @@ class Instance:
         return len(self.edges)
 
     def incident(self, agent: int) -> frozenset[int]:
-        return self._incident[agent] if 0 <= agent < self.n else frozenset()
+        """The ids of the agent's edges: the keys of its integer valuation."""
+        return frozenset(self.weights[agent]) if 0 <= agent < self.n else frozenset()
 
     def pairs(self) -> list[tuple[int, int]]:
         """Sorted list of adjacent agent pairs (i < j) sharing at least one edge."""

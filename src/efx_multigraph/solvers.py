@@ -1,13 +1,14 @@
 """Structure-specific solvers: multi-stars, shallow multi-trees, multi-cycles.
 
 All three run per connected component and assert their own output (complete, EFX,
-and an orientation where promised) before returning.
+and an orientation where promised) before returning.  Each takes an optional
+``PipelineTrace``, which gets the output as its ``final`` snapshot.
 """
 from __future__ import annotations
 
 from typing import Iterator
 
-from .bipartite import checked, efx_completion
+from .bipartite import PipelineTrace, checked, efx_completion
 from .cutting import CutConfig, _margin, cut, preferred_bundle
 from .fairness import check_efx, envier_lists, value_rows
 from .model import (
@@ -18,7 +19,6 @@ from .model import (
     EdgeItem,
     Instance,
     StructureError,
-    _center,
     _component_family,
     bfs_depths,
     edge_set,
@@ -26,14 +26,14 @@ from .model import (
 )
 
 
-def _components(inst: Instance, families: tuple[str, ...], error: str) -> Iterator[list[int]]:
-    """Each skeleton component's agents in ascending order, lowest component
-    first; each is checked to carry one of the family labels just before it is
-    yielded, so a solver fails at the first component it cannot take."""
+def _components(inst: Instance, families: tuple[str, ...], error: str) -> Iterator[dict[int, int]]:
+    """Each skeleton component's BFS depths from its lowest agent, lowest first;
+    each is checked to carry one of the family labels just before it is yielded,
+    so a solver fails at the first component it cannot take."""
     for depth in inst.component_depths:
         if _component_family(inst, depth) not in families:
             raise StructureError(error)
-        yield sorted(depth)
+        yield depth
 
 
 def _halves(inst: Instance, cfg: CutConfig, agent: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -46,7 +46,7 @@ def _halves(inst: Instance, cfg: CutConfig, agent: int) -> tuple[frozenset[int],
 # multi-stars
 
 
-def solve_multistar(inst: Instance) -> Allocation:
+def solve_multistar(inst: Instance, trace: PipelineTrace | None = None) -> Allocation:
     """EFX orientation for star skeletons, any multiplicity.
 
     The hub cuts each leaf's shared edge set in two; the leaf keeps the half it
@@ -61,7 +61,7 @@ def solve_multistar(inst: Instance) -> Allocation:
                 mine, rest = _halves(inst, cut(inst, hub, leaf), leaf)
                 cur[leaf] |= mine
                 cur[hub] |= rest
-    return checked(inst, cur, orientation=True, label="multi-star solver")
+    return checked(inst, cur, orientation=True, label="multi-star solver", trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,21 @@ def _best_edge(inst: Instance, agent: int, edge_ids) -> int:
     return min(edge_ids, key=lambda e: (-weights[e], e))
 
 
-def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = None) -> Allocation:
+def _tree_center(inst: Instance, depth: dict[int, int]) -> tuple[int, int]:
+    """``model._center``'s (center, radius) of a tree component, from two BFS
+    runs: the agent farthest from the lowest one ends a longest path, and a BFS
+    from it finds the other end.  Every longest path of a tree has the same
+    middle agents, those of least eccentricity; the center is the lower one."""
+    back = bfs_depths(inst.neighbours, max(depth, key=depth.get))
+    path = [max(back, key=back.get)]
+    while back[path[-1]]:
+        x = path[-1]
+        path.append(next(y for y in inst.neighbours[x] if back[y] == back[x] - 1))
+    diameter = len(path) - 1
+    return min(path[diameter // 2], path[(diameter + 1) // 2]), (diameter + 1) // 2
+
+
+def solve_multitree_d4_q2(inst: Instance, trace: PipelineTrace | None = None) -> Allocation:
     """EFX orientation for tree skeletons with diameter <= 4 and multiplicity <= 2.
 
     Rooted at the component center: first orient the center's own edges (center
@@ -88,24 +102,25 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
 
     Two facts are maintained after every step and asserted in-run: an envied
     depth-1 agent holds its center-shared edges entirely (or the center does), and
-    an envied depth-1 agent does not envy the center.
+    an envied depth-1 agent does not envy the center.  A given trace records the
+    state after each step, as ``center {c}`` and ``attach {a}``.
     """
     if any(len(edge_set(inst, a, b)) > 2 for a, b in inst.pairs()):
         raise StructureError("multiplicity above 2 is unsupported by the tree solver")
     cur: list[set[int]] = [set() for _ in range(inst.n)]
 
-    def checkpoint(center: int, depth1: tuple[int, ...]) -> list[list[int]]:
+    def checkpoint(step: str, center: int, depth1: tuple[int, ...]) -> list[list[int]]:
         """Snapshot the state, assert the step invariants on it, and return every
         agent's enviers in it, which the next attach step reads."""
         frozen = make_allocation(inst.n, cur)
-        if snapshots is not None:
-            snapshots.append(frozen)
+        if trace is not None:
+            trace.snapshots[step] = frozen
         return _assert_tree_invariants(inst, frozen, center, depth1)
 
     for comp in _components(inst, (FAMILY_STAR, FAMILY_TREE), "skeleton component is not a tree"):
         if len(comp) == 1:
             continue
-        center, radius, _ = _center(inst, comp)
+        center, radius = _tree_center(inst, comp)
         if radius > 2:
             raise StructureError("tree diameter above 4 is unsupported")
         depth1 = inst.neighbours[center]
@@ -115,7 +130,7 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
         for e in inst.incident(center) - {favorite}:
             u, v = inst.edges[e].endpoints()
             cur[u if v == center else v].add(e)
-        enviers = checkpoint(center, depth1)
+        enviers = checkpoint(f"center {center}", center, depth1)
 
         for agent in depth1:
             kids = [kid for kid in inst.neighbours[agent] if kid != center]
@@ -155,9 +170,9 @@ def solve_multitree_d4_q2(inst: Instance, snapshots: list[Allocation] | None = N
                 # favorite item that a re-rooted agent keeps.
                 for kid in kids:
                     cur[kid].update(edge_set(inst, agent, kid) - cur[agent])
-            enviers = checkpoint(center, depth1)
+            enviers = checkpoint(f"attach {agent}", center, depth1)
 
-    return checked(inst, cur, orientation=True, label="multi-tree solver")
+    return checked(inst, cur, orientation=True, label="multi-tree solver", trace=trace)
 
 
 def _assert_tree_invariants(inst: Instance, frozen: Allocation, center: int,
@@ -214,7 +229,7 @@ def _divergent_split(inst: Instance, a: int, b: int, cfg: CutConfig) -> tuple[fr
     return (cfg.c1, cfg.c2) if da > db else (cfg.c2, cfg.c1)
 
 
-def solve_multicycle(inst: Instance) -> Allocation:
+def solve_multicycle(inst: Instance, trace: PipelineTrace | None = None) -> Allocation:
     """Complete EFX allocation on a single-cycle skeleton.
 
     Even cycles are bipartite and go through the three-stage solver.  For an odd
@@ -231,7 +246,7 @@ def solve_multicycle(inst: Instance) -> Allocation:
     if inst.n == 3:
         raise StructureError("odd 3-cycle unsupported; use oracle")
     if inst.n % 2 == 0:
-        return efx_completion(inst)
+        return efx_completion(inst, trace=trace)
 
     # Case 1: hunt for a pair and a cut whose halves the endpoints rank oppositely.
     for a, b in inst.pairs():
@@ -241,7 +256,7 @@ def solve_multicycle(inst: Instance) -> Allocation:
                 cur = _solve_path_rest(inst, [{a, b}], a, b)
                 cur[a] |= split[0]
                 cur[b] |= split[1]
-                return checked(inst, cur, orientation=False, label="multi-cycle solver")
+                return checked(inst, cur, orientation=False, label="multi-cycle solver", trace=trace)
 
     # Case 2: all pairs agree on every cut.  Lift out two adjacent agents: j and
     # i, the next two along the cycle from agent 0 toward its lower neighbour.
@@ -281,4 +296,4 @@ def solve_multicycle(inst: Instance) -> Allocation:
             gifts = {jq: c1, j: d1, i: e1, ip: c2 | d2 | e2}
     for agent, bundle in gifts.items():
         cur[agent] |= bundle
-    return checked(inst, cur, orientation=False, label="multi-cycle solver")
+    return checked(inst, cur, orientation=False, label="multi-cycle solver", trace=trace)

@@ -138,9 +138,9 @@ def special_runs():
         m = rng.randint(n - 1, min(2 * (n - 1), 18))
         inst = random_instance(n, m, 2, "tree", num_max=200, den_max=8,
                                symmetric=bool(seed % 2), seed=seed)
-        snaps: list = []
-        alloc = solve_multitree_d4_q2(inst, snapshots=snaps)
-        trees.append((inst, alloc, snaps))
+        trace = PipelineTrace()
+        alloc = solve_multitree_d4_q2(inst, trace=trace)
+        trees.append((inst, alloc, trace))
     seed = 0
     while len(cycles) < 200:
         seed += 1
@@ -383,8 +383,8 @@ def test_criterion_12_envied_singleton_everywhere(pipeline_runs, half_runs, spec
             for name in ("greedy", "saturate", "safe"):
                 assert check_envied_singleton(inst, trace.snapshots[name]).passed
         _, trees, _ = special_runs
-        for inst, _, snaps in trees:
-            for snap in snaps:
+        for inst, _, trace in trees:
+            for snap in trace.snapshots.values():
                 assert check_envied_singleton(inst, snap).passed
         stars = special_runs[0]
         for inst, alloc in stars:

@@ -104,7 +104,7 @@ def test_enforce_swap_fixture():
     assert s3.bundles[2] == {2}
     assert envied_set(inst, s3) == set()
     flags = check_properties(inst, s3)
-    assert flags.as_tuple() == (True, True, True, True, True)
+    assert tuple(flags) == (True, True, True, True, True)
 
 
 def test_enforce_releases_third_agents_and_resaturates():
@@ -129,7 +129,7 @@ def test_enforce_releases_third_agents_and_resaturates():
                       "swapped_to_j": [8], "absorbed": [6, 16]}]
     assert absorbs == [{"stage": "safe-set", "case": 1, "i": 4, "j": 3, "edges": [12]}]
     flags = check_properties(inst, s3)
-    assert flags.as_tuple() == (True, True, True, True, True)
+    assert tuple(flags) == (True, True, True, True, True)
     final, _ = complete_efx(inst)
     assert is_complete(inst, final) and check_efx(inst, final).passed
 
@@ -156,9 +156,9 @@ def test_complete_efx_on_walkthrough(walkthrough):
     final, trace = complete_efx(walkthrough)
     assert is_complete(walkthrough, final)
     assert check_efx(walkthrough, final).passed
-    assert trace.flags["greedy"].as_tuple()[:3] == (True, True, True)
-    assert trace.flags["saturate"].as_tuple()[:4] == (True, True, True, True)
-    assert trace.flags["safe"].as_tuple() == (True, True, True, True, True)
+    assert tuple(trace.flags["greedy"])[:3] == (True, True, True)
+    assert tuple(trace.flags["saturate"])[:4] == (True, True, True, True)
+    assert tuple(trace.flags["safe"]) == (True, True, True, True, True)
     parts = two_coloring(walkthrough)
     for name in ("greedy", "saturate", "safe"):
         snap = trace.snapshots[name]
@@ -234,7 +234,7 @@ def test_random_pipeline_sweep():
         final, trace = complete_efx(inst)
         assert is_complete(inst, final)
         assert check_efx(inst, final).passed
-        assert trace.flags["safe"].as_tuple() == (True, True, True, True, True)
+        assert tuple(trace.flags["safe"]) == (True, True, True, True, True)
         done += 1
 
 

@@ -63,6 +63,34 @@ def test_solve_trace_embeds_snapshots(tmp_path, capsys):
     assert doc["trace"]["flags"]["safe"]["p5"] is True
 
 
+def test_solve_trace_for_every_method(tmp_path, capsys):
+    tree = random_instance(7, 10, 2, "tree", seed=3)
+    even = random_instance(6, 10, 3, "cycle", seed=2)
+    triangle = random_instance(3, 5, 2, "cycle", seed=1)
+    cases = [(random_instance(5, 7, 2, "star", seed=0), "star"), (tree, "tree4"),
+             (random_instance(5, 9, 3, "cycle", seed=2), "cycle"), (even, "cycle"),
+             (triangle, "cycle"), (triangle, "auto"), (running_example(), "auto")]
+    traces = []
+    for k, (inst, method) in enumerate(cases):
+        path = tmp_path / f"inst{k}.json"
+        save_instance(inst, path)
+        _, untraced = run_cli(capsys, ["solve", str(path), "--method", method])
+        code, doc = run_cli(capsys, ["solve", str(path), "--method", method, "--trace"])
+        assert code == 0, (k, method)
+        assert set(doc) == {"bundles", "trace"}
+        assert doc["bundles"] == untraced["bundles"]
+        assert set(doc["trace"]) == {"snapshots", "flags", "events"}
+        assert doc["trace"]["snapshots"]["final"] == doc["bundles"]
+        traces.append(doc["trace"])
+    star, tree_trace, odd, even_trace, *fallbacks, pipeline = traces
+    for trace in (star, odd, *fallbacks):
+        assert trace == {"snapshots": {"final": trace["snapshots"]["final"]}, "flags": {}, "events": []}
+    steps = [name.split()[0] for name in tree_trace["snapshots"]]
+    assert steps[0] == "center" and set(steps[1:-1]) == {"attach"} and steps[-1] == "final"
+    assert even_trace == json.loads(json.dumps(complete_efx(even)[1].to_json()))
+    assert pipeline == json.loads(json.dumps(complete_efx(running_example())[1].to_json()))
+
+
 def test_verify_failure_exit_code(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     save_instance(build_instance(2, [(0, 1, 2, 2), (0, 1, 1, 1)]), inst_path)
@@ -323,9 +351,11 @@ def test_analyze_rejects_too_many_agents(tmp_path, capsys):
 
 def test_empty_instance_at_the_agent_limit(tmp_path, capsys):
     # With no edges every command below is linear in the agent count: `solve`,
-    # `orient` and `verify` walk the skeleton in linear time, and `analyze`,
-    # which computes every eccentricity of a component (O(n * m)), meets only
-    # one-agent components.  Each ran under 0.5 s on a 2-core Xeon VM.
+    # `orient` and `verify` walk the skeleton in linear time (the tree solver's
+    # center too, though its EFX re-check after each step is O(n * m) at worst),
+    # and `analyze`, which computes every eccentricity of a component
+    # (O(n * m)), meets only one-agent components.  Each ran under 0.5 s on a
+    # 2-core Xeon VM.
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps({"n": MAX_AGENTS, "edges": []}))
     alloc_path = tmp_path / "alloc.json"

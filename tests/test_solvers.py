@@ -25,7 +25,9 @@ from efx_multigraph import (
     solve_multistar,
     solve_multitree_d4_q2,
 )
-from efx_multigraph.solvers import _divergent_split
+from efx_multigraph.bipartite import PipelineTrace
+from efx_multigraph.model import _center
+from efx_multigraph.solvers import _divergent_split, _tree_center
 
 
 def _solved(inst, alloc, orientation):
@@ -134,10 +136,10 @@ def test_tree_random_sweep_with_step_invariants():
         m = rng.randint(n - 1, min(2 * (n - 1), 18))
         inst = random_instance(n, m, 2, "tree", num_max=40, den_max=6,
                                symmetric=bool(seed % 2), seed=seed)
-        snaps = []
-        alloc = solve_multitree_d4_q2(inst, snapshots=snaps)
+        trace = PipelineTrace()
+        alloc = solve_multitree_d4_q2(inst, trace=trace)
         _solved(inst, alloc, orientation=True)
-        for snap in snaps:
+        for snap in trace.snapshots.values():
             assert check_envied_singleton(inst, snap).passed
         done += 1
 
@@ -246,17 +248,62 @@ def test_structure_solver_outputs_pinned():
     odd_case2 = reroots = 0
     for k in range(300):
         star, tree, cycle = _pin_instances(k)
-        snaps = []
+        trace = PipelineTrace()
         outcomes.append(_pin_outcome(solve_multistar, star))
-        outcomes.append(_pin_outcome(solve_multitree_d4_q2, tree, snapshots=snaps))
+        outcomes.append(_pin_outcome(solve_multitree_d4_q2, tree, trace=trace))
         outcomes.append(_pin_outcome(solve_multicycle, cycle))
-        reroots += _shrinks(snaps)
+        reroots += _shrinks(list(trace.snapshots.values()))
         if cycle.n % 2 and cycle.n > 3 and all(_ranked_alike(cycle, a, b) for a, b in cycle.pairs()):
             odd_case2 += 1
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     # The batch reaches the odd-cycle case-2 path and the tree re-root step.
     assert (odd_case2, reroots) == (64, 10)
     assert digest == SOLVER_PIN_SHA
+
+
+# SHA-256 over the tree solver's step snapshots on the trees of the batch above,
+# recorded when the solver still appended them to a list of its own.
+TREE_STEPS_SHA = "9fa3cd85e05601e44ba11a321550ca1f677333b7c0de70ef985ef391c6a640da"
+
+
+def test_tree_step_snapshots_pinned():
+    steps = []
+    for k in range(300):
+        tree = _pin_instances(k)[1]
+        trace = PipelineTrace()
+        alloc = solve_multitree_d4_q2(tree, trace=trace)
+        assert trace.snapshots.pop("final") == alloc
+        assert all(name.split()[0] in ("center", "attach") for name in trace.snapshots)
+        assert not trace.flags and not trace.events
+        steps.append([[sorted(b) for b in snap.bundles] for snap in trace.snapshots.values()])
+    assert hashlib.sha256(json.dumps(steps).encode()).hexdigest() == TREE_STEPS_SHA
+
+
+def test_tree_center_matches_least_eccentricity():
+    rng = random.Random(11)
+    trees = [_pin_instances(k)[1] for k in range(300)]
+    for n in range(2, 60):
+        # Each agent hangs off a random earlier one: diameters up to n - 1,
+        # odd and even, with ties in the farthest agent.
+        trees.append(build_instance(n, [(rng.randrange(v), v, 1, 1) for v in range(1, n)]))
+    for tree in trees:
+        for depth in tree.component_depths:
+            if len(depth) > 1:
+                assert _tree_center(tree, depth) == _center(tree, sorted(depth))[:2]
+
+
+def test_tree_solver_computes_no_eccentricities(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the tree solver computed every eccentricity")
+
+    monkeypatch.setattr("efx_multigraph.model._center", forbidden)
+    monkeypatch.setattr("efx_multigraph.solvers._center", forbidden, raising=False)
+    for k in range(300):
+        tree = _pin_instances(k)[1]
+        _solved(tree, solve_multitree_d4_q2(tree), orientation=True)
+    path = build_instance(4000, [(i, i + 1, 1 + i % 3, 2) for i in range(3999)])
+    with pytest.raises(StructureError, match="diameter above 4"):
+        solve_multitree_d4_q2(path)
 
 
 def _rational_split(inst, a, b, cfg):

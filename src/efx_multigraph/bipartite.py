@@ -24,7 +24,7 @@ from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .derived import AllocationState, Bipartition
-from .fairness import ONE, check_efx
+from .fairness import ONE, check_efx, efx_verdict
 from .model import (
     Allocation,
     Instance,
@@ -388,7 +388,7 @@ def _flag_values(state: AllocationState) -> Iterator[bool]:
     """P1..P5 of the state, in order, each evaluated only when it is read."""
     inst = state.inst
     alloc = state.freeze()
-    yield is_orientation(inst, alloc) and check_efx(inst, alloc).passed
+    yield is_orientation(inst, alloc) and efx_verdict(inst, state.val, state.bundles).passed
     yield _cut_shaped(state, alloc)
     yield all(state.worth(i, state.available(i, j)) <= state.val[i][i]
               for i in range(inst.n) for j in state.neighbours[i])

@@ -152,11 +152,18 @@ def check_efx(inst: Instance, alloc: Allocation, alpha: Fraction = ONE) -> Verdi
     Returns the max-violation witness per failing ordered pair, in ascending
     (envier, envied) order, so failures are reproducible.
     """
+    return efx_verdict(inst, value_rows(inst, alloc), alloc.bundles, alpha)
+
+
+def efx_verdict(inst: Instance, rows: Sequence[dict[int, int]], bundles: Sequence[Iterable[int]],
+                alpha: Fraction = ONE) -> Verdict:
+    """``check_efx`` of the allocation with these bundles, given its value rows
+    (as ``value_rows`` builds them, or as an ``AllocationState`` keeps them)."""
     if not (0 < alpha <= 1):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     num, den = alpha.numerator, alpha.denominator
     witnesses: list[Witness] = []
-    for i, row in enumerate(value_rows(inst, alloc)):
+    for i, row in enumerate(rows):
         own = row[i]
         weights = inst.weights[i]
         for j, other in row.items():
@@ -164,7 +171,7 @@ def check_efx(inst: Instance, alloc: Allocation, alpha: Fraction = ONE) -> Verdi
             # every item is worth >= 0.  So a pair with other <= own cannot fail.
             if other <= own:
                 continue
-            g, g_weight = least_valued_item(weights, alloc.bundles[j])
+            g, g_weight = least_valued_item(weights, bundles[j])
             bar = num * (other - g_weight)
             if own * den < bar:
                 scale = inst.scales[i]
@@ -223,10 +230,10 @@ def check_envied_singleton(inst: Instance, alloc: Allocation) -> Verdict:
     j, and her whole bundle must come from the edges she shares with j."""
     if not is_orientation(inst, alloc):
         raise ValueError("input is not an orientation")
-    if not check_efx(inst, alloc).passed:
+    rows = value_rows(inst, alloc)
+    if not efx_verdict(inst, rows, alloc.bundles).passed:
         raise ValueError("input orientation is not EFX")
     witnesses: list[Witness] = []
-    rows = value_rows(inst, alloc)
     scales = inst.scales
     for i, js in enumerate(envier_lists(rows)):
         if not js:

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Instance, InstanceError, build_instance
+from .model import Instance, InstanceError, build_instance, check_agent_count
 
 DEFAULT_EPS = Fraction(1, 100)
 DEFAULT_DELTA = Fraction(1, 10**6)
@@ -261,6 +261,8 @@ def generate(spec: FamilySpec) -> Instance:
     if family == "random":
         if spec.n is None or spec.m is None or spec.q_max is None or spec.shape is None:
             raise InstanceError("family random needs n, m, q_max and shape")
+        # random_instance draws any size, but a generated document must load.
+        check_agent_count(spec.n)
         return random_instance(spec.n, spec.m, spec.q_max, spec.shape,
                                num_max=spec.num_max, den_max=spec.den_max,
                                symmetric=spec.symmetric, seed=spec.seed)

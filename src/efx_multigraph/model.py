@@ -25,12 +25,13 @@ FAMILY_TREE = "multi-tree"
 FAMILY_BIPARTITE = "bipartite"
 FAMILY_GENERAL = "general"
 
-# The most agents an instance document may declare.  Every command does work
-# linear in the agent count even with no edges (one bundle and one value row per
-# agent).  Walking the skeleton is linear in `solve`, `orient` and `verify`, the
-# tree solver's center included (two BFS runs); the tree solver's EFX re-check
-# after each step costs O(n * m) at worst, and `analyze` computes every
-# eccentricity of a component, a BFS from each of its agents, also O(n * m).
+# The most agents an instance document may declare, and the most `gen` writes.
+# Every command does work linear in the agent count even with no edges (one
+# bundle and one value row per agent).  Walking the skeleton is linear in
+# `solve`, `orient` and `verify`, the tree solver's center included (two BFS
+# runs); the tree solver's EFX check after each step visits every value row,
+# O(n + m) per step.  `analyze` finds a tree's center the same way, but computes
+# every eccentricity of a cyclic component, a BFS from each agent, O(n * m).
 MAX_AGENTS = 10_000
 
 
@@ -398,12 +399,29 @@ def _center(inst: Instance, comp: list[int]) -> tuple[int, int, int]:
     return min(v for v in comp if ecc[v] == radius), radius, max(ecc.values())
 
 
+def _tree_center(inst: Instance, depth: dict[int, int]) -> tuple[int, int, int]:
+    """``_center`` of a tree component, from two BFS runs: the agent farthest
+    from the lowest one ends a longest path, and a BFS from it finds the other
+    end.  Every longest path of a tree has the same middle agents, those of
+    least eccentricity; the center is the lower one."""
+    back = bfs_depths(inst.neighbours, max(depth, key=depth.get))
+    path = [max(back, key=back.get)]
+    while back[path[-1]]:
+        x = path[-1]
+        path.append(next(y for y in inst.neighbours[x] if back[y] == back[x] - 1))
+    diameter = len(path) - 1
+    return min(path[diameter // 2], path[(diameter + 1) // 2]), (diameter + 1) // 2, diameter
+
+
 def analyze_structure(inst: Instance) -> StructureReport:
     """Compute q, distances, canonical bipartition and the most specific family label."""
     q = max(map(len, inst._pair_edges.values()), default=0)
-    comps = connected_components(inst)
-    main = max(comps, key=lambda c: (len(c), -c[0]))
-    center, _, diameter = _center(inst, main)
+    depths = inst.component_depths
+    main = max(depths, key=lambda depth: (len(depth), -min(depth)))
+    if _component_family(inst, main) in (FAMILY_STAR, FAMILY_TREE):
+        center, _, diameter = _tree_center(inst, main)
+    else:
+        center, _, diameter = _center(inst, sorted(main))
     longest = _longest_simple_path(inst.neighbours, range(inst.n)) if inst.n <= 12 else None
     bipartition = two_coloring(inst)
     return StructureReport(
@@ -413,7 +431,7 @@ def analyze_structure(inst: Instance) -> StructureReport:
         diameter=diameter,
         longest_path=longest,
         center=center,
-        connected=len(comps) == 1,
+        connected=len(depths) == 1,
         bipartition=bipartition,
         family=skeleton_family(inst, bipartition is not None),
     )
@@ -437,6 +455,12 @@ def instance_to_text(inst: Instance) -> str:
     return json.dumps(instance_to_json(inst), indent=2) + "\n"
 
 
+def check_agent_count(n: int) -> None:
+    """Reject an agent count above ``MAX_AGENTS``, in the reader's words."""
+    if n > MAX_AGENTS:
+        raise InstanceError(f"'n' is {n}, above the limit of {MAX_AGENTS} agents")
+
+
 def instance_from_json(doc: object) -> Instance:
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
@@ -445,8 +469,7 @@ def instance_from_json(doc: object) -> Instance:
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InstanceError(f"'n' must be a positive integer, got {n!r}")
-    if n > MAX_AGENTS:
-        raise InstanceError(f"'n' is {n}, above the limit of {MAX_AGENTS} agents")
+    check_agent_count(n)
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise InstanceError("'edges' must be a list")

@@ -2,7 +2,9 @@
 
 All three run per connected component and assert their own output (complete, EFX,
 and an orientation where promised) before returning.  Each takes an optional
-``PipelineTrace``, which gets the output as its ``final`` snapshot.
+``PipelineTrace``, which gets the output as its ``final`` snapshot.  The tree
+solver moves edges on the pipeline's ``AllocationState`` and checks each step on
+the value rows and enviers that the state keeps current.
 """
 from __future__ import annotations
 
@@ -10,7 +12,8 @@ from typing import Iterator
 
 from .bipartite import PipelineTrace, checked, efx_completion
 from .cutting import CutConfig, _margin, cut, preferred_bundle
-from .fairness import check_efx, envier_lists, value_rows
+from .derived import AllocationState
+from .fairness import efx_verdict
 from .model import (
     FAMILY_CYCLE,
     FAMILY_STAR,
@@ -20,9 +23,9 @@ from .model import (
     Instance,
     StructureError,
     _component_family,
+    _tree_center,
     bfs_depths,
     edge_set,
-    make_allocation,
 )
 
 
@@ -53,15 +56,15 @@ def solve_multistar(inst: Instance, trace: PipelineTrace | None = None) -> Alloc
     prefers and the hub collects the rest.  Leaves end up with bundles they chose,
     and the hub's halves are cut-feasible for it, so nobody strongly envies.
     """
-    cur: list[set[int]] = [set() for _ in range(inst.n)]
+    bundles: list[set[int]] = [set() for _ in range(inst.n)]
     for comp in _components(inst, (FAMILY_STAR,), "skeleton component is not a star"):
         hub = min(v for v in comp if len(inst.neighbours[v]) == len(comp) - 1)
         for leaf in comp:
             if leaf != hub:
                 mine, rest = _halves(inst, cut(inst, hub, leaf), leaf)
-                cur[leaf] |= mine
-                cur[hub] |= rest
-    return checked(inst, cur, orientation=True, label="multi-star solver", trace=trace)
+                bundles[leaf] |= mine
+                bundles[hub] |= rest
+    return checked(inst, bundles, orientation=True, label="multi-star solver", trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -72,20 +75,6 @@ def _best_edge(inst: Instance, agent: int, edge_ids) -> int:
     """Highest-valued edge for the agent, ties to the lowest edge id."""
     weights = inst.weights[agent]
     return min(edge_ids, key=lambda e: (-weights[e], e))
-
-
-def _tree_center(inst: Instance, depth: dict[int, int]) -> tuple[int, int]:
-    """``model._center``'s (center, radius) of a tree component, from two BFS
-    runs: the agent farthest from the lowest one ends a longest path, and a BFS
-    from it finds the other end.  Every longest path of a tree has the same
-    middle agents, those of least eccentricity; the center is the lower one."""
-    back = bfs_depths(inst.neighbours, max(depth, key=depth.get))
-    path = [max(back, key=back.get)]
-    while back[path[-1]]:
-        x = path[-1]
-        path.append(next(y for y in inst.neighbours[x] if back[y] == back[x] - 1))
-    diameter = len(path) - 1
-    return min(path[diameter // 2], path[(diameter + 1) // 2]), (diameter + 1) // 2
 
 
 def solve_multitree_d4_q2(inst: Instance, trace: PipelineTrace | None = None) -> Allocation:
@@ -107,92 +96,83 @@ def solve_multitree_d4_q2(inst: Instance, trace: PipelineTrace | None = None) ->
     """
     if any(len(edge_set(inst, a, b)) > 2 for a, b in inst.pairs()):
         raise StructureError("multiplicity above 2 is unsupported by the tree solver")
-    cur: list[set[int]] = [set() for _ in range(inst.n)]
-
-    def checkpoint(step: str, center: int, depth1: tuple[int, ...]) -> list[list[int]]:
-        """Snapshot the state, assert the step invariants on it, and return every
-        agent's enviers in it, which the next attach step reads."""
-        frozen = make_allocation(inst.n, cur)
-        if trace is not None:
-            trace.snapshots[step] = frozen
-        return _assert_tree_invariants(inst, frozen, center, depth1)
+    # The solver reads no pair cut, so the state needs no bipartition sides.
+    state = AllocationState(inst, ((), ()))
 
     for comp in _components(inst, (FAMILY_STAR, FAMILY_TREE), "skeleton component is not a tree"):
         if len(comp) == 1:
             continue
-        center, radius = _tree_center(inst, comp)
+        center, radius, _ = _tree_center(inst, comp)
         if radius > 2:
             raise StructureError("tree diameter above 4 is unsupported")
         depth1 = inst.neighbours[center]
 
         favorite = _best_edge(inst, center, inst.incident(center))
-        cur[center].add(favorite)
+        state.give(center, [favorite])
         for e in inst.incident(center) - {favorite}:
             u, v = inst.edges[e].endpoints()
-            cur[u if v == center else v].add(e)
-        enviers = checkpoint(f"center {center}", center, depth1)
+            state.give(u if v == center else v, [e])
+        _checkpoint(state, trace, f"center {center}", center, depth1)
 
         for agent in depth1:
             kids = [kid for kid in inst.neighbours[agent] if kid != center]
             if not kids:
                 continue
-            if not enviers[agent]:
+            if not state.enviers[agent]:
                 for kid in kids:
                     pe = edge_set(inst, agent, kid)
                     pick = _best_edge(inst, kid, pe)
-                    cur[kid].add(pick)
-                    cur[agent].update(pe - {pick})
+                    state.give(kid, [pick])
+                    state.give(agent, pe - {pick})
             else:
                 shared = edge_set(inst, center, agent)
-                if not shared <= cur[agent]:
+                if not shared <= state.bundles[agent]:
                     raise StructureError("envied depth-1 agent does not hold its center edges")
                 child_edges = [e for kid in kids for e in edge_set(inst, agent, kid)]
                 favorite = _best_edge(inst, agent, child_edges)
-                weights = inst.weights[agent]
-                if sum(weights[e] for e in shared) < weights[favorite]:
+                if state.worth(agent, shared) < inst.weights[agent][favorite]:
                     # Re-root the agent on its favorite child-shared item.
-                    center_envier = enviers[center]
-                    cur[agent] -= shared
-                    cur[center] |= shared
-                    cur[agent].add(favorite)
+                    center_envier = sorted(state.enviers[center])
+                    state.take(agent, shared)
+                    state.give(center, shared)
+                    state.give(agent, [favorite])
                     if center_envier:
                         if len(center_envier) != 1:
                             raise StructureError("center has more than one envier")
                         h = center_envier[0]
                         swap = edge_set(inst, center, h)
-                        from_center = swap & cur[center]
-                        from_h = swap & cur[h]
-                        cur[center] -= from_center
-                        cur[h] -= from_h
-                        cur[center] |= from_h
-                        cur[h] |= from_center
+                        from_center = swap & state.bundles[center]
+                        from_h = swap & state.bundles[h]
+                        state.take(center, from_center)
+                        state.take(h, from_h)
+                        state.give(center, from_h)
+                        state.give(h, from_center)
                 # Each child takes what it shares with the agent, but for the
                 # favorite item that a re-rooted agent keeps.
                 for kid in kids:
-                    cur[kid].update(edge_set(inst, agent, kid) - cur[agent])
-            enviers = checkpoint(f"attach {agent}", center, depth1)
+                    state.give(kid, edge_set(inst, agent, kid) - state.bundles[agent])
+            _checkpoint(state, trace, f"attach {agent}", center, depth1)
 
-    return checked(inst, cur, orientation=True, label="multi-tree solver", trace=trace)
+    return checked(inst, state.bundles, orientation=True, label="multi-tree solver", trace=trace)
 
 
-def _assert_tree_invariants(inst: Instance, frozen: Allocation, center: int,
-                            depth1: tuple[int, ...]) -> list[list[int]]:
-    """Assert the step invariants; returns every agent's enviers."""
-    verdict = check_efx(inst, frozen)
+def _checkpoint(state: AllocationState, trace: PipelineTrace | None, step: str, center: int,
+                depth1: tuple[int, ...]) -> None:
+    """Record the state as this step's snapshot in a given trace, then assert
+    that it is EFX and that the step invariants hold."""
+    if trace is not None:
+        trace.snapshots[step] = state.freeze()
+    inst = state.inst
+    verdict = efx_verdict(inst, state.val, state.bundles)
     if not verdict.passed:
         raise StructureError(f"tree solver state is not EFX ({verdict.witnesses[0]})")
-    rows = value_rows(inst, frozen)
-    enviers = envier_lists(rows)
-    assigned = frozen.assigned()
     for x in depth1:
-        if enviers[x]:
-            shared = edge_set(inst, center, x)
-            placed = shared & assigned
-            if placed and not (placed <= frozen.bundles[x] or placed <= frozen.bundles[center]):
+        if state.enviers[x]:
+            placed = {e for e in edge_set(inst, center, x) if e in state.holder}
+            if placed and not (placed <= state.bundles[x] or placed <= state.bundles[center]):
                 raise StructureError(f"center edges of envied agent {x} are split")
-            if rows[x].get(center, 0) > rows[x][x]:
+            if state.val[x].get(center, 0) > state.val[x][x]:
                 raise StructureError(f"envied agent {x} envies the center")
-    return enviers
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +233,10 @@ def solve_multicycle(inst: Instance, trace: PipelineTrace | None = None) -> Allo
         for cutter, other in ((a, b), (b, a)):
             split = _divergent_split(inst, a, b, cut(inst, cutter, other))
             if split is not None:
-                cur = _solve_path_rest(inst, [{a, b}], a, b)
-                cur[a] |= split[0]
-                cur[b] |= split[1]
-                return checked(inst, cur, orientation=False, label="multi-cycle solver", trace=trace)
+                bundles = _solve_path_rest(inst, [{a, b}], a, b)
+                bundles[a] |= split[0]
+                bundles[b] |= split[1]
+                return checked(inst, bundles, orientation=False, label="multi-cycle solver", trace=trace)
 
     # Case 2: all pairs agree on every cut.  Lift out two adjacent agents: j and
     # i, the next two along the cycle from agent 0 toward its lower neighbour.
@@ -265,7 +245,7 @@ def solve_multicycle(inst: Instance, trace: PipelineTrace | None = None) -> Allo
     while len(walk) < 4:
         walk += [y for y in nbrs[walk[-1]] if y != walk[-2]]
     jq, j, i, ip = walk
-    cur = _solve_path_rest(inst, [{jq, j}, {j, i}, {i, ip}], ip, jq)
+    bundles = _solve_path_rest(inst, [{jq, j}, {j, i}, {i, ip}], ip, jq)
 
     # Case 1 found no divergent cut, so both endpoints of each of these pairs
     # rank its halves alike, or are both indifferent: the first half named is
@@ -274,10 +254,10 @@ def solve_multicycle(inst: Instance, trace: PipelineTrace | None = None) -> Allo
     d1, d2 = _halves(inst, cut(inst, i, j), j)
     e1, e2 = _halves(inst, cut(inst, ip, i), i)
 
-    def val(agent: int, *bundles: frozenset[int]) -> int:
-        # Each bundle is a half of a cut of one of the agent's own pairs.
+    def val(agent: int, *halves: frozenset[int]) -> int:
+        # Each is a half of a cut of one of the agent's own pairs.
         weights = inst.weights[agent]
-        return sum(weights[e] for bundle in bundles for e in bundle)
+        return sum(weights[e] for half in halves for e in half)
 
     if val(j, c2, d2) >= max(val(j, c1), val(j, d1)):
         if val(i, d1, e2) >= val(i, e1):
@@ -295,5 +275,5 @@ def solve_multicycle(inst: Instance, trace: PipelineTrace | None = None) -> Allo
         else:
             gifts = {jq: c1, j: d1, i: e1, ip: c2 | d2 | e2}
     for agent, bundle in gifts.items():
-        cur[agent] |= bundle
-    return checked(inst, cur, orientation=False, label="multi-cycle solver", trace=trace)
+        bundles[agent] |= bundle
+    return checked(inst, bundles, orientation=False, label="multi-cycle solver", trace=trace)

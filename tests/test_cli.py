@@ -305,6 +305,15 @@ def test_gen_random_roundtrip(capsys, monkeypatch):
     assert rep["q"] <= 2
 
 
+def test_gen_emits_only_loadable_agent_counts(capsys, monkeypatch):
+    argv = ["gen", "--family", "random", "--q-max", "1", "--shape", "tree"]
+    _error_exit(capsys, argv + ["--n", str(MAX_AGENTS + 1), "--m", str(MAX_AGENTS)])
+    code, doc = run_cli(capsys, argv + ["--n", str(MAX_AGENTS), "--m", str(MAX_AGENTS - 1)])
+    assert code == 0
+    code, rep = run_cli(capsys, ["analyze"], stdin_text=json.dumps(doc), monkeypatch=monkeypatch)
+    assert code == 0 and rep["n"] == MAX_AGENTS
+
+
 def test_gen_bad_family_usage(capsys):
     assert main(["gen", "--family", "nonsense"]) == 1
 

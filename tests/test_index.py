@@ -28,7 +28,7 @@ from efx_multigraph import (
     two_coloring,
 )
 from efx_multigraph.derived import AllocationState
-from efx_multigraph.fairness import value_rows
+from efx_multigraph.fairness import efx_verdict, value_rows
 from reference import value_matrix
 
 
@@ -267,3 +267,5 @@ def test_state_moves_keep_matrix_and_envy_current(case, data):
         assert state.envied() == literal_envied(inst, now)
         for i in range(inst.n):
             assert state.enviers_of(i) == enviers_of(inst, now, i)
+        for a in (Fraction(1), Fraction(1, 2)):
+            assert efx_verdict(inst, state.val, state.bundles, a) == check_efx(inst, now, a)

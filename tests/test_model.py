@@ -185,6 +185,16 @@ def test_analyze_complete_skeleton_in_time():
     assert rep.longest_path == 11
 
 
+def test_analyze_tree_computes_no_eccentricities(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("analyze computed every eccentricity of a tree")
+
+    monkeypatch.setattr("efx_multigraph.model._center", forbidden)
+    path = build_instance(4000, [(i, i + 1, 1 + i % 3, 2) for i in range(3999)])
+    rep = analyze_structure(path)
+    assert (rep.center, rep.diameter) == (1999, 3999)
+
+
 def test_analyze_families():
     path4 = build_instance(4, [(0, 1, 1, 1), (1, 2, 1, 1), (2, 3, 1, 1)])
     assert analyze_structure(path4).family == "multi-tree"

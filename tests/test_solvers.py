@@ -26,6 +26,7 @@ from efx_multigraph import (
     solve_multitree_d4_q2,
 )
 from efx_multigraph.bipartite import PipelineTrace
+from efx_multigraph.fairness import value_rows
 from efx_multigraph.model import _center
 from efx_multigraph.solvers import _divergent_split, _tree_center
 
@@ -289,7 +290,7 @@ def test_tree_center_matches_least_eccentricity():
     for tree in trees:
         for depth in tree.component_depths:
             if len(depth) > 1:
-                assert _tree_center(tree, depth) == _center(tree, sorted(depth))[:2]
+                assert _tree_center(tree, depth) == _center(tree, sorted(depth))
 
 
 def test_tree_solver_computes_no_eccentricities(monkeypatch):
@@ -304,6 +305,23 @@ def test_tree_solver_computes_no_eccentricities(monkeypatch):
     path = build_instance(4000, [(i, i + 1, 1 + i % 3, 2) for i in range(3999)])
     with pytest.raises(StructureError, match="diameter above 4"):
         solve_multitree_d4_q2(path)
+
+
+def test_tree_solver_rebuilds_no_value_rows(monkeypatch):
+    calls = []
+
+    def counted(inst, alloc):
+        calls.append(1)
+        return value_rows(inst, alloc)
+
+    for module in ("fairness", "derived", "solvers"):
+        monkeypatch.setattr(f"efx_multigraph.{module}.value_rows", counted, raising=False)
+    for k in range(300):
+        tree = _pin_instances(k)[1]
+        calls.clear()
+        solve_multitree_d4_q2(tree)
+        # Once when the allocation state starts, once in the output check.
+        assert len(calls) <= 2, k
 
 
 def _rational_split(inst, a, b, cfg):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from fractions import Fraction
@@ -29,6 +28,7 @@ from .model import (
     analyze_structure,
     instance_to_json,
     is_orientation,
+    json_text,
     load_allocation,
     load_instance,
     skeleton_family,
@@ -51,7 +51,7 @@ def _read_allocation(arg: str, inst: Instance) -> Allocation:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(json_text(doc))
 
 
 def _oracle_budget(args) -> int:

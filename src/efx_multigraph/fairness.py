@@ -166,6 +166,7 @@ def efx_verdict(inst: Instance, rows: Sequence[dict[int, int]], bundles: Sequenc
     for i, row in enumerate(rows):
         own = row[i]
         weights = inst.weights[i]
+        lhs = None  # Fraction(own, scale), built on i's first witness
         for j, other in row.items():
             # The bar alpha * (other - g) never exceeds other: alpha <= 1 and
             # every item is worth >= 0.  So a pair with other <= own cannot fail.
@@ -175,7 +176,9 @@ def efx_verdict(inst: Instance, rows: Sequence[dict[int, int]], bundles: Sequenc
             bar = num * (other - g_weight)
             if own * den < bar:
                 scale = inst.scales[i]
-                witnesses.append(Witness(i, j, g, Fraction(own, scale), Fraction(bar, den * scale)))
+                if lhs is None:
+                    lhs = Fraction(own, scale)
+                witnesses.append(Witness(i, j, g, lhs, Fraction(bar, den * scale)))
     # Each (envier, envied) pair occurs once, so the sort never compares values.
     witnesses.sort()
     return Verdict(not witnesses, tuple(witnesses), alpha)

@@ -5,7 +5,8 @@ endpoint agents.  All arithmetic is exact; nothing in this package touches
 floating point.  Values are read and written as ``fractions.Fraction``, and every
 comparison runs on each agent's integer valuation (``Instance.scales`` and
 ``Instance.weights``): the agent's values of its own edges, scaled by the LCM of
-their denominators.
+their denominators.  Every JSON document is written by one writer,
+``json_text``, byte for byte as the stdlib writes it with a 2-space indent.
 """
 from __future__ import annotations
 
@@ -452,7 +453,7 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def instance_to_text(inst: Instance) -> str:
-    return json.dumps(instance_to_json(inst), indent=2) + "\n"
+    return json_text(instance_to_json(inst)) + "\n"
 
 
 def check_agent_count(n: int) -> None:
@@ -501,6 +502,53 @@ def _read_json(source: str | Path | IO[str]) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"invalid JSON: {exc}") from None
+
+
+# The scalars a document holds, each with its C-level encoder.
+_JSON_SCALARS = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def json_text(doc: object) -> str:
+    """The text of ``json.dumps(doc, indent=2)`` for a document of dicts with str
+    keys, lists, tuples, str, int, bool and None; any other type raises ``TypeError``.
+
+    ``json.dumps`` runs its C encoder only without ``indent``; this writer joins
+    each container's items with its depth's padding instead.
+    """
+    scalar = _JSON_SCALARS.get(type(doc))
+    return scalar(doc) if scalar is not None else _json_container(doc, "\n")
+
+
+def _json_container(value: object, pad: str) -> str:
+    """A dict, list or tuple whose closing bracket sits after ``pad``."""
+    inner = pad + "  "
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        key_text = _JSON_SCALARS[str]
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            scalar = _JSON_SCALARS.get(type(item))
+            items.append(key_text(key) + ": " + (scalar(item) if scalar is not None
+                                                 else _json_container(item, inner)))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = []
+        for item in value:
+            scalar = _JSON_SCALARS.get(type(item))
+            items.append(scalar(item) if scalar is not None else _json_container(item, inner))
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def load_instance(source: str | Path | IO[str]) -> Instance:

@@ -16,6 +16,7 @@ from efx_multigraph import (
     cli,
     complete_efx,
     oracle,
+    p4_qn,
     random_instance,
     running_example,
     save_instance,
@@ -605,3 +606,54 @@ def test_full_parser_reads_every_command():
         args = parser.parse_args([name, *rest])
         assert args.command == name
         assert args.func is cli.COMMANDS[name][2]
+
+
+# SHA-256 over the exit code and stdout of every command below, recorded before
+# the documents were written by `model.json_text`, when `cli._emit` still called
+# `json.dumps(doc, indent=2)`.
+STDOUT_SHA256 = "dd596cf9c0c2fcbd70ffd1ce8cb98a199585d7574b6b03ec5f6105f73f13de6b"
+
+
+def test_cli_stdout_pinned(tmp_path, capsys):
+    import random
+
+    ladder = random_instance(64, 400, 4, "bipartite", seed=3)
+    rng = random.Random(3)
+    bundles = [[] for _ in range(ladder.n)]
+    for e in range(ladder.m):
+        bundles[rng.randrange(ladder.n)].append(e)
+    files = {
+        "ladder": ladder,
+        "tree": random_instance(7, 10, 2, "tree", seed=3),
+        "walkthrough": running_example(),
+        "p4q4": p4_qn(4),
+        "triangle": random_instance(3, 5, 2, "cycle", seed=1),
+    }
+    paths = {}
+    for name, inst in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_instance(inst, paths[name])
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"bundles": bundles}))
+    commands = [
+        *(["verify", paths["ladder"], str(alloc), "--alpha", alpha, *flag]
+          for alpha in ("1", "1/2") for flag in ([], ["--orientation"])),
+        ["analyze", paths["ladder"]],
+        ["analyze", paths["tree"]],
+        ["solve", paths["walkthrough"], "--method", "bipartite", "--trace"],
+        ["solve", paths["tree"], "--method", "tree4", "--trace"],
+        ["orient", paths["ladder"], "--method", "half-efx"],
+        ["decide", paths["p4q4"], "--target", "orientation", "--count"],
+        ["decide", paths["triangle"], "--target", "allocation"],
+        ["gen", "--family", "random", "--n", "12", "--m", "30", "--q-max", "3",
+         "--shape", "bipartite", "--seed", "5"],
+        ["reduce-partition", "--set", "3,1,1,2,2,1"],
+    ]
+    digest = hashlib.sha256()
+    codes = []
+    for argv in commands:
+        code = main(argv)
+        codes.append(code)
+        digest.update(json.dumps([code, capsys.readouterr().out]).encode())
+    assert codes == [2, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert digest.hexdigest() == STDOUT_SHA256

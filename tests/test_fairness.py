@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efx_multigraph import (
+    Witness,
     achieved_alpha,
     bundle_value,
     build_instance,
@@ -165,6 +166,23 @@ def _check_efx_all_pairs(inst, alloc, alpha=Fraction(1)):
     return True
 
 
+def _witnesses_by_definition(inst, alloc, alpha):
+    """Reference witnesses: per failing ordered pair (i, j), in ascending order, j's
+    item that i values least (ties to the lowest id), i's own value and alpha times
+    the rest of j's bundle, all from ``bundle_value``."""
+    out = []
+    for i in range(inst.n):
+        own = bundle_value(inst, i, alloc.bundles[i])
+        for j in range(inst.n):
+            if i == j or not alloc.bundles[j]:
+                continue
+            g = min(alloc.bundles[j], key=lambda e: (inst.edges[e].value_for(i), e))
+            rest = alpha * bundle_value(inst, i, alloc.bundles[j] - {g})
+            if own < rest:
+                out.append(Witness(i, j, g, own, rest))
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.booleans())
 def test_orientation_fast_path_matches_definition(seed, orient_only):
@@ -187,6 +205,7 @@ def test_orientation_fast_path_matches_definition(seed, orient_only):
         elif rng.random() < 0.8:
             bundles[rng.randrange(n)].add(e.id)
     alloc = make_allocation(n, bundles)
-    assert check_efx(inst, alloc).passed == _check_efx_all_pairs(inst, alloc)
-    assert check_efx(inst, alloc, Fraction(1, 2)).passed == \
-        _check_efx_all_pairs(inst, alloc, Fraction(1, 2))
+    for alpha in (Fraction(1), Fraction(1, 2)):
+        verdict = check_efx(inst, alloc, alpha)
+        assert verdict.passed == _check_efx_all_pairs(inst, alloc, alpha)
+        assert list(verdict.witnesses) == _witnesses_by_definition(inst, alloc, alpha)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from efx_multigraph import (
     InstanceError,
@@ -34,6 +34,7 @@ from efx_multigraph.model import (
     allocation_from_json,
     connected_components,
     instance_from_json,
+    json_text,
 )
 from reference import longest_simple_path
 
@@ -401,3 +402,31 @@ def test_skeleton_queries_and_solvers_pinned():
     assert all(any(isinstance(o[k], list) for o in outcomes) for k in (4, 5, 6))
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     assert digest == SKELETON_PIN_SHA256
+
+
+# Every type `json_text` writes: strings with quotes, backslashes, control and
+# non-ASCII characters (a lone surrogate too), and ints far beyond 64 bits.
+_DOC_STRINGS = st.text(max_size=6) | st.sampled_from(
+    ["", '"', "\\", "\\\"", "\x00\x08\x1f\x7f", "\n\r\t", "é€😀", " \ud800", "/"])
+_DOC_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+                | st.integers(-10**300, 10**300) | _DOC_STRINGS)
+_DOCUMENTS = st.recursive(
+    _DOC_SCALARS,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_DOC_STRINGS, kids, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_json_text_matches_indented_dumps(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_text_empty_containers_and_rejected_types():
+    doc = {"a": [], "b": {}, "c": [[], {}, ([], {"d": ()})], "": [{"e": {}}]}
+    assert json_text(doc) == json.dumps(doc, indent=2)
+    for bad in (1.5, Fraction(1, 2), {1, 2}, {1: "one"}, {"k": [0, 0.5]}, [{"k": {(1,)}}],
+                {"k": {"x": 1, 2: "y"}}):
+        with pytest.raises(TypeError):
+            json_text(bad)

@@ -5,6 +5,13 @@ witness found is canonical regardless of pruning or worker count.  Pruning cuts 
 branch only when some agent whose own value is already final strongly envies a
 bundle that can only keep growing, which cannot be repaired by later assignments.
 
+Each node is tested on small integer counters, with two exact rules (see
+``_Search``).  An agent that was final before the edge just placed values that
+edge at 0, so it strongly envies the bundle exactly when it envies it: one
+integer compare.  An agent whose last edge was just placed scans only the
+bundles its edges can reach, and one holding an item it values at 0 (fewer of
+its own items than the bundle's size) is strongly envied as soon as it is envied.
+
 The search runs on each agent's exact integer values (``Instance.weights``); the
 witness is re-verified by ``check_efx``, which reports it in exact rationals.
 """
@@ -45,11 +52,26 @@ class OracleResult:
 
 class _Search:
     """DFS state shared across the recursion; values are each agent's integer
-    weights (``Instance.weights``), laid out as dense per-edge rows.
+    weights (``Instance.weights``), laid out as dense per-edge rows, and
+    ``held[x][k]`` counts x's incident edges in bundle k.
 
     Edges are placed in id order, so an agent's own value is final from its last
-    incident edge on; the agents that close at each depth, and those already
-    final, are listed once up front.
+    incident edge on.  Every weight is positive, so bundle k holds an item worth
+    0 to x exactly when ``held[x][k] < len(bundles[k])``.  Two rules test a node
+    after an edge goes to bundle k:
+
+    - A final agent x is not an endpoint of that edge, so the edge is worth 0 to
+      x and removing it leaves k's value to x unchanged: x strongly envies k iff
+      ``val[x][k] > val[x][x]``.  Only the final agents that can hold an item in
+      k are tested; in an orientation these are k's final neighbours.
+    - A closing agent x, whose own value has just become final, is tested
+      against its rivals: the agents other than x that appear in the options of
+      x's edges.  No other bundle can ever hold x's items, so x values it at 0.
+      A rival bundle worth more than x's own that holds an item worth 0 to x is
+      strongly envied at once; otherwise its least-valued item is taken.
+
+    Each agent's rivals, and the final agents to test per step and option, are
+    listed once when the search is set up.
 
     A search may be confined to the subtree below a fixed ``prefix`` of
     assignments (one parallel task).  The nodes above the prefix's end are shared
@@ -62,7 +84,7 @@ class _Search:
     def __init__(self, inst: Instance, choices: list[tuple[int, ...]], prune: bool,
                  counting: bool, prefix: tuple[int, ...] = ()):
         n = inst.n
-        self.options = [(k,) for k in prefix] + choices[len(prefix):]
+        options = [(k,) for k in prefix] + choices[len(prefix):]
         self.count_from = len(prefix)
         while self.count_from and prefix[self.count_from - 1] == choices[self.count_from - 1][0]:
             self.count_from -= 1
@@ -75,36 +97,61 @@ class _Search:
         # Agents no edge touches value every bundle at 0 and never envy: they get
         # no rows.  weight[x][e] is x's scaled value of item e (0 off x's edges).
         self.agents = [x for x in range(n) if last[x] >= 0]
-        self.weight: list[list[int] | None] = [None] * n
-        self.val: list[list[int] | None] = [None] * n
+        weight: list[list[int] | None] = [None] * n
+        val: list[list[int] | None] = [None] * n
+        held: list[list[int] | None] = [None] * n
+        # x's rivals: the bundles other than x's own that x's items can go to.
+        rivals: list[set[int] | tuple[int, ...]] = [()] * n
         for x in self.agents:
-            self.weight[x] = [0] * inst.m
+            row = weight[x] = [0] * inst.m
             for e, w in inst.weights[x].items():
-                self.weight[x][e] = w
-            self.val[x] = [0] * n
+                row[e] = w
+            val[x] = [0] * n
+            held[x] = [0] * n
+            rivals[x] = set()
+        # final[k]: (agent, value row) of each final agent that has k as a rival.
+        final: list[tuple[tuple[int, list[int]], ...]] = [()] * n
         self.steps = []
-        for e in inst.edges:
-            wu = self.weight[e.u][e.id]
-            wv = self.weight[e.v][e.id]
-            closing = tuple(x for x in (e.u, e.v) if last[x] == e.id)
-            final = tuple(x for x in self.agents if last[x] < e.id)
-            self.steps.append((e.u, e.v, wu, wv, closing, final))
+        for e, opts in zip(inst.edges, options):
+            u, v, d = e.u, e.v, e.id
+            rivals[u].update(opts)
+            rivals[v].update(opts)
+            closing: tuple[int, ...] = ()
+            if last[u] == d:
+                closing = (u,)
+            if last[v] == d:
+                closing += (v,)
+            self.steps.append((val[u], val[v], held[u], held[v], weight[u][d], weight[v][d],
+                               closing, tuple(zip(opts, map(final.__getitem__, opts)))))
+            # x's edges are all placed: its rivals are known, and it is final below.
+            for x in closing:
+                rivals[x].discard(x)
+                rivals[x] = tuple(rivals[x])
+                pair = ((x, val[x]),)
+                for k in rivals[x]:
+                    final[k] += pair
+        self.weight, self.val, self.held, self.rivals = weight, val, held, rivals
 
         self.bundles: list[list[int]] = [[] for _ in range(n)]
-        self.assignment: list[int] = []
         self.witness: list[int] | None = None
         self.count = 0
         self.explored = 0
 
-    def _strongly_envies(self, x: int, k: int) -> bool:
+    def _envies_a_rival(self, x: int) -> bool:
         row = self.val[x]
         own = row[x]
-        other = row[k]
-        if other <= own:
-            return False
-        return own < other - min(map(self.weight[x].__getitem__, self.bundles[k]))
+        held = self.held[x]
+        bundles = self.bundles
+        for k in self.rivals[x]:
+            other = row[k]
+            if other > own:
+                bundle = bundles[k]
+                if held[k] < len(bundle) or own < other - min(map(self.weight[x].__getitem__, bundle)):
+                    return True
+        return False
 
     def _envies_some_bundle(self, x: int) -> bool:
+        """The literal test, over every bundle: the leaf check without pruning."""
         row = self.val[x]
         own = row[x]
         least = self.weight[x].__getitem__
@@ -115,50 +162,57 @@ class _Search:
                 return True
         return False
 
+    def _assignment(self) -> list[int]:
+        vector = [0] * len(self.steps)
+        for k, bundle in enumerate(self.bundles):
+            for e in bundle:
+                vector[e] = k
+        return vector
+
     def run(self, depth: int) -> bool:
         """Explore below the current assignment; True means stop (witness found and
         no count requested)."""
         if depth >= self.count_from:
             self.explored += 1
-        if depth == len(self.options):
+        if depth == len(self.steps):
             if not self.prune:
                 for x in self.agents:
                     if self._envies_some_bundle(x):
                         return False
             if self.witness is None:
-                self.witness = list(self.assignment)
+                self.witness = self._assignment()
                 if not self.counting:
                     return True
             self.count += 1
             return False
-        u, v, wu, wv, closing, final = self.steps[depth]
-        val_u = self.val[u]
-        val_v = self.val[v]
-        for k in self.options[depth]:
+        val_u, val_v, held_u, held_v, wu, wv, closing, placements = self.steps[depth]
+        for k, final in placements:
             val_u[k] += wu
             val_v[k] += wv
+            held_u[k] += 1
+            held_v[k] += 1
             bundle = self.bundles[k]
             bundle.append(depth)
-            self.assignment.append(k)
 
             dead = False
             if self.prune:
-                for x in closing:
-                    if self._envies_some_bundle(x):
+                for x, row in final:
+                    if row[k] > row[x]:
                         dead = True
                         break
-                if not dead:
-                    for x in final:
-                        if self._strongly_envies(x, k):
+                else:
+                    for x in closing:
+                        if self._envies_a_rival(x):
                             dead = True
                             break
 
             stop = False if dead else self.run(depth + 1)
 
-            self.assignment.pop()
             bundle.pop()
             val_u[k] -= wu
             val_v[k] -= wv
+            held_u[k] -= 1
+            held_v[k] -= 1
             if stop:
                 return True
         return False

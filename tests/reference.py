@@ -1,7 +1,8 @@
 """Literal definitions and stage claims that only the tests use.
 
 The package computes these through its integer, sparse valuation; the tests
-keep the rational, dense forms here as the reference.
+keep the rational, dense forms here as the reference, and the oracle's search
+with its literal per-node envy tests (``ReferenceSearch``).
 """
 from __future__ import annotations
 
@@ -113,3 +114,128 @@ def longest_simple_path(adj, vertices) -> int:
     for v in vertices:
         extend(v, {v}, 0)
     return best
+
+
+# The oracle's depth-first search as it stood before its per-node tests moved to
+# per-bundle item counts: an envy test re-reads the bundle's least-valued item
+# (a ``min`` over the viewer's weights) for every viewer and bundle.  Only the
+# class name differs from that code.
+class ReferenceSearch:
+    """DFS state shared across the recursion; values are each agent's integer
+    weights (``Instance.weights``), laid out as dense per-edge rows.
+
+    Edges are placed in id order, so an agent's own value is final from its last
+    incident edge on; the agents that close at each depth, and those already
+    final, are listed once up front.
+
+    A search may be confined to the subtree below a fixed ``prefix`` of
+    assignments (one parallel task).  The nodes above the prefix's end are shared
+    by several tasks; each is counted in ``explored`` only by the task whose
+    prefix takes the first option from that node's depth on, so the task counts
+    sum to the single search's count (without a count requested, over the tasks
+    up to the first that finds a witness).
+    """
+
+    def __init__(self, inst: Instance, choices: list[tuple[int, ...]], prune: bool,
+                 counting: bool, prefix: tuple[int, ...] = ()):
+        n = inst.n
+        self.options = [(k,) for k in prefix] + choices[len(prefix):]
+        self.count_from = len(prefix)
+        while self.count_from and prefix[self.count_from - 1] == choices[self.count_from - 1][0]:
+            self.count_from -= 1
+        self.prune = prune
+        self.counting = counting
+
+        last = [-1] * n
+        for e in inst.edges:
+            last[e.u] = last[e.v] = e.id
+        # Agents no edge touches value every bundle at 0 and never envy: they get
+        # no rows.  weight[x][e] is x's scaled value of item e (0 off x's edges).
+        self.agents = [x for x in range(n) if last[x] >= 0]
+        self.weight: list[list[int] | None] = [None] * n
+        self.val: list[list[int] | None] = [None] * n
+        for x in self.agents:
+            self.weight[x] = [0] * inst.m
+            for e, w in inst.weights[x].items():
+                self.weight[x][e] = w
+            self.val[x] = [0] * n
+        self.steps = []
+        for e in inst.edges:
+            wu = self.weight[e.u][e.id]
+            wv = self.weight[e.v][e.id]
+            closing = tuple(x for x in (e.u, e.v) if last[x] == e.id)
+            final = tuple(x for x in self.agents if last[x] < e.id)
+            self.steps.append((e.u, e.v, wu, wv, closing, final))
+
+        self.bundles: list[list[int]] = [[] for _ in range(n)]
+        self.assignment: list[int] = []
+        self.witness: list[int] | None = None
+        self.count = 0
+        self.explored = 0
+
+    def _strongly_envies(self, x: int, k: int) -> bool:
+        row = self.val[x]
+        own = row[x]
+        other = row[k]
+        if other <= own:
+            return False
+        return own < other - min(map(self.weight[x].__getitem__, self.bundles[k]))
+
+    def _envies_some_bundle(self, x: int) -> bool:
+        row = self.val[x]
+        own = row[x]
+        least = self.weight[x].__getitem__
+        bundles = self.bundles
+        # A bundle worth more than ``own`` is non-empty and is not x's own.
+        for k, other in enumerate(row):
+            if other > own and own < other - min(map(least, bundles[k])):
+                return True
+        return False
+
+    def run(self, depth: int) -> bool:
+        """Explore below the current assignment; True means stop (witness found and
+        no count requested)."""
+        if depth >= self.count_from:
+            self.explored += 1
+        if depth == len(self.options):
+            if not self.prune:
+                for x in self.agents:
+                    if self._envies_some_bundle(x):
+                        return False
+            if self.witness is None:
+                self.witness = list(self.assignment)
+                if not self.counting:
+                    return True
+            self.count += 1
+            return False
+        u, v, wu, wv, closing, final = self.steps[depth]
+        val_u = self.val[u]
+        val_v = self.val[v]
+        for k in self.options[depth]:
+            val_u[k] += wu
+            val_v[k] += wv
+            bundle = self.bundles[k]
+            bundle.append(depth)
+            self.assignment.append(k)
+
+            dead = False
+            if self.prune:
+                for x in closing:
+                    if self._envies_some_bundle(x):
+                        dead = True
+                        break
+                if not dead:
+                    for x in final:
+                        if self._strongly_envies(x, k):
+                            dead = True
+                            break
+
+            stop = False if dead else self.run(depth + 1)
+
+            self.assignment.pop()
+            bundle.pop()
+            val_u[k] -= wu
+            val_v[k] -= wv
+            if stop:
+                return True
+        return False

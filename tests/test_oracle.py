@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from efx_multigraph import (
     BudgetExceededError,
@@ -18,10 +22,14 @@ from efx_multigraph import (
     make_allocation,
     np_gadget,
     p3_block,
+    p4_q3,
     p4_qn,
+    p6_counter,
     random_instance,
     running_example,
 )
+from efx_multigraph import oracle
+from reference import ReferenceSearch
 
 
 def test_orientation_counts_building_block():
@@ -276,3 +284,132 @@ def test_count_and_witness_match_the_definition():
             else:
                 assert result.witness is None
         checked += 1
+
+
+def _pinned_searches():
+    """Labelled oracle searches whose full results, ``explored`` included, are
+    pinned by one digest: the families, the gadgets, the running example and
+    seeded small instances, some under two jobs or without pruning."""
+    def orient(inst, count=True, **kw):
+        return lambda: decide_efx_orientation(inst, count=count, **kw)
+
+    def allocate(inst, **kw):
+        return lambda: decide_efx_allocation(inst, **kw)
+
+    runs = [(f"p4_qn({q})", orient(p4_qn(q))) for q in range(4, 9)]
+    runs += [("c4_counter", orient(c4_counter())), ("p4_q3", orient(p4_q3())),
+             ("p6_counter", orient(p6_counter()))]
+    rng = random.Random(2024)
+    gadgets = [(3, 1, 1, 2, 2, 1), (3, 1, 1, 2, 2, 2)]
+    gadgets += [tuple(rng.randint(1, 6) for _ in range(5)) for _ in range(4)]
+    runs += [(f"np_gadget{pset}", orient(np_gadget(pset))) for pset in gadgets]
+    runs.append(("running_example", orient(running_example(), count=False)))
+    for seed in range(1, 9):
+        inst = random_instance(4, 8, 4, "bipartite", symmetric=seed % 2 == 0, seed=seed)
+        runs.append((f"bipartite-4x8-seed{seed}", orient(inst)))
+        runs.append((f"bipartite-4x8-seed{seed}/first", orient(inst, count=False)))
+    for seed in range(1, 7):
+        runs.append((f"bipartite-3x5-seed{seed}/allocation",
+                     allocate(random_instance(3, 5, 3, "bipartite", seed=seed))))
+        runs.append((f"cycle-3x5-seed{seed}/allocation",
+                     allocate(random_instance(3, 5, 3, "cycle", seed=seed))))
+    jobs2 = [("p4_qn(6)/jobs2", orient(p4_qn(6), jobs=2)),
+             ("running_example/jobs2", orient(running_example(), count=False, jobs=2)),
+             ("np_gadget(3,1,1,2,2,1)/jobs2", orient(np_gadget((3, 1, 1, 2, 2, 1)), jobs=2)),
+             ("bipartite-4x8-seed1/jobs2",
+              orient(random_instance(4, 8, 4, "bipartite", seed=1), jobs=2)),
+             ("cycle-3x5-seed1/allocation/jobs2",
+              allocate(random_instance(3, 5, 3, "cycle", seed=1), jobs=2))]
+    unpruned = [("c4_counter/unpruned", orient(c4_counter(), prune=False)),
+                ("bipartite-4x8-seed3/unpruned",
+                 orient(random_instance(4, 8, 4, "bipartite", seed=3), prune=False)),
+                ("cycle-3x5-seed2/allocation/unpruned",
+                 allocate(random_instance(3, 5, 3, "cycle", seed=2), prune=False))]
+    return runs + jobs2 + unpruned
+
+
+# SHA-256 over the JSON of every pinned search's ``to_json()``, in order, recorded
+# with the search's literal per-node envy tests (``reference.ReferenceSearch``).
+ORACLE_OUTCOMES_SHA256 = "a38d9b4c9e485bdaf506ebee3646c73693c9cf1ebad44fc3f6473a5dd1068767"
+
+
+def test_oracle_outcomes_pinned():
+    doc = [[label, run().to_json()] for label, run in _pinned_searches()]
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_OUTCOMES_SHA256
+
+
+@st.composite
+def _multigraphs(draw):
+    """2-5 agents and up to 9 edges drawn from a pool of at most 4 edge specs,
+    so parallel edges repeat verbatim; small integer values make ties, and
+    denominators reach 1000.  Agents without edges are common."""
+    n = draw(st.integers(2, 5))
+    value = st.one_of(st.integers(1, 4).map(Fraction),
+                      st.builds(Fraction, st.integers(1, 1000), st.integers(1, 1000)))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)).map(
+        lambda p: (p[0], p[1] + (p[1] >= p[0])))
+    pool = draw(st.lists(st.tuples(pair, value, value), min_size=1, max_size=4))
+    specs = draw(st.lists(st.sampled_from(pool), max_size=9))
+    return build_instance(n, [(u, v, wu, wv) for (u, v), wu, wv in specs])
+
+
+def _first_edges(inst, m):
+    return build_instance(inst.n, [(e.u, e.v, e.wu, e.wv) for e in inst.edges[:m]])
+
+
+def _tasks(choices):
+    """Every task prefix at split depths 0, 1 and 2."""
+    for depth in range(min(2, len(choices)) + 1):
+        yield from itertools.product(*choices[:depth])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_multigraphs())
+def test_count_based_search_matches_reference(inst):
+    # Allocations keep n^m <= 729 by searching a prefix of the edges.
+    m_alloc = inst.m
+    while inst.n ** m_alloc > 729:
+        m_alloc -= 1
+    alloc_inst = _first_edges(inst, m_alloc)
+    searches = [(inst, [(e.u, e.v) for e in inst.edges]),
+                (alloc_inst, [tuple(range(inst.n))] * m_alloc)]
+    for target, choices in searches:
+        for counting in (False, True):
+            for prefix in _tasks(choices):
+                ref = ReferenceSearch(target, choices, True, counting, prefix)
+                ref.run(0)
+                assert oracle._run_task((target, choices, prefix, True, counting)) == \
+                    (ref.witness, ref.count, ref.explored)
+            # The search leaves every counter as it found it.
+            search = oracle._Search(target, choices, True, counting)
+            search.run(0)
+            for x in search.agents:
+                assert not any(search.val[x]) and not any(search.held[x])
+            assert not any(search.bundles)
+
+
+def _tree_nodes(choices):
+    """Nodes of the full search tree: the sum over depths of the products of the
+    option counts above them."""
+    total = width = 1
+    for options in choices:
+        width *= len(options)
+        total += width
+    return total
+
+
+def test_unpruned_search_is_the_literal_enumeration():
+    # Without pruning, a search that never stops early visits every node: a
+    # counting search, or a first-witness search that finds none.
+    for inst in _tiny_instances(12, max_m=8) + [c4_counter(), p3_block()]:
+        orientations = [(e.u, e.v) for e in inst.edges]
+        for jobs in (1, 2):
+            result = decide_efx_orientation(inst, count=True, prune=False, jobs=jobs)
+            assert result.explored == _tree_nodes(orientations)
+        allocations = [tuple(range(inst.n))] * min(inst.m, 6)
+        task = (_first_edges(inst, len(allocations)), allocations, (), False, True)
+        _, _, explored = oracle._run_task(task)
+        assert explored == _tree_nodes(allocations)
+    none = decide_efx_orientation(c4_counter(), prune=False)
+    assert not none.exists and none.explored == _tree_nodes([(e.u, e.v) for e in c4_counter().edges])

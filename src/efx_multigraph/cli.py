@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from fractions import Fraction
 
 from . import bipartite, forge, oracle, solvers
 from .fairness import achieved_alpha, check_efx
@@ -31,6 +30,7 @@ from .model import (
     json_text,
     load_allocation,
     load_instance,
+    parse_rational,
     skeleton_family,
     two_coloring,
 )
@@ -66,13 +66,6 @@ def _oracle_budget(args) -> int:
         return int(env)
     except ValueError:
         raise InstanceError(f"EFX_ORACLE_BUDGET must be an integer, got {env!r}") from None
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceError(f"not a rational: {text!r} ({exc})") from None
 
 
 def _parse_set(text: str) -> tuple[int, ...]:
@@ -144,7 +137,7 @@ def _cmd_orient(args) -> int:
 def _cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
     alloc = _read_allocation(args.allocation, inst)
-    alpha = _parse_fraction(args.alpha)
+    alpha = parse_rational(args.alpha)
     verdict = check_efx(inst, alloc, alpha)
     doc = verdict.to_json()
     if args.orientation:
@@ -223,8 +216,8 @@ def _decide_arguments(p: argparse.ArgumentParser) -> None:
 def _gen_arguments(p: argparse.ArgumentParser) -> None:
     # gen's options are FamilySpec's fields, under the same names (dest).
     p.add_argument("--family", choices=list(forge.ALL_FAMILIES), required=True)
-    p.add_argument("--eps", type=_parse_fraction, default=forge.DEFAULT_EPS)
-    p.add_argument("--delta", type=_parse_fraction, default=forge.DEFAULT_DELTA)
+    p.add_argument("--eps", type=parse_rational, default=forge.DEFAULT_EPS)
+    p.add_argument("--delta", type=parse_rational, default=forge.DEFAULT_DELTA)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--set", dest="pset", metavar="SET", type=_parse_set, default=None,
                    help="comma-separated partition multiset")
@@ -241,8 +234,8 @@ def _gen_arguments(p: argparse.ArgumentParser) -> None:
 def _reduce_partition_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", dest="pset", metavar="SET", type=_parse_set, required=True,
                    help="comma-separated partition multiset")
-    p.add_argument("--eps", type=_parse_fraction, default=forge.DEFAULT_EPS)
-    p.add_argument("--delta", type=_parse_fraction, default=forge.DEFAULT_DELTA)
+    p.add_argument("--eps", type=parse_rational, default=forge.DEFAULT_EPS)
+    p.add_argument("--delta", type=parse_rational, default=forge.DEFAULT_DELTA)
 
 
 def _analyze_arguments(p: argparse.ArgumentParser) -> None:

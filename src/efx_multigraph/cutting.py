@@ -15,13 +15,13 @@ from .model import Instance, edge_set
 
 @dataclass(frozen=True)
 class CutConfig:
-    """An ordered pair of bundles partitioning E(cutter, other).
+    """An ordered pair of bundles partitioning E(cutter, other), the edges the
+    cutter shares with the other agent given to ``cut``.
 
     c1 is the bundle that received the first (most valuable) item.
     """
 
     cutter: int
-    other: int
     c1: frozenset[int]
     c2: frozenset[int]
 
@@ -44,7 +44,7 @@ def cut(inst: Instance, cutter: int, other: int) -> CutConfig:
         else:
             c2.add(e)
             v2 += w
-    return CutConfig(cutter, other, frozenset(c1), frozenset(c2))
+    return CutConfig(cutter, frozenset(c1), frozenset(c2))
 
 
 def _margin(inst: Instance, agent: int, cfg: CutConfig) -> int:

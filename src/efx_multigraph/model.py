@@ -44,23 +44,31 @@ class StructureError(ValueError):
     """An operation was asked to run on a graph shape it does not support."""
 
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+# ASCII digits only: `\d` would also read other scripts' digits, as `int` does.
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(raw: int | str) -> Fraction:
-    """Parse ``p`` or ``p/q`` into an exact rational (normalized to lowest terms)."""
-    if isinstance(raw, bool):
-        raise InstanceError(f"not a rational: {raw!r}")
-    if isinstance(raw, int):
-        return Fraction(raw)
+def parse_rational(raw: Fraction | int | str) -> Fraction:
+    """Parse ``p`` or ``p/q`` into an exact rational (normalized to lowest terms);
+    a ``Fraction`` is returned as it is.
+
+    The one rational grammar: instance weights and the CLI's ``--alpha``,
+    ``--eps`` and ``--delta`` are read by it.
+    """
     if isinstance(raw, str):
-        match = _RATIONAL_RE.match(raw.strip())
+        match = _RATIONAL_RE.fullmatch(raw.strip())
         if match:
             num, den = match.groups()
             try:
                 return Fraction(int(num), int(den or 1))
             except ZeroDivisionError:
                 raise InstanceError(f"not a rational: {raw!r} (zero denominator)") from None
+            except ValueError:  # more digits than int() converts
+                raise InstanceError("not a rational: too many digits") from None
+    elif isinstance(raw, Fraction):
+        return raw
+    elif isinstance(raw, int) and not isinstance(raw, bool):
+        return Fraction(raw)
     raise InstanceError(f"not a rational: {raw!r} (expected digits or digits/digits)")
 
 
@@ -102,13 +110,13 @@ class Instance:
         for k, e in enumerate(self.edges):
             if e.id != k:
                 raise InstanceError(f"edge {k}: id {e.id} does not match its position")
-            if e.u == e.v:
-                raise InstanceError(f"edge {k}: self-loop on agent {e.u}")
             for a in (e.u, e.v):
                 if not isinstance(a, int) or isinstance(a, bool):
                     raise InstanceError(f"edge {k}: agent id {a!r} is not an integer")
                 if not (0 <= a < self.n):
                     raise InstanceError(f"edge {k}: agent id {a} out of range [0, {self.n})")
+            if e.u == e.v:
+                raise InstanceError(f"edge {k}: self-loop on agent {e.u}")
             # A Fraction keeps its sign in the numerator, which compares as a plain int.
             if e.wu.numerator <= 0 or e.wv.numerator <= 0:
                 raise InstanceError(f"edge {k}: non-positive weight")
@@ -196,13 +204,18 @@ class Instance:
 
 
 def build_instance(n: int, edge_specs: Iterable[tuple[int, int, Fraction | int | str, Fraction | int | str]]) -> Instance:
-    """Construct an Instance from (u, v, wu, wv) tuples, assigning ids by position."""
-    edges = tuple(
-        EdgeItem(k, u, v, parse_rational(wu) if not isinstance(wu, Fraction) else wu,
-                 parse_rational(wv) if not isinstance(wv, Fraction) else wv)
-        for k, (u, v, wu, wv) in enumerate(edge_specs)
-    )
-    return Instance(n, edges)
+    """Construct an Instance from (u, v, wu, wv) tuples, assigning ids by position.
+
+    The weights go through ``parse_rational`` and the rest through ``Instance``,
+    the one validator of instances, read from a document or built in code.
+    """
+    edges = []
+    for k, (u, v, wu, wv) in enumerate(edge_specs):
+        try:
+            edges.append(EdgeItem(k, u, v, parse_rational(wu), parse_rational(wv)))
+        except InstanceError as exc:
+            raise InstanceError(f"edge {k}: {exc}") from None
+    return Instance(n, tuple(edges))
 
 
 def edge_set(inst: Instance, i: int, j: int) -> frozenset[int]:
@@ -463,36 +476,26 @@ def check_agent_count(n: int) -> None:
 
 
 def instance_from_json(doc: object) -> Instance:
+    """The instance a decoded document describes.  This reader checks only the
+    document's shape; ``build_instance`` checks the values it holds."""
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
     if "n" not in doc or "edges" not in doc:
         raise InstanceError("instance document needs 'n' and 'edges'")
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InstanceError(f"'n' must be a positive integer, got {n!r}")
-    check_agent_count(n)
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise InstanceError("'edges' must be a list")
-    edges = []
+    specs = []
     for k, rec in enumerate(raw_edges):
         if not isinstance(rec, dict):
             raise InstanceError(f"edge {k}: expected an object")
         try:
-            u, v = rec["u"], rec["v"]
-            wu = parse_rational(rec["wu"])
-            wv = parse_rational(rec["wv"])
+            specs.append((rec["u"], rec["v"], rec["wu"], rec["wv"]))
         except KeyError as exc:
             raise InstanceError(f"edge {k}: missing field {exc.args[0]!r}") from None
-        except InstanceError as exc:
-            raise InstanceError(f"edge {k}: {exc}") from None
-        for a in (u, v):
-            if not isinstance(a, int) or isinstance(a, bool):
-                raise InstanceError(f"edge {k}: agent id {a!r} is not an integer")
-        if wu.numerator <= 0 or wv.numerator <= 0:
-            raise InstanceError(f"non-positive weight at edge {k}")
-        edges.append(EdgeItem(k, u, v, wu, wv))
-    return Instance(n, tuple(edges))
+    inst = build_instance(doc["n"], specs)
+    check_agent_count(inst.n)
+    return inst
 
 
 def _read_json(source: str | Path | IO[str]) -> object:
@@ -500,7 +503,7 @@ def _read_json(source: str | Path | IO[str]) -> object:
     text = source.read() if hasattr(source, "read") else Path(source).read_text()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer with too many digits
         raise InstanceError(f"invalid JSON: {exc}") from None
 
 
@@ -574,22 +577,19 @@ def allocation_from_json(doc: object, inst: Instance) -> Allocation:
     raw = doc["bundles"]
     if not isinstance(raw, list) or len(raw) != inst.n:
         raise InstanceError(f"'bundles' must be a list of exactly {inst.n} lists")
+    seen: set[int] = set()
     for a, bundle in enumerate(raw):
         if not isinstance(bundle, list):
             raise InstanceError(f"bundle {a}: expected a list of edge ids, got {bundle!r}")
         for e in bundle:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise InstanceError(f"bundle {a}: edge id {e!r} is not an integer")
-    alloc = Allocation(tuple(frozenset(b) for b in raw))
-    seen: set[int] = set()
-    for a, bundle in enumerate(alloc.bundles):
-        for e in bundle:
             if not (0 <= e < inst.m):
                 raise InstanceError(f"bundle {a}: edge id {e!r} out of range [0, {inst.m})")
             if e in seen:
-                raise InstanceError(f"edge id {e} assigned to more than one agent")
+                raise InstanceError(f"bundle {a}: edge id {e} listed more than one time")
             seen.add(e)
-    return alloc
+    return Allocation(tuple(frozenset(b) for b in raw))
 
 
 def load_allocation(source: str | Path | IO[str], inst: Instance) -> Allocation:

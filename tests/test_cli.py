@@ -125,6 +125,9 @@ def test_verify_custom_alpha(tmp_path, capsys):
     code, verdict = run_cli(capsys, ["verify", str(inst_path), str(alloc_path), "--alpha", "3/4"])
     assert code == 0
     assert verdict["alpha"] == "3/4"
+    # --alpha takes the p or p/q form of instance weights, in ASCII digits.
+    for alpha in ("0.5", "\u0661/\u0662"):
+        _error_exit(capsys, ["verify", str(inst_path), str(alloc_path), "--alpha", alpha])
 
 
 def test_decide_budget_exit(capsys, monkeypatch):
@@ -321,6 +324,7 @@ def test_gen_bad_family_usage(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["gen", "--family", "c4-counter", "--eps", "1/0"],
+    ["gen", "--family", "c4-counter", "--eps", "0.01"],
     ["gen", "--family", "np-gadget", "--set", "1,x"],
     ["reduce-partition", "--set", "1,2", "--delta", "abc"],
 ])
@@ -421,8 +425,8 @@ def test_decide_clamps_jobs_to_cores(tmp_path, capsys, monkeypatch):
 
 
 # Any JSON document, with the keys and values the readers look for made likely.
-# Integers stay small: the readers accept any positive agent count, and the work
-# after parsing grows with it.
+# Integers stay small: the readers accept up to MAX_AGENTS agents, and the work
+# after parsing grows with the count.
 _leaves = st.one_of(st.none(), st.booleans(), st.integers(-2, 5),
                     st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from(["1", "2/3", "0", "-1", "1/0", "1.5", "x", ""]))

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -44,9 +45,30 @@ def test_parse_rational_forms():
     assert parse_rational("10") == Fraction(10)
     assert parse_rational(7) == Fraction(7)
     assert parse_rational("6/4") == Fraction(3, 2)
-    for bad in ("1.5", "x", "1/0/2", True, "1e3", "1/0"):
+    assert parse_rational(Fraction(5, 3)) == Fraction(5, 3)
+    for bad in ("1.5", "x", "1/0/2", True, "1e3", "1/0", "0.5", "1e-2", "+1/2",
+                "\uff11\uff12", "\u0663/\u0664", None, 1.5):
         with pytest.raises(InstanceError):
             parse_rational(bad)
+
+
+def test_over_long_digit_strings_are_instance_errors():
+    # int() refuses strings of more than sys.get_int_max_str_digits() digits,
+    # and json.loads refuses such integers, both with a bare ValueError.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        digits = "9" * 5000
+        for text in (digits, f"1/{digits}"):
+            with pytest.raises(InstanceError, match="too many digits"):
+                parse_rational(text)
+        for doc in (f'{{"n": 2, "edges": [{{"u": 0, "v": 1, "wu": "{digits}", "wv": "1"}}]}}',
+                    f'{{"n": 2, "edges": [{{"u": 0, "v": 1, "wu": {digits}, "wv": "1"}}]}}',
+                    f'{{"n": {digits}, "edges": []}}'):
+            with pytest.raises(InstanceError):
+                load_instance(io.StringIO(doc))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @given(st.integers(-10**30, 10**30), st.integers(1, 10**30), st.sampled_from(["", "0", "00"]))
@@ -94,14 +116,41 @@ def test_negative_weight_rejected():
             ' {"u": 0, "v": 1, "wu": "-2", "wv": "1"}]}'))
 
 
+@pytest.mark.parametrize("n, spec, message", [
+    (0, (0, 1, "2", "3"), "agent count must be a positive integer, got 0"),
+    (True, (0, 1, "2", "3"), "agent count must be a positive integer, got True"),
+    ("2", (0, 1, "2", "3"), "agent count must be a positive integer, got '2'"),
+    (2, (True, 1, "2", "3"), "edge 1: agent id True is not an integer"),
+    (2, (0, "1", "2", "3"), "edge 1: agent id '1' is not an integer"),
+    (2, (0, 5, "2", "3"), "edge 1: agent id 5 out of range [0, 2)"),
+    (2, (1, 1, "2", "3"), "edge 1: self-loop on agent 1"),
+    (2, (0, 1, "0", "3"), "edge 1: non-positive weight"),
+    (2, (0, 1, "2", "-3/4"), "edge 1: non-positive weight"),
+    (2, (0, 1, "2", "3/x"), "edge 1: not a rational: '3/x' (expected digits or digits/digits)"),
+], ids=["n-zero", "n-bool", "n-str", "agent-bool", "agent-str", "agent-range", "self-loop",
+        "weight-zero", "weight-negative", "weight-word"])
+def test_reader_and_constructor_report_each_fault_alike(n, spec, message):
+    # The reader checks only the document's shape; every rule on the values is
+    # the constructor's, so a fault reads the same however the instance arrives.
+    specs = [(0, 1, "1", "1"), spec]
+    doc = {"n": n, "edges": [dict(zip(("u", "v", "wu", "wv"), s)) for s in specs]}
+    for build in (lambda: instance_from_json(doc), lambda: build_instance(n, specs)):
+        with pytest.raises(InstanceError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("weight", ["0", "-0", "0/7", "-3/4"])
 def test_reader_rejects_non_positive_weight(weight):
-    # The reader's sign check runs before the constructor's, and before its self-loop check.
-    for u, v in ((0, 1), (1, 1)):
-        doc = {"n": 2, "edges": [{"u": 0, "v": 1, "wu": "1", "wv": "1"},
-                                 {"u": u, "v": v, "wu": "2", "wv": weight}]}
-        with pytest.raises(InstanceError, match="^non-positive weight at edge 1$"):
-            instance_from_json(doc)
+    # Every spelling of a zero or negative weight is refused with the
+    # constructor's message, and only after the edge's shape checks.
+    doc = {"n": 2, "edges": [{"u": 0, "v": 1, "wu": "1", "wv": "1"},
+                             {"u": 0, "v": 1, "wu": "2", "wv": weight}]}
+    with pytest.raises(InstanceError, match="^edge 1: non-positive weight$"):
+        instance_from_json(doc)
+    doc["edges"][1].update(u=1, v=1)
+    with pytest.raises(InstanceError, match="^edge 1: self-loop on agent 1$"):
+        instance_from_json(doc)
 
 
 @pytest.mark.parametrize("weight", [Fraction(0), Fraction(-1, 2)])
@@ -242,8 +291,9 @@ def test_allocation_json_validation(walkthrough):
     assert alloc.bundles[0] == {0}
     with pytest.raises(InstanceError, match="exactly 7"):
         allocation_from_json({"bundles": [[0]]}, walkthrough)
-    with pytest.raises(InstanceError, match="more than one"):
-        allocation_from_json({"bundles": [[0], [0], [], [], [], [], []]}, walkthrough)
+    for bundles in ([[0], [0]], [[0, 0], [1, 2]]):
+        with pytest.raises(InstanceError, match="more than one"):
+            allocation_from_json({"bundles": bundles + [[]] * 5}, walkthrough)
     with pytest.raises(InstanceError, match="out of range"):
         allocation_from_json({"bundles": [[99], [], [], [], [], [], []]}, walkthrough)
 

@@ -246,15 +246,9 @@ def _safe_loop(state: AllocationState, events: list[dict] | None) -> None:
         cfg = state.pair_cut(i, j)
         if cfg.cutter != j:
             raise StructureError("unsafe envier found on the non-cutting side")
-        pair_edges = edge_set(state.inst, i, j)
-        held_i = pair_edges & state.bundles[i]
-        held_j = pair_edges & state.bundles[j]
+        held_i, held_j = state.swap(i, j)
         if {held_i, held_j} != {cfg.c1, cfg.c2}:
             raise StructureError("swap pair is not split into the two cut bundles")
-        state.take(i, held_i)
-        state.take(j, held_j)
-        state.give(i, held_j)
-        state.give(j, held_i)
         absorbed = state.available_set(i)
         state.give(i, absorbed)
         if not state.envied() <= envied - {i}:

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from fractions import Fraction
 
 from . import bipartite, forge, oracle, solvers
 from .fairness import achieved_alpha, check_efx
@@ -68,46 +69,54 @@ def _oracle_budget(args) -> int:
         raise InstanceError(f"EFX_ORACLE_BUDGET must be an integer, got {env!r}") from None
 
 
+def _rational_option(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except InstanceError as exc:  # argparse would name this function instead
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_set(text: str) -> tuple[int, ...]:
     """A comma-separated partition multiset."""
-    return tuple(int(part) for part in text.split(",") if part != "")
+    try:
+        return tuple(int(part) for part in text.split(",") if part != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
 
 
-def _solve(inst: Instance, args, trace: bipartite.PipelineTrace | None) -> Allocation:
-    """The allocation by ``args.method``; a given trace records the solver's run."""
-    if args.method == "bipartite":
-        return bipartite.efx_completion(inst, trace=trace)
-    if args.method == "star":
-        return solvers.solve_multistar(inst, trace)
-    if args.method == "tree4":
-        return solvers.solve_multitree_d4_q2(inst, trace)
-    if args.method == "cycle":
-        return _solve_cycle(inst, args, trace)
-    # The route needs the colouring and the family label, both linear; a full
-    # structure report would add every eccentricity of the largest component.
+# --method name -> solver; each takes the instance and a keyword ``trace``.
+SOLVE_METHODS = {"bipartite": bipartite.efx_completion, "star": solvers.solve_multistar,
+                 "tree4": solvers.solve_multitree_d4_q2, "cycle": solvers.solve_multicycle}
+ORIENT_METHODS = {"star": solvers.solve_multistar, "tree4": solvers.solve_multitree_d4_q2,
+                  "half-efx": bipartite.half_efx_orientation}
+
+
+def _auto_solver(inst: Instance):
+    """``--method auto``: the pipeline on a bipartite skeleton, else the cycle solver on a
+    single cycle.  Both tests are linear; a structure report adds every eccentricity."""
     if two_coloring(inst) is not None:
-        return bipartite.efx_completion(inst, trace=trace)
+        return bipartite.efx_completion
     if skeleton_family(inst, bipartite=False) == FAMILY_CYCLE:
-        return _solve_cycle(inst, args, trace)
+        return solvers.solve_multicycle
     raise StructureError(
         "no constructive method covers this instance: its skeleton is neither "
         "bipartite nor a single cycle, and EFX existence on general multi-graphs "
         "is an open question")
 
 
-def _solve_cycle(inst: Instance, args, trace: bipartite.PipelineTrace | None) -> Allocation:
-    try:
-        return solvers.solve_multicycle(inst, trace)
-    except StructureError as exc:
-        if "3-cycle" not in str(exc):
-            raise
+def _solve(inst: Instance, args, trace: bipartite.PipelineTrace | None) -> Allocation:
+    """The allocation by ``args.method``; a given trace records the solver's run."""
+    solver = SOLVE_METHODS.get(args.method) or _auto_solver(inst)  # only "auto" is no key
+    if solver is solvers.solve_multicycle and inst.n == 3 and len(inst.pairs()) == 3:
+        # The cycle solver has no rule for a triangle; search exhaustively.
         budget = _oracle_budget(args)
         print("triangle skeleton: falling back to the exhaustive search", file=sys.stderr)
         result = oracle.decide_efx_allocation(inst, budget=budget)
         if not result.exists or result.witness is None:
-            raise StructureError("exhaustive search found no complete EFX allocation") from None
+            raise StructureError("exhaustive search found no complete EFX allocation")
         return bipartite.checked(inst, result.witness.bundles, orientation=False,
                                  label="exhaustive search", trace=trace)
+    return solver(inst, trace=trace)
 
 
 def _cmd_solve(args) -> int:
@@ -122,12 +131,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_orient(args) -> int:
     inst = _read_instance(args.instance)
-    if args.method == "star":
-        alloc = solvers.solve_multistar(inst)
-    elif args.method == "tree4":
-        alloc = solvers.solve_multitree_d4_q2(inst)
-    else:
-        alloc = bipartite.half_efx_orientation(inst)
+    alloc = ORIENT_METHODS[args.method](inst)
     doc = allocation_to_json(alloc)
     doc["alpha_per_agent"] = [str(achieved_alpha(inst, alloc, a)) for a in range(inst.n)]
     _emit(doc)
@@ -168,14 +172,8 @@ def _cmd_decide(args) -> int:
 
 def _cmd_gen(args) -> int:
     fields = dataclasses.fields(forge.FamilySpec)
-    spec = forge.FamilySpec(**{f.name: getattr(args, f.name) for f in fields})
+    spec = forge.FamilySpec(**{f.name: getattr(args, f.name, f.default) for f in fields})
     _emit(instance_to_json(forge.generate(spec)))
-    return EXIT_OK
-
-
-def _cmd_reduce_partition(args) -> int:
-    inst = forge.reduce_partition(args.pset, args.eps, args.delta)
-    _emit(instance_to_json(inst))
     return EXIT_OK
 
 
@@ -187,15 +185,14 @@ def _cmd_analyze(args) -> int:
 
 def _solve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance", nargs="?", default="-")
-    p.add_argument("--method", choices=["auto", "bipartite", "star", "tree4", "cycle"],
-                   default="auto")
+    p.add_argument("--method", choices=["auto", *SOLVE_METHODS], default="auto")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--budget", type=int, default=None)
 
 
 def _orient_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance", nargs="?", default="-")
-    p.add_argument("--method", choices=["star", "tree4", "half-efx"], required=True)
+    p.add_argument("--method", choices=list(ORIENT_METHODS), required=True)
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
@@ -216,8 +213,8 @@ def _decide_arguments(p: argparse.ArgumentParser) -> None:
 def _gen_arguments(p: argparse.ArgumentParser) -> None:
     # gen's options are FamilySpec's fields, under the same names (dest).
     p.add_argument("--family", choices=list(forge.ALL_FAMILIES), required=True)
-    p.add_argument("--eps", type=parse_rational, default=forge.DEFAULT_EPS)
-    p.add_argument("--delta", type=parse_rational, default=forge.DEFAULT_DELTA)
+    p.add_argument("--eps", type=_rational_option, default=forge.DEFAULT_EPS)
+    p.add_argument("--delta", type=_rational_option, default=forge.DEFAULT_DELTA)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--set", dest="pset", metavar="SET", type=_parse_set, default=None,
                    help="comma-separated partition multiset")
@@ -232,10 +229,12 @@ def _gen_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _reduce_partition_arguments(p: argparse.ArgumentParser) -> None:
+    # gen with the family fixed: the same handler writes the same document.
+    p.set_defaults(family="np-gadget")
     p.add_argument("--set", dest="pset", metavar="SET", type=_parse_set, required=True,
                    help="comma-separated partition multiset")
-    p.add_argument("--eps", type=parse_rational, default=forge.DEFAULT_EPS)
-    p.add_argument("--delta", type=parse_rational, default=forge.DEFAULT_DELTA)
+    p.add_argument("--eps", type=_rational_option, default=forge.DEFAULT_EPS)
+    p.add_argument("--delta", type=_rational_option, default=forge.DEFAULT_DELTA)
 
 
 def _analyze_arguments(p: argparse.ArgumentParser) -> None:
@@ -250,7 +249,7 @@ COMMANDS = {
     "decide": ("exhaustive existence search", _decide_arguments, _cmd_decide),
     "gen": ("generate a benchmark instance", _gen_arguments, _cmd_gen),
     "reduce-partition": ("emit the partition gadget instance", _reduce_partition_arguments,
-                         _cmd_reduce_partition),
+                         _cmd_gen),
     "analyze": ("report the instance structure", _analyze_arguments, _cmd_analyze),
 }
 

@@ -87,6 +87,16 @@ class AllocationState:
     def take(self, agent: int, edges: Iterable[int]) -> None:
         self._move(agent, edges, -1)
 
+    def swap(self, i: int, j: int) -> tuple[frozenset[int], frozenset[int]]:
+        """Exchange what i and j hold of E(i,j); returns (held by i, held by j) before."""
+        pair_edges = edge_set(self.inst, i, j)
+        held_i, held_j = pair_edges & self.bundles[i], pair_edges & self.bundles[j]
+        self.take(i, held_i)
+        self.take(j, held_j)
+        self.give(i, held_j)
+        self.give(j, held_i)
+        return held_i, held_j
+
     def _move(self, agent: int, edges: Iterable[int], sign: int) -> None:
         bundle = self.bundles[agent]
         weights = self.inst.weights

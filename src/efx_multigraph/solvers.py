@@ -139,14 +139,7 @@ def solve_multitree_d4_q2(inst: Instance, trace: PipelineTrace | None = None) ->
                     if center_envier:
                         if len(center_envier) != 1:
                             raise StructureError("center has more than one envier")
-                        h = center_envier[0]
-                        swap = edge_set(inst, center, h)
-                        from_center = swap & state.bundles[center]
-                        from_h = swap & state.bundles[h]
-                        state.take(center, from_center)
-                        state.take(h, from_h)
-                        state.give(center, from_h)
-                        state.give(h, from_center)
+                        state.swap(center, center_envier[0])
                 # Each child takes what it shares with the agent, but for the
                 # favorite item that a re-rooted agent keeps.
                 for kid in kids:

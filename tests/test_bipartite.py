@@ -326,3 +326,26 @@ def test_untraced_completion_records_no_flags(walkthrough, monkeypatch):
 
     monkeypatch.setattr(bipartite, "_flags", no_flag_record)
     assert efx_completion(walkthrough) == expected
+
+
+@pytest.mark.parametrize("parts, message", [
+    (((0, 1), (1, 2)), "two disjoint sides"),
+    (((0,), (1,)), "two disjoint sides"),
+    (((0, 1), (2,)), "agents 0 and 1 share edges but sit on the same side"),
+])
+def test_resolve_bipartition_rejects_bad_sides(parts, message):
+    path = build_instance(3, [(0, 1, 1, 1), (1, 2, 1, 1)])
+    assert bipartite.resolve_bipartition(path, ((1,), (0, 2))) == ((1,), (0, 2))
+    with pytest.raises(StructureError, match=message):
+        bipartite.resolve_bipartition(path, parts)
+
+
+def test_p2_fails_on_a_split_off_the_cut():
+    inst = build_instance(2, [(0, 1, 5, 5), (0, 1, 3, 3), (0, 1, 2, 2)])
+    parts = ((0,), (1,))
+    cfg = AllocationState(inst, parts).pair_cut(0, 1)
+    assert check_properties(inst, make_allocation(2, [cfg.c1, cfg.c2]), parts).p2
+    halves = {cfg.c1, cfg.c2}
+    for mine in ({0}, {1}, {2}):
+        split = [frozenset(mine), frozenset({0, 1, 2} - mine)]
+        assert check_properties(inst, make_allocation(2, split), parts).p2 == (set(split) == halves)

@@ -12,17 +12,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from efx_multigraph import (
+    achieved_alpha,
     build_instance,
     cli,
     complete_efx,
+    half_efx_orientation,
     oracle,
     p4_qn,
     random_instance,
     running_example,
     save_instance,
+    solve_multicycle,
+    solve_multistar,
+    solve_multitree_d4_q2,
 )
+from efx_multigraph.bipartite import efx_completion
 from efx_multigraph.cli import main
-from efx_multigraph.model import MAX_AGENTS, instance_to_text
+from efx_multigraph.model import MAX_AGENTS, allocation_to_json, instance_to_text
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -253,6 +259,42 @@ def test_auto_routes_odd_cycle(capsys, monkeypatch):
     assert sum(len(b) for b in doc["bundles"]) == inst.m
 
 
+def test_cycle_method_on_a_path_exits_structure(capsys, monkeypatch):
+    # Three agents but two pairs: not a triangle, so no exhaustive fallback.
+    path = build_instance(3, [(0, 1, 1, 2), (1, 2, 3, 1), (1, 2, 1, 1)])
+    monkeypatch.setattr("sys.stdin", io.StringIO(instance_to_text(path)))
+    assert main(["solve", "--method", "cycle"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: skeleton is not a single cycle\n"
+
+
+_STAR = random_instance(5, 7, 2, "star", seed=0)
+_TREE = random_instance(7, 10, 2, "tree", seed=3)
+_ODD_CYCLE = random_instance(5, 9, 3, "cycle", seed=2)
+
+
+@pytest.mark.parametrize("command, method, solver, inst", [
+    ("solve", "bipartite", efx_completion, running_example()),
+    ("solve", "star", solve_multistar, _STAR),
+    ("solve", "tree4", solve_multitree_d4_q2, _TREE),
+    ("solve", "cycle", solve_multicycle, _ODD_CYCLE),
+    ("orient", "star", solve_multistar, _STAR),
+    ("orient", "tree4", solve_multitree_d4_q2, _TREE),
+    ("orient", "half-efx", half_efx_orientation, running_example()),
+])
+def test_every_method_gives_its_solvers_document(tmp_path, capsys, command, method, solver, inst):
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    code, doc = run_cli(capsys, [command, str(path), "--method", method])
+    assert code == 0
+    alloc = solver(inst)
+    expected = allocation_to_json(alloc)
+    if command == "orient":
+        expected["alpha_per_agent"] = [str(achieved_alpha(inst, alloc, a)) for a in range(inst.n)]
+    assert doc == json.loads(json.dumps(expected))
+
+
 def test_auto_triangle_falls_back_to_oracle(capsys, monkeypatch):
     triangle = build_instance(3, [(0, 1, 2, 2), (1, 2, 3, 3), (0, 2, 4, 4)])
     code, doc = run_cli(capsys, ["solve"], stdin_text=instance_to_text(triangle),
@@ -299,6 +341,18 @@ def test_reduce_partition_command(capsys):
     assert sorted(p_values) == ["1", "2", "3"]
 
 
+@pytest.mark.parametrize("options", [[], ["--eps", "1/50"], ["--delta", "1/7000"],
+                                     ["--eps", "1/3", "--delta", "2/9"], ["--delta", "1/7"]])
+def test_reduce_partition_is_gen_np_gadget(capsys, options):
+    results = []
+    for argv in (["reduce-partition"], ["gen", "--family", "np-gadget"]):
+        code = main(argv + ["--set", "3,1,1,2,2,1"] + options)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results[0] == results[1]
+    assert results[0][0] == (1 if options == ["--delta", "1/7"] else 0)  # delta above eps
+
+
 def test_gen_random_roundtrip(capsys, monkeypatch):
     code, doc = run_cli(capsys, ["gen", "--family", "random", "--n", "5", "--m", "8",
                                  "--q-max", "2", "--shape", "bipartite", "--seed", "11"])
@@ -334,6 +388,8 @@ def test_gen_bad_option_value_usage(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert sum("error:" in line for line in captured.err.splitlines()) == 1
+    # The message states the value's problem, not the name of a Python function.
+    assert "parse_rational" not in captured.err and "_parse_set" not in captured.err
 
 
 def _error_exit(capsys, argv) -> None:

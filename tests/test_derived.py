@@ -177,3 +177,15 @@ def test_moves_mark_every_agent_whose_claims_change():
                 assert _claims(state, i) == before[i]
                 checked += 1
     assert checked > 300
+
+
+def test_swap_exchanges_what_the_pair_holds():
+    # Pair (0,1) is split 2/1, and agent 0 also holds its edge with agent 2,
+    # which the swap leaves where it is.
+    inst = build_instance(3, [(0, 1, 5, 1), (0, 1, 1, 5), (0, 1, 2, 2), (0, 2, 3, 3)])
+    state = AllocationState(inst, ((0,), (1, 2)), make_allocation(3, [{0, 1, 3}, {2}]))
+    assert state.swap(0, 1) == ({0, 1}, {2})
+    assert state.bundles == [{2, 3}, {0, 1}, set()]
+    fresh = AllocationState(inst, ((0,), (1, 2)), state.freeze())
+    assert state.val == fresh.val and state.enviers == fresh.enviers
+    assert state.holder == fresh.holder

@@ -40,6 +40,16 @@ def test_envy_examples(walkthrough, stage1_alloc):
     assert not envies(walkthrough, empty, 0, 1)
 
 
+def test_strongly_envies_needs_a_nonempty_envied_bundle():
+    inst = build_instance(2, [(0, 1, 1, 1), (0, 1, 2, 2)])
+    # Agent 0 holds nothing and agent 1 both edges: only agent 0 can envy.
+    alloc = make_allocation(2, [set(), {0, 1}])
+    assert strongly_envies(inst, alloc, 0, 1) is not None
+    assert strongly_envies(inst, alloc, 1, 0) is None  # empty target
+    # Agent 0 values its own 2-edge above agent 1's 1-edge: no envy.
+    assert strongly_envies(inst, make_allocation(2, [{1}, {0}]), 0, 1) is None
+
+
 def test_strong_envy_witness_ties():
     inst = build_instance(2, [(0, 1, 1, 1), (0, 1, 1, 1)])
     alloc = make_allocation(2, [set(), {0, 1}])

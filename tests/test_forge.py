@@ -214,7 +214,23 @@ def test_generate_dispatch():
     assert generate(FamilySpec("np-gadget", pset=(1, 2))) == np_gadget((1, 2))
     spec = FamilySpec("random", n=5, m=6, q_max=2, shape="bipartite", seed=3)
     assert generate(spec) == random_instance(5, 6, 2, "bipartite", seed=3)
-    with pytest.raises(InstanceError):
+    eps, delta = Fraction(1, 50), Fraction(1, 7000)
+    assert generate(FamilySpec("p4-q3", eps=eps, delta=delta)) == p4_q3(eps, delta)
+    assert generate(FamilySpec("p3-block", eps=eps)) == p3_block(eps)
+    assert generate(FamilySpec("p6-counter", delta=delta)) == p6_counter(delta=delta)
+    assert generate(FamilySpec("running-example")) == running_example()
+    spec = FamilySpec("random", n=4, m=5, q_max=2, shape="cycle", num_max=9, den_max=3,
+                      symmetric=True, seed=1)
+    assert generate(spec) == random_instance(4, 5, 2, "cycle", num_max=9, den_max=3,
+                                             symmetric=True, seed=1)
+    with pytest.raises(InstanceError, match="needs q"):
         generate(FamilySpec("p4-qn"))
+    with pytest.raises(InstanceError, match="needs the partition multiset"):
+        generate(FamilySpec("np-gadget"))
+    full = {"n": 4, "m": 5, "q_max": 2, "shape": "tree"}
+    for missing in full:
+        fields = {k: v for k, v in full.items() if k != missing}
+        with pytest.raises(InstanceError, match="needs n, m, q_max and shape"):
+            generate(FamilySpec("random", **fields))
     with pytest.raises(InstanceError):
         generate(FamilySpec("mystery"))

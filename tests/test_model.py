@@ -99,6 +99,8 @@ def test_load_single_agent():
         ('{"n": 2, "edges": [{"u": 0, "v": 5, "wu": "1", "wv": "1"}]}', "out of range"),
         ('{"n": 2, "edges": [{"u": 0, "v": 1, "wu": "a", "wv": "1"}]}', "edge 0"),
         ('{"n": 2, "edges": [{"u": 0, "v": 1, "wv": "1"}]}', "missing"),
+        ('{"n": 2, "edges": {"u": 0}}', "^'edges' must be a list$"),
+        ('{"n": 2, "edges": [[0, 1, "1", "1"]]}', "^edge 0: expected an object$"),
         ('{"n": 0, "edges": []}', "positive"),
         ("[1, 2]", "object"),
         ("{", "invalid JSON"),
@@ -220,6 +222,7 @@ def simple_skeletons(draw):
 
 
 @given(simple_skeletons())
+@settings(deadline=None)  # the reference DFS is exponential; the program's speed has its own test
 def test_longest_path_matches_dfs(inst):
     expected = longest_simple_path(inst.neighbours, range(inst.n))
     assert _longest_simple_path(inst.neighbours, range(inst.n)) == expected
@@ -296,6 +299,12 @@ def test_allocation_json_validation(walkthrough):
             allocation_from_json({"bundles": bundles + [[]] * 5}, walkthrough)
     with pytest.raises(InstanceError, match="out of range"):
         allocation_from_json({"bundles": [[99], [], [], [], [], [], []]}, walkthrough)
+
+
+def test_make_allocation_rejects_more_bundles_than_agents():
+    assert make_allocation(3, [{0}]).bundles == ({0}, frozenset(), frozenset())
+    with pytest.raises(InstanceError, match="^allocation has 3 bundles for 2 agents$"):
+        make_allocation(2, [{0}, {1}, set()])
 
 
 def test_orientation_flag(walkthrough):

@@ -43,12 +43,18 @@ EXIT_BUDGET = 3
 EXIT_STRUCTURE = 4
 
 
+def _source(arg: str):
+    """A path, or for "-" standard input: its bytes when it has them, so that the
+    reader decodes them as UTF-8 whatever the locale."""
+    return getattr(sys.stdin, "buffer", sys.stdin) if arg == "-" else arg
+
+
 def _read_instance(arg: str) -> Instance:
-    return load_instance(sys.stdin if arg == "-" else arg)
+    return load_instance(_source(arg))
 
 
 def _read_allocation(arg: str, inst: Instance) -> Allocation:
-    return load_allocation(sys.stdin if arg == "-" else arg, inst)
+    return load_allocation(_source(arg), inst)
 
 
 def _emit(doc: dict) -> None:

@@ -77,10 +77,11 @@ def value_rows(inst: Instance, alloc: Allocation) -> list[dict[int, int]]:
         for e in bundle:
             if not (0 <= e < m):
                 raise ValueError(f"invalid edge id {e}")
-            edge = edges[e]
-            for x in (edge.u, edge.v):
-                row = rows[x]
-                row[k] = row.get(k, 0) + weights[x][e]
+            _, u, v, _, _ = edges[e]
+            row = rows[u]
+            row[k] = row.get(k, 0) + weights[u][e]
+            row = rows[v]
+            row[k] = row.get(k, 0) + weights[v][e]
     return rows
 
 
@@ -100,19 +101,23 @@ def envies(inst: Instance, alloc: Allocation, i: int, j: int) -> bool:
     return bundle_value(inst, i, alloc.bundles[j]) > bundle_value(inst, i, alloc.bundles[i])
 
 
-def least_valued_item(weights: dict[int, int], bundle: Iterable[int]) -> tuple[int, int]:
-    """The item of a non-empty bundle that a viewer with these integer weights
-    values least, and its weight; ties go to the lowest edge id.
+def least_valued_item(weights: dict[int, int], ids: Iterable[int]) -> tuple[int, int]:
+    """The item of a non-empty bundle, given as its ids in ascending order, that
+    a viewer with these integer weights values least, and its weight; ties go to
+    the lowest edge id.
 
     Removing this item leaves the viewer the most, so ``value - least`` is the
     EFX bar every strong-envy test compares against.  An item off the viewer's
-    edges weighs 0, so the lowest such id wins whenever there is one.
+    edges weighs 0, less than any of its own edges, so the first such id is the
+    answer; otherwise it is the first id of least weight.
     """
     item = -1
     least = 0
-    for e in bundle:
-        w = weights.get(e, 0)
-        if item < 0 or w < least or (w == least and e < item):
+    for e in ids:
+        w = weights.get(e)
+        if w is None:
+            return e, 0
+        if item < 0 or w < least:
             item, least = e, w
     return item, least
 
@@ -130,7 +135,7 @@ def strongly_envies(inst: Instance, alloc: Allocation, i: int, j: int) -> Witnes
     other = bundle_value(inst, i, target)
     if other <= own:
         return None
-    g, g_weight = least_valued_item(inst.weights[i], target)
+    g, g_weight = least_valued_item(inst.weights[i], sorted(target))
     surviving = other - Fraction(g_weight, inst.scales[i])
     if own < surviving:
         return Witness(i, j, g, own, surviving)
@@ -163,6 +168,7 @@ def efx_verdict(inst: Instance, rows: Sequence[dict[int, int]], bundles: Sequenc
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     num, den = alpha.numerator, alpha.denominator
     witnesses: list[Witness] = []
+    ascending: list[list[int] | None] = [None] * len(bundles)  # each bundle sorted on first use
     for i, row in enumerate(rows):
         own = row[i]
         weights = inst.weights[i]
@@ -172,7 +178,10 @@ def efx_verdict(inst: Instance, rows: Sequence[dict[int, int]], bundles: Sequenc
             # every item is worth >= 0.  So a pair with other <= own cannot fail.
             if other <= own:
                 continue
-            g, g_weight = least_valued_item(weights, bundles[j])
+            ids = ascending[j]
+            if ids is None:
+                ids = ascending[j] = sorted(bundles[j])
+            g, g_weight = least_valued_item(weights, ids)
             bar = num * (other - g_weight)
             if own * den < bar:
                 scale = inst.scales[i]
@@ -204,7 +213,7 @@ def achieved_alpha(inst: Instance, alloc: Allocation, agent: int) -> Fraction:
         if k is not None:
             row[k] = row.get(k, 0) + w
     own = row.pop(agent, 0)
-    surviving = max((other - least_valued_item(weights, alloc.bundles[k])[1]
+    surviving = max((other - least_valued_item(weights, sorted(alloc.bundles[k]))[1]
                      for k, other in row.items()), default=0)
     return Fraction(own, surviving) if surviving > own else ONE
 

@@ -5,20 +5,22 @@ endpoint agents.  All arithmetic is exact; nothing in this package touches
 floating point.  Values are read and written as ``fractions.Fraction``, and every
 comparison runs on each agent's integer valuation (``Instance.scales`` and
 ``Instance.weights``): the agent's values of its own edges, scaled by the LCM of
-their denominators.  Every JSON document is written by one writer,
-``json_text``, byte for byte as the stdlib writes it with a 2-space indent.
+their denominators.  An edge is a named tuple (``EdgeItem``), and ``Instance``
+validates every instance, read from a document or built in code.  Every JSON
+document is read as UTF-8 whatever the locale (``_read_json``), and written by
+one writer, ``json_text``, byte for byte as the stdlib writes it with a 2-space
+indent.
 """
 from __future__ import annotations
 
 import json
-import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 FAMILY_STAR = "multi-star"
 FAMILY_CYCLE = "multi-cycle"
@@ -44,23 +46,23 @@ class StructureError(ValueError):
     """An operation was asked to run on a graph shape it does not support."""
 
 
-# ASCII digits only: `\d` would also read other scripts' digits, as `int` does.
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
 def parse_rational(raw: Fraction | int | str) -> Fraction:
     """Parse ``p`` or ``p/q`` into an exact rational (normalized to lowest terms);
     a ``Fraction`` is returned as it is.
 
     The one rational grammar: instance weights and the CLI's ``--alpha``,
-    ``--eps`` and ``--delta`` are read by it.
+    ``--eps`` and ``--delta`` are read by it.  Text is ``-?[0-9]+(/[0-9]+)?``
+    after stripping whitespace, in ASCII digits only: ``int`` alone would also
+    read other scripts' digits, ``+``, ``_`` and inner whitespace.
     """
     if isinstance(raw, str):
-        match = _RATIONAL_RE.fullmatch(raw.strip())
-        if match:
-            num, den = match.groups()
+        text = raw.strip()
+        num, slash, den = text.partition("/")
+        # An ASCII string's only digits are 0-9, and ``isdigit`` is False on "".
+        if text.isascii() and (num.isdigit() or num[:1] == "-" and num[1:].isdigit()) \
+                and (den.isdigit() or not slash):
             try:
-                return Fraction(int(num), int(den or 1))
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             except ZeroDivisionError:
                 raise InstanceError(f"not a rational: {raw!r} (zero denominator)") from None
             except ValueError:  # more digits than int() converts
@@ -72,12 +74,13 @@ def parse_rational(raw: Fraction | int | str) -> Fraction:
     raise InstanceError(f"not a rational: {raw!r} (expected digits or digits/digits)")
 
 
-@dataclass(frozen=True)
-class EdgeItem:
+class EdgeItem(NamedTuple):
     """One item, shared by its two endpoint agents.
 
     ``id`` is the item's position in the instance edge list.  ``wu``/``wv`` are the
     positive values the item has for ``u``/``v``; every other agent values it at 0.
+    A tuple, so its fields cannot be reassigned and it unpacks as
+    ``id, u, v, wu, wv``.
     """
 
     id: int
@@ -105,20 +108,23 @@ class Instance:
     edges: tuple[EdgeItem, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise InstanceError(f"agent count must be a positive integer, got {self.n!r}")
-        for k, e in enumerate(self.edges):
-            if e.id != k:
-                raise InstanceError(f"edge {k}: id {e.id} does not match its position")
-            for a in (e.u, e.v):
-                if not isinstance(a, int) or isinstance(a, bool):
-                    raise InstanceError(f"edge {k}: agent id {a!r} is not an integer")
-                if not (0 <= a < self.n):
-                    raise InstanceError(f"edge {k}: agent id {a} out of range [0, {self.n})")
-            if e.u == e.v:
-                raise InstanceError(f"edge {k}: self-loop on agent {e.u}")
+        n = self.n
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise InstanceError(f"agent count must be a positive integer, got {n!r}")
+        for k, (eid, u, v, wu, wv) in enumerate(self.edges):
+            if eid != k:
+                raise InstanceError(f"edge {k}: id {eid} does not match its position")
+            # Two plain ints in range pass the agent-id rules below at once.
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+                for a in (u, v):
+                    if not isinstance(a, int) or isinstance(a, bool):
+                        raise InstanceError(f"edge {k}: agent id {a!r} is not an integer")
+                    if not (0 <= a < n):
+                        raise InstanceError(f"edge {k}: agent id {a} out of range [0, {n})")
+            if u == v:
+                raise InstanceError(f"edge {k}: self-loop on agent {u}")
             # A Fraction keeps its sign in the numerator, which compares as a plain int.
-            if e.wu.numerator <= 0 or e.wv.numerator <= 0:
+            if wu.numerator <= 0 or wv.numerator <= 0:
                 raise InstanceError(f"edge {k}: non-positive weight")
 
     # The index, the skeleton, the integer valuation and the hash are built on
@@ -162,26 +168,29 @@ class Instance:
     @cached_property
     def scales(self) -> tuple[int, ...]:
         """Per agent, the LCM of the denominators of its values of its own edges."""
-        scale = [1] * self.n
-        for e in self.edges:
-            scale[e.u] = lcm(scale[e.u], e.wu.denominator)
-            scale[e.v] = lcm(scale[e.v], e.wv.denominator)
-        return tuple(scale)
+        return self._valuation[0]
 
     @cached_property
     def weights(self) -> tuple[dict[int, int], ...]:
-        """Per agent, ``{incident edge id: value * scale}``, exact integers.
+        """Per agent, ``{incident edge id: value * scale}``, exact integers, in
+        ascending id order.
 
         Every EFX test compares values of one viewer only, so scaling a viewer's
         values by a positive integer changes no verdict; an agent values every
         edge missing from its map at 0.
         """
-        scale = self.scales
-        weights: list[dict[int, int]] = [{} for _ in range(self.n)]
-        for e in self.edges:
-            weights[e.u][e.id] = e.wu.numerator * (scale[e.u] // e.wu.denominator)
-            weights[e.v][e.id] = e.wv.numerator * (scale[e.v] // e.wv.denominator)
-        return tuple(weights)
+        return self._valuation[1]
+
+    @cached_property
+    def _valuation(self) -> tuple[tuple[int, ...], tuple[dict[int, int], ...]]:
+        """``(scales, weights)``, from one pass over the edges."""
+        ratios: list[dict[int, tuple[int, int]]] = [{} for _ in range(self.n)]
+        for k, u, v, wu, wv in self.edges:
+            ratios[u][k] = wu.as_integer_ratio()
+            ratios[v][k] = wv.as_integer_ratio()
+        scales = tuple([lcm(*[den for _, den in r.values()]) for r in ratios])
+        return scales, tuple([{e: num * (scale // den) for e, (num, den) in r.items()}
+                              for r, scale in zip(ratios, scales)])
 
     @cached_property
     def _hash(self) -> int:
@@ -498,19 +507,28 @@ def instance_from_json(doc: object) -> Instance:
     return inst
 
 
-def _read_json(source: str | Path | IO[str]) -> object:
-    """Decode the JSON document in a file or an open text stream."""
-    text = source.read() if hasattr(source, "read") else Path(source).read_text()
+def _read_json(source: str | Path | IO[str] | IO[bytes]) -> object:
+    """Decode the JSON document in a file or an open stream.  A file and a
+    binary stream are read as UTF-8, whatever the locale; bytes that are not
+    UTF-8 are an ``InstanceError``, as malformed JSON is."""
+    try:
+        text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"invalid JSON: {exc}") from None
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer with too many digits
         raise InstanceError(f"invalid JSON: {exc}") from None
 
 
-# The scalars a document holds, each with its C-level encoder.
+_encode_str = json.encoder.encode_basestring_ascii
+# The scalars a document holds, each with its C-level encoder.  Containers write
+# their str and int items inline: those are the bulk of every document.
 _JSON_SCALARS = {
-    str: json.encoder.encode_basestring_ascii,
-    int: int.__repr__,
+    str: _encode_str,
+    int: repr,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
@@ -521,41 +539,52 @@ def json_text(doc: object) -> str:
     keys, lists, tuples, str, int, bool and None; any other type raises ``TypeError``.
 
     ``json.dumps`` runs its C encoder only without ``indent``; this writer joins
-    each container's items with its depth's padding instead.
+    each container's items with its depth's padding instead, and encodes each
+    distinct key once per document.
     """
-    scalar = _JSON_SCALARS.get(type(doc))
-    return scalar(doc) if scalar is not None else _json_container(doc, "\n")
+    return _json_value(doc, "\n", {})
 
 
-def _json_container(value: object, pad: str) -> str:
-    """A dict, list or tuple whose closing bracket sits after ``pad``."""
-    inner = pad + "  "
+def _json_value(value: object, pad: str, heads: dict[str, str]) -> str:
+    """The text of a value; a container's closing bracket sits after ``pad``.
+    ``heads`` maps each key met so far in the document to its ``"key": ``."""
     kind = type(value)
+    inner = pad + "  "
+    # Plain loops: on Python 3.11 a comprehension is a function call of its own,
+    # which slows the many small containers of a document.
     if kind is dict:
         if not value:
             return "{}"
-        key_text = _JSON_SCALARS[str]
         items = []
+        add = items.append
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            scalar = _JSON_SCALARS.get(type(item))
-            items.append(key_text(key) + ": " + (scalar(item) if scalar is not None
-                                                 else _json_container(item, inner)))
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = _encode_str(key) + ": "
+            item_kind = type(item)
+            add(head + (_encode_str(item) if item_kind is str else repr(item) if item_kind is int
+                        else _json_value(item, inner, heads)))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         items = []
+        add = items.append
         for item in value:
-            scalar = _JSON_SCALARS.get(type(item))
-            items.append(scalar(item) if scalar is not None else _json_container(item, inner))
+            item_kind = type(item)
+            add(_encode_str(item) if item_kind is str else repr(item) if item_kind is int
+                else _json_value(item, inner, heads))
         return "[" + inner + ("," + inner).join(items) + pad + "]"
+    scalar = _JSON_SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def load_instance(source: str | Path | IO[str]) -> Instance:
-    """Load an instance from a path or an open text stream."""
+def load_instance(source: str | Path | IO[str] | IO[bytes]) -> Instance:
+    """Load an instance from a path or an open stream."""
     return instance_from_json(_read_json(source))
 
 
@@ -592,5 +621,5 @@ def allocation_from_json(doc: object, inst: Instance) -> Allocation:
     return Allocation(tuple(frozenset(b) for b in raw))
 
 
-def load_allocation(source: str | Path | IO[str], inst: Instance) -> Allocation:
+def load_allocation(source: str | Path | IO[str] | IO[bytes], inst: Instance) -> Allocation:
     return allocation_from_json(_read_json(source), inst)

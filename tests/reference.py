@@ -1,16 +1,19 @@
 """Literal definitions and stage claims that only the tests use.
 
 The package computes these through its integer, sparse valuation; the tests
-keep the rational, dense forms here as the reference, and the oracle's search
-with its literal per-node envy tests (``ReferenceSearch``).
+keep the rational, dense forms here as the reference, the oracle's search
+with its literal per-node envy tests (``ReferenceSearch``), and the rational
+grammar as a regular expression (``parse_rational_by_regex``).
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from efx_multigraph import (
     Allocation,
     Instance,
+    InstanceError,
     StructureError,
     bundle_value,
     edge_set,
@@ -18,6 +21,32 @@ from efx_multigraph import (
 )
 from efx_multigraph.bipartite import _first_violation, _leftovers
 from efx_multigraph.derived import AllocationState, Bipartition
+
+
+# The rational grammar as a regular expression, as ``parse_rational`` read it
+# before it parsed without one.  ASCII digits only: `\d` would also read other
+# scripts' digits, as `int` does.
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational_by_regex(raw: Fraction | int | str) -> Fraction:
+    """``parse_rational`` by the regular expression: the same value, or an
+    ``InstanceError`` with the same message."""
+    if isinstance(raw, str):
+        match = _RATIONAL_RE.fullmatch(raw.strip())
+        if match:
+            num, den = match.groups()
+            try:
+                return Fraction(int(num), int(den or 1))
+            except ZeroDivisionError:
+                raise InstanceError(f"not a rational: {raw!r} (zero denominator)") from None
+            except ValueError:  # more digits than int() converts
+                raise InstanceError("not a rational: too many digits") from None
+    elif isinstance(raw, Fraction):
+        return raw
+    elif isinstance(raw, int) and not isinstance(raw, bool):
+        return Fraction(raw)
+    raise InstanceError(f"not a rational: {raw!r} (expected digits or digits/digits)")
 
 
 def value_matrix(inst: Instance, alloc: Allocation) -> list[list[Fraction]]:

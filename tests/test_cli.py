@@ -5,8 +5,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -717,3 +721,91 @@ def test_cli_stdout_pinned(tmp_path, capsys):
         digest.update(json.dumps([code, capsys.readouterr().out]).encode())
     assert codes == [2, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0]
     assert digest.hexdigest() == STDOUT_SHA256
+
+
+# SHA-256 of `verify` stdout on the 128-agent, 1000-edge instance of the
+# benchmark's largest op, recorded before the reader, the verdict and the
+# writer were reworked for speed: the complete allocation that random.Random(3)
+# deals to random agents, at alpha 1 and with `--alpha 1/2 --orientation`, and
+# the orientation it deals to random endpoints, with `--alpha 1/2 --orientation`.
+ANCHOR_VERIFY_SHA256 = {
+    ("complete", "1", False): "b0af97ae24d0e763265fcf622083e9d9b8f3a012e5fa25e4bc153a972d99acc6",
+    ("complete", "1/2", True): "68757201d28277817000ced0a0b39db5dbee006137b320fd1bc9598d3e3e4a4a",
+    ("oriented", "1/2", True): "38f77651af60ed069f65d1114ef031630fc8ef9e467c59f339d1ef380da606f0",
+}
+
+
+def test_anchor_verify_stdout_pinned(tmp_path, capsys):
+    import random
+
+    inst = random_instance(128, 1000, 4, "bipartite", seed=3)
+    inst_path = tmp_path / "inst.json"
+    save_instance(inst, inst_path)
+    deals = {"complete": lambda rng, e: rng.randrange(inst.n),
+             "oriented": lambda rng, e: rng.choice((e.u, e.v))}
+    for name, deal in deals.items():
+        rng = random.Random(3)
+        bundles = [[] for _ in range(inst.n)]
+        for e in inst.edges:
+            bundles[deal(rng, e)].append(e.id)
+        (tmp_path / f"{name}.json").write_text(json.dumps({"bundles": bundles}))
+    for (name, alpha, orientation), want in ANCHOR_VERIFY_SHA256.items():
+        argv = ["verify", str(inst_path), str(tmp_path / f"{name}.json"), "--alpha", alpha]
+        assert main(argv + ["--orientation"] * orientation) == 2
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want, argv
+
+
+def _run_in_c_locale(argv, stdin: bytes | None = None) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process whose locale encoding is ASCII."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    return subprocess.run([sys.executable, "-m", "efx_multigraph", *argv], input=stdin,
+                          capture_output=True, env=env, timeout=60)
+
+
+def test_documents_are_read_as_utf8_whatever_the_locale(tmp_path):
+    edge = '{"u": 0, "v": 1, "wu": "1", "wv": "2"}'
+    docs = {
+        "note": f'{{"n": 2, "edges": [{edge}], "note": "caf\u00e9"}}'.encode(),
+        "arabic": '{"n": 2, "edges": [{"u": 0, "v": 1, "wu": "\u0663/\u0664", "wv": "2"}]}'.encode(),
+        "latin1": f'{{"n": 2, "edges": [{edge}], "note": "caf\u00e9"}}'.encode("latin-1"),
+        "bundles": '{"bundles": [[0], []], "note": "caf\u00e9"}'.encode(),
+        "bad-bundles": '{"bundles": [[0], []], "note": "caf\u00e9"}'.encode("latin-1"),
+    }
+    paths = {}
+    for name, data in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(data)
+    grammar = "error: edge 0: not a rational: '\\u0663/\\u0664' (expected digits or digits/digits)"
+    undecodable = "error: invalid JSON: 'utf-8' codec can't decode byte 0xe9 in position "
+    cases = [  # (argv, file read from stdin or None, exit code, stderr start)
+        (["analyze", "{note}"], None, 0, ""),
+        (["analyze"], "note", 0, ""),
+        (["analyze", "{arabic}"], None, 1, grammar),
+        (["analyze"], "arabic", 1, grammar),
+        (["analyze", "{latin1}"], None, 1, undecodable),
+        (["analyze"], "latin1", 1, undecodable),
+        (["verify", "{note}", "{bundles}"], None, 0, ""),
+        (["verify", "{note}", "-"], "bundles", 0, ""),
+        (["verify", "{note}", "{bad-bundles}"], None, 1, undecodable),
+        (["verify", "{note}", "-"], "bad-bundles", 1, undecodable),
+    ]
+    for argv, stdin, code, err in cases:
+        argv = [a.format(**{k: str(v) for k, v in paths.items()}) for a in argv]
+        result = _run_in_c_locale(argv, docs[stdin] if stdin else b"")
+        assert result.returncode == code, (argv, stdin, result.stderr)
+        assert result.stderr.decode().startswith(err), (argv, stdin, result.stderr)
+        assert (result.stderr == b"") == (code == 0)
+        if code == 0:
+            json.loads(result.stdout)
+
+
+def test_undecodable_file_is_an_instance_error(tmp_path):
+    from efx_multigraph import InstanceError, load_instance
+
+    path = tmp_path / "inst.json"
+    path.write_bytes(b'{"n": 1, "edges": [], "note": "\xff"}')
+    with pytest.raises(InstanceError, match="^invalid JSON: 'utf-8' codec can't decode byte 0xff"):
+        load_instance(path)
+    with pytest.raises(InstanceError, match="^invalid JSON: 'utf-8' codec can't decode byte 0xff"):
+        load_instance(io.BytesIO(path.read_bytes()))

@@ -19,6 +19,7 @@ from efx_multigraph import (
     random_instance,
     strongly_envies,
 )
+from efx_multigraph.fairness import least_valued_item
 
 
 def test_bundle_value_examples(walkthrough):
@@ -219,3 +220,51 @@ def test_orientation_fast_path_matches_definition(seed, orient_only):
         verdict = check_efx(inst, alloc, alpha)
         assert verdict.passed == _check_efx_all_pairs(inst, alloc, alpha)
         assert list(verdict.witnesses) == _witnesses_by_definition(inst, alloc, alpha)
+
+
+@given(st.lists(st.integers(1, 3), min_size=13, max_size=13),
+       st.sets(st.integers(0, 12)), st.sets(st.integers(13, 20)))
+def test_least_valued_item_matches_min(values, on_edges, off_edges):
+    # Ids 0-12 are the viewer's edges, with many tied weights; ids 13-20 are
+    # off its edges and weigh 0.
+    weights = dict(enumerate(values))
+    bundle = on_edges | off_edges
+    if not bundle:
+        return
+    g = min(bundle, key=lambda e: (weights.get(e, 0), e))
+    assert least_valued_item(weights, sorted(bundle)) == (g, weights.get(g, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+def test_tie_breaks_match_definition(seed, orient_only):
+    # Small integer weights tie often, so the least-valued item of a bundle is
+    # often one of several; every verifier must pick the lowest id.
+    import random
+
+    from hypothesis import assume
+
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    m = rng.randint(1, 12)
+    try:
+        inst = random_instance(n, m, 4, "bipartite", num_max=3, den_max=1, seed=seed)
+    except Exception:
+        assume(False)
+        return
+    bundles = [set() for _ in range(n)]
+    for e in inst.edges:
+        if orient_only:
+            bundles[rng.choice([e.u, e.v])].add(e.id)
+        elif rng.random() < 0.8:
+            bundles[rng.randrange(n)].add(e.id)
+    alloc = make_allocation(n, bundles)
+    for alpha in (Fraction(1), Fraction(1, 2)):
+        assert list(check_efx(inst, alloc, alpha).witnesses) == _witnesses_by_definition(inst, alloc, alpha)
+    by_pair = {(w.envier, w.envied): w for w in _witnesses_by_definition(inst, alloc, Fraction(1))}
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                assert strongly_envies(inst, alloc, i, j) == by_pair.get((i, j))
+        ratios = [w.lhs / w.rhs for (envier, _), w in by_pair.items() if envier == i]
+        assert achieved_alpha(inst, alloc, i) == min(ratios, default=Fraction(1))

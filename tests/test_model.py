@@ -37,7 +37,7 @@ from efx_multigraph.model import (
     instance_from_json,
     json_text,
 )
-from reference import longest_simple_path
+from reference import longest_simple_path, parse_rational_by_regex
 
 
 def test_parse_rational_forms():
@@ -78,6 +78,50 @@ def test_parse_rational_reads_both_parts_once(num, den, pad):
     assert parse_rational(f" {num} ") == Fraction(num)
     with pytest.raises(InstanceError, match="zero denominator"):
         parse_rational(f"{num}/{pad}0")
+
+
+class _Text(str):
+    """A str subclass: the grammar reads it as the text it holds."""
+
+
+# Pieces of text the grammar must tell apart: ASCII digits, other scripts'
+# digits (which int() reads), Unicode whitespace, signs, slashes, and digit
+# strings around int()'s 4300-digit limit.
+_RATIONAL_PIECES = (st.sampled_from(["0", "7", "42", "\u0661", "\uff12", "\u00b2", " ", "\t",
+                                     "\n", "\u00a0", "\u2003", "-", "+", "/", "_", ".", "e"])
+                    | st.integers(4295, 4305).map(lambda k: "9" * k))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_RATIONAL_PIECES, max_size=8).map("".join), st.booleans())
+def test_parse_rational_matches_regex_reference(text, subclass):
+    raw = _Text(text) if subclass else text
+    outcomes = []
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for parse in (parse_rational, parse_rational_by_regex):
+            try:
+                outcomes.append(parse(raw))
+            except InstanceError as exc:
+                outcomes.append(str(exc))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert outcomes[0] == outcomes[1]
+    assert type(outcomes[0]) is type(outcomes[1])
+
+
+def test_instance_round_trip_keeps_equality_hash_and_ids():
+    inst = random_instance(128, 1000, 4, "bipartite", seed=3)
+    again = load_instance(io.StringIO(instance_to_text(inst)))
+    assert again == inst
+    assert hash(again) == hash(inst)
+    assert [e.id for e in again.edges] == list(range(again.m))
+    assert again.scales == inst.scales and again.weights == inst.weights
+    edge = again.edges[0]
+    for field in ("id", "u", "v", "wu", "wv"):
+        with pytest.raises(AttributeError):
+            setattr(edge, field, 1)
 
 
 def test_load_running_example_shape(walkthrough):

@@ -122,12 +122,11 @@ def _greedy(state: AllocationState, events: list[dict] | None) -> None:
                                "edges": sorted(best_bundle)})
 
 
-def _violation_among(state: AllocationState, envied: set[int],
-                     agents: Iterable[int]) -> tuple[int, int, frozenset[int]] | None:
+def _violation_among(state: AllocationState, agents: Iterable[int]) -> tuple[int, int, frozenset[int]] | None:
     """The first of ``agents`` that is not envied and has a non-empty available
     set, with its lowest such co-agent j and A[i,j]."""
     for i in agents:
-        if i in envied:
+        if state.enviers[i]:
             continue
         for j in state.neighbours[i]:
             a_ij = state.available(i, j)
@@ -136,18 +135,18 @@ def _violation_among(state: AllocationState, envied: set[int],
     return None
 
 
-def _first_violation(state: AllocationState, envied: set[int]) -> tuple[int, int, frozenset[int]] | None:
+def _first_violation(state: AllocationState) -> tuple[int, int, frozenset[int]] | None:
     """The full scan over every agent (flag P4)."""
-    return _violation_among(state, envied, range(state.inst.n))
+    return _violation_among(state, range(state.inst.n))
 
 
-def _next_violation(state: AllocationState, envied: set[int]) -> tuple[int, int, frozenset[int]] | None:
+def _next_violation(state: AllocationState) -> tuple[int, int, frozenset[int]] | None:
     """``_first_violation`` over the dirty agents only: every other agent was
     found clean and nothing it depends on has moved since.  Clean agents leave
     the worklist."""
     dirty = state.dirty
     for i in sorted(dirty):
-        hit = _violation_among(state, envied, (i,))
+        hit = _violation_among(state, (i,))
         if hit is not None:
             return hit
         dirty.discard(i)
@@ -158,8 +157,7 @@ def _saturate_loop(state: AllocationState, events: list[dict] | None, stage: str
     """Drain every non-envied agent's available sets in place (the stage-2 cases)."""
     inst = state.inst
     while True:
-        envied = state.envied()
-        hit = _next_violation(state, envied)
+        hit = _next_violation(state)
         if hit is None:
             return
         i, j, a_ij = hit
@@ -170,7 +168,7 @@ def _saturate_loop(state: AllocationState, events: list[dict] | None, stage: str
             cfg = state.pair_cut(i, j)
             if a_ij not in (cfg.c1, cfg.c2):
                 raise StructureError("available bundle does not match the pair's cut")
-            if j not in envied:
+            if not state.enviers[j]:
                 state.give(i, a_ij)
                 state.give(j, cfg.c2 if a_ij == cfg.c1 else cfg.c1)
                 case = 2
@@ -225,24 +223,23 @@ def enforce_safe_sets(inst: Instance, alloc: Allocation, parts: Bipartition | No
     return state.freeze()
 
 
-def _first_unsafe(state: AllocationState, envied: set[int]) -> tuple[int, int] | None:
-    """The lowest envied agent with an envier outside its safe set, and the
-    lowest such envier."""
-    for i in sorted(envied):
-        safe = state.safe_set(i, envied, state.enviers[i])
-        for j in state.enviers_of(i):
-            if j not in safe:
-                return i, j
+def _first_unsafe(state: AllocationState) -> tuple[int, int] | None:
+    """The lowest envied agent (one whose ``state.enviers`` entry is non-empty)
+    with an envier outside its safe set, and the lowest such envier."""
+    for i, who in enumerate(state.enviers):
+        unsafe = who and who - state.safe_set(i, who)
+        if unsafe:
+            return i, min(unsafe)
     return None
 
 
 def _safe_loop(state: AllocationState, events: list[dict] | None) -> None:
     while True:
-        envied = state.envied()
-        target = _first_unsafe(state, envied)
+        target = _first_unsafe(state)
         if target is None:
             return
         i, j = target
+        before = state.envied()
         cfg = state.pair_cut(i, j)
         if cfg.cutter != j:
             raise StructureError("unsafe envier found on the non-cutting side")
@@ -251,7 +248,7 @@ def _safe_loop(state: AllocationState, events: list[dict] | None) -> None:
             raise StructureError("swap pair is not split into the two cut bundles")
         absorbed = state.available_set(i)
         state.give(i, absorbed)
-        if not state.envied() <= envied - {i}:
+        if not state.envied() <= before - {i}:
             raise StructureError("safe-set swap failed to shrink the envied set")
         if events is not None:
             events.append({"stage": "safe-set", "i": i, "j": j,
@@ -290,12 +287,11 @@ def _record(state: AllocationState, trace: PipelineTrace | None, name: str,
 def _leftovers(state: AllocationState) -> list[tuple[int, int, list[int], frozenset[int]]]:
     """(envied endpoint, other endpoint, pair, unallocated edges) for every pair
     with unallocated edges, which must have exactly one envied endpoint."""
-    envied = state.envied()
     out = []
     for a, b in state.inst.pairs():
         free = frozenset(e for e in edge_set(state.inst, a, b) if e not in state.holder)
         if free:
-            envied_ends = [x for x in (a, b) if x in envied]
+            envied_ends = [x for x in (a, b) if state.enviers[x]]
             if len(envied_ends) != 1:
                 raise StructureError(f"leftover pair ({a}, {b}) lacks a unique envied endpoint")
             i = envied_ends[0]
@@ -386,9 +382,8 @@ def _flag_values(state: AllocationState) -> Iterator[bool]:
     yield _cut_shaped(state, alloc)
     yield all(state.worth(i, state.available(i, j)) <= state.val[i][i]
               for i in range(inst.n) for j in state.neighbours[i])
-    envied = state.envied()
-    yield _first_violation(state, envied) is None
-    yield _first_unsafe(state, envied) is None
+    yield _first_violation(state) is None
+    yield _first_unsafe(state) is None
 
 
 def _cut_shaped(state: AllocationState, alloc: Allocation) -> bool:

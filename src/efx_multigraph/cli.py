@@ -62,17 +62,20 @@ def _emit(doc: dict) -> None:
 
 
 def _oracle_budget(args) -> int:
-    """The state budget of an oracle run; read only where the oracle runs, so a
-    malformed ``EFX_ORACLE_BUDGET`` fails no command that never searches."""
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("EFX_ORACLE_BUDGET")
-    if not env:
-        return oracle.DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise InstanceError(f"EFX_ORACLE_BUDGET must be an integer, got {env!r}") from None
+    """The state budget of an oracle run, at least 1; read only where the oracle runs,
+    so a malformed ``EFX_ORACLE_BUDGET`` fails no command that never searches."""
+    source, budget = "--budget", args.budget
+    if budget is None:
+        source, env = "EFX_ORACLE_BUDGET", os.environ.get("EFX_ORACLE_BUDGET")
+        if not env:
+            return oracle.DEFAULT_BUDGET
+        try:
+            budget = int(env)
+        except ValueError:
+            raise InstanceError(f"{source} must be an integer, got {env!r}") from None
+    if budget < 1:
+        raise InstanceError(f"{source} must be at least 1, got {budget}")
+    return budget
 
 
 def _rational_option(text: str) -> Fraction:

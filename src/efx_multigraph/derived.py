@@ -43,8 +43,10 @@ class AllocationState:
     ``val[i][k] = scale_i * v_i(X_k)`` (sparse, as ``fairness.value_rows`` builds
     it: agent i and the holders of i's edges) and every agent's set of enviers,
     and updates all of them on each move, so no query re-scans the edges or
-    re-sums values.  It memoizes, per ordered pair (i, j), i's preferred bundle of
-    the pair's T-side cut, which depends on the instance alone.
+    re-sums values.  ``enviers`` is the one record of envy that queries read: k
+    is envied exactly when ``enviers[k]`` is non-empty.  It memoizes, per ordered
+    pair (i, j), i's preferred bundle of the pair's T-side cut, which depends on
+    the instance alone.
 
     ``dirty`` holds every agent whose edges or envied status may have changed
     since the stage-2 loop last found it with nothing to claim; it starts with
@@ -174,15 +176,16 @@ class AllocationState:
     def enviers_of(self, i: int) -> list[int]:
         return sorted(self.enviers[i])
 
-    def safe_set(self, i: int, envied: set[int], among: Iterable[int] | None = None) -> set[int]:
-        """S_i(X), or its members among the given agents."""
-        if i not in envied:
+    def safe_set(self, i: int, among: Iterable[int] | None = None) -> set[int]:
+        """S_i(X), or its members among the given agents: those k that are not envied
+        (``enviers[k]`` is empty) and whom i would not envy after k absorbed A_i(X)."""
+        if not self.enviers[i]:
             raise ValueError(f"agent {i} is not envied; its safe set is undefined")
         # A_i holds only unallocated edges, so v_i(X_k | A_i) = val[i][k] + v_i(A_i).
         row = self.val[i]
         bar = row[i] - self.worth(i, self.available_set(i))
         among = range(self.inst.n) if among is None else among
-        return {k for k in among if k != i and k not in envied and row.get(k, 0) <= bar}
+        return {k for k in among if k != i and not self.enviers[k] and row.get(k, 0) <= bar}
 
 
 def available(inst: Instance, alloc: Allocation, i: int, j: int, parts: Bipartition) -> frozenset[int]:
@@ -205,5 +208,4 @@ def available_bundles(inst: Instance, alloc: Allocation, i: int, parts: Bipartit
 def safe_set(inst: Instance, alloc: Allocation, i: int, parts: Bipartition) -> set[int]:
     """S_i(X) for an envied agent i: non-envied agents k with
     v_i(X_i) >= v_i(X_k union A_i(X))."""
-    state = AllocationState(inst, parts, alloc)
-    return state.safe_set(i, state.envied())
+    return AllocationState(inst, parts, alloc).safe_set(i)

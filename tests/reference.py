@@ -108,7 +108,7 @@ def saturate_full_scan(state: AllocationState, events: list[dict], stage: str) -
     agent 0 for the lowest non-envied agent with an available set."""
     while True:
         envied = state.envied()
-        hit = _first_violation(state, envied)
+        hit = _first_violation(state)
         if hit is None:
             return
         i, j, a_ij = hit

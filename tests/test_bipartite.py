@@ -295,6 +295,27 @@ def test_worklist_loop_matches_full_scan(monkeypatch):
     assert starts["safe-set"] > 50
 
 
+@pytest.mark.parametrize("n, m, seed", [(256, 2000, 3), (64, 400, 7)])
+def test_stage2_turns_build_no_envied_set(monkeypatch, n, m, seed):
+    # Envy is read from AllocationState.enviers; only stage 3's shrink check
+    # builds envied sets, one before and one after each swap.
+    calls = 0
+    envied = AllocationState.envied
+
+    def counted(state):
+        nonlocal calls
+        calls += 1
+        return envied(state)
+
+    monkeypatch.setattr(AllocationState, "envied", counted)
+    trace = bipartite.PipelineTrace()
+    efx_completion(random_instance(n, m, 4, "bipartite", seed=seed), trace=trace)
+    turns = sum("case" in e for e in trace.events)
+    swaps = sum("swapped_to_i" in e for e in trace.events)
+    assert turns > 250
+    assert calls <= 2 + 2 * swaps
+
+
 def _walkthrough_gate_breaks(monkeypatch, stage: int) -> None:
     """Leave the stage-1 output without its greedy picks (P3 fails), or the
     stage-2 output unsaturated (P4 fails)."""

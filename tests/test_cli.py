@@ -165,6 +165,23 @@ def test_budget_env_must_be_an_integer(capsys, monkeypatch):
     assert captured.err == "error: EFX_ORACLE_BUDGET must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, budget):
+    triangle = tmp_path / "triangle.json"
+    save_instance(random_instance(3, 4, 2, "cycle", seed=1), triangle)
+    for argv in (["solve", str(triangle)], ["decide", str(triangle), "--target", "allocation"]):
+        for extra, env, name in ((["--budget", budget], None, "--budget"),
+                                 ([], budget, "EFX_ORACLE_BUDGET")):
+            if env is None:
+                monkeypatch.delenv("EFX_ORACLE_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("EFX_ORACLE_BUDGET", env)
+            assert main(argv + extra) == 1, (argv, name)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {name} must be at least 1, got {budget}\n"
+
+
 def test_budget_env_is_read_only_where_the_oracle_runs(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EFX_ORACLE_BUDGET", "abc")
     star = tmp_path / "star.json"

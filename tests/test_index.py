@@ -264,8 +264,16 @@ def test_state_moves_keep_matrix_and_envy_current(case, data):
         now = state.freeze()
         assert state.holder == now.holder_map()
         assert state.val == scaled_rows(inst, value_matrix(inst, now))
-        assert state.envied() == literal_envied(inst, now)
+        envied = literal_envied(inst, now)
+        assert state.envied() == envied
         for i in range(inst.n):
             assert state.enviers_of(i) == enviers_of(inst, now, i)
+            if i in envied:
+                union = frozenset().union(*(literal_available(inst, now, i, j, state.parts)
+                                            for j in range(inst.n) if j != i))
+                own = bundle_value(inst, i, now.bundles[i])
+                assert state.safe_set(i) == {
+                    k for k in range(inst.n)
+                    if k != i and k not in envied and own >= bundle_value(inst, i, now.bundles[k] | union)}
         for a in (Fraction(1), Fraction(1, 2)):
             assert efx_verdict(inst, state.val, state.bundles, a) == check_efx(inst, now, a)

@@ -4,9 +4,10 @@ Exactly one JSON document goes to stdout; human-readable notes go to stderr.
 Exit codes: 0 ok, 1 usage/parse errors, 2 verification failure, 3 oracle budget
 exceeded, 4 method/structure mismatch.
 
-Each call builds the argument parser of the invoked command only (``COMMANDS``
-holds one entry per command); ``-h``, a missing or an unknown command get the
-parser of every command, so every argv gives the same output either way.
+Each command declares its arguments once, in ``COMMANDS``.  ``main`` reads a plain
+argv (see ``_read_plain``) straight from that declaration; the argparse parser of
+every command, built from the same declarations, reads the rest and writes help
+and usage errors.
 """
 from __future__ import annotations
 
@@ -263,35 +264,93 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or with ``command`` of that command only.
+def _declare(p, name: str) -> None:
+    """Command ``name``'s arguments and handler, on an argparse parser or a ``_Declared``."""
+    _, add_arguments, handler = COMMANDS[name]
+    add_arguments(p)
+    p.set_defaults(func=handler)
 
-    Either parser reads an argv that starts with ``command`` the same way.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command."""
     parser = argparse.ArgumentParser(prog="efx-multigraph",
                                      description="EFX solvers, verifier and oracle "
                                                  "for multi-graph fair division")
-    # The top-level usage line (shown for unrecognized arguments) lists every command.
-    # Without a command the default metavar does that, and "invalid choice" still
-    # names the argument "command".
-    listed = {} if command is None else {"metavar": "{" + ",".join(COMMANDS) + "}"}
-    sub = parser.add_subparsers(dest="command", required=True, **listed)
-    for name, (help_text, add_arguments, handler) in COMMANDS.items():
-        if command is None or name == command:
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _declare(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+class _Declared:
+    """A command's arguments as ``_declare`` gives them, keyed by option string."""
+
+    def __init__(self) -> None:
+        self.options, self.positionals, self.defaults = {}, [], {}
+
+    def add_argument(self, name: str, **kw) -> None:
+        if name.startswith("-"):
+            kw.setdefault("dest", name.lstrip("-").replace("-", "_"))
+            kw.setdefault("default", False if kw.get("action") == "store_true" else None)
+            self.options[name] = kw
+        else:
+            self.positionals.append({"dest": name, **kw})
+
+    def set_defaults(self, **kw) -> None:
+        self.defaults.update(kw)
+
+
+def _value(kw: dict, text: str):
+    """``text`` by the declared type and choices; raises where argparse would report."""
+    value = kw["type"](text) if kw.get("type") else text
+    if kw.get("choices") is not None and value not in kw["choices"]:
+        raise ValueError(value)
+    return value
+
+
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The full parser's Namespace for a plain argv, else None.  Plain means the command,
+    then exact long options, each with a separate value that does not start with "-",
+    ``store_true`` flags, each at most once, and positionals ("-" is one)."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    decl = _Declared()
+    _declare(decl, argv[0])
+    tokens, positionals, values = iter(argv[1:]), iter(decl.positionals), {}
+    try:
+        for token in tokens:
+            if token.startswith("-") and token != "-":
+                kw = decl.options.get(token)
+                if kw is None or kw["dest"] in values:
+                    return None
+                if kw.get("action") == "store_true":
+                    values[kw["dest"]] = True
+                    continue
+                token = next(tokens, "-")
+                if token.startswith("-"):
+                    return None
+            elif (kw := next(positionals, None)) is None:
+                return None
+            values[kw["dest"]] = _value(kw, token)
+        if any(kw.get("nargs") != "?" for kw in positionals) or any(
+                kw.get("required") and kw["dest"] not in values for kw in decl.options.values()):
+            return None
+        for kw in [*decl.positionals, *decl.options.values()]:
+            default = kw.get("default")
+            values.setdefault(kw["dest"], _value(kw, default) if isinstance(default, str) else default)
+    except (ValueError, TypeError, argparse.ArgumentTypeError):
+        return None
+    return argparse.Namespace(command=argv[0], **{**decl.defaults, **values})
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # -h, no command and an unknown command get the full parser and its text.
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    args = _read_plain(argv)
+    if args is None:  # argparse writes the help and the usage errors
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
     except oracle.BudgetExceededError as exc:

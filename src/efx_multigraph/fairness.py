@@ -27,15 +27,6 @@ class Witness(NamedTuple):
     lhs: Fraction
     rhs: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "envier": self.envier,
-            "envied": self.envied,
-            "removed_edge": self.removed_edge,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-        }
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -46,11 +37,15 @@ class Verdict:
     alpha: Fraction = ONE
 
     def to_json(self) -> dict:
-        return {
-            "pass": self.passed,
-            "alpha": str(self.alpha),
-            "witnesses": [w.to_json() for w in self.witnesses],
-        }
+        # One envier's witnesses share its lhs and sort next to each other, so
+        # each lhs is formatted once, on the first witness of its run.
+        witnesses, last, lhs = [], None, ""
+        for w in self.witnesses:
+            if w.lhs is not last:
+                last, lhs = w.lhs, str(w.lhs)
+            witnesses.append({"envier": w.envier, "envied": w.envied,
+                              "removed_edge": w.removed_edge, "lhs": lhs, "rhs": str(w.rhs)})
+        return {"pass": self.passed, "alpha": str(self.alpha), "witnesses": witnesses}
 
 
 def bundle_value(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:

@@ -162,6 +162,8 @@ def random_instance(n: int, m: int, q_max: int, shape: str, *, num_max: int = 10
     """
     if n < 1 or m < 0 or q_max < 1:
         raise InstanceError("need n >= 1, m >= 0, q_max >= 1")
+    if num_max < 1 or den_max < 1:
+        raise InstanceError(f"need num_max >= 1 and den_max >= 1, got {num_max} and {den_max}")
     rng = random.Random(seed)
 
     def draw() -> Fraction:

@@ -413,6 +413,18 @@ def test_gen_bad_option_value_usage(capsys, argv):
     assert "parse_rational" not in captured.err and "_parse_set" not in captured.err
 
 
+@pytest.mark.parametrize("option, value", [("--num-max", "0"), ("--den-max", "0"),
+                                           ("--num-max", "-4")])
+def test_gen_value_bounds_below_one_are_usage_errors(capsys, option, value):
+    argv = ["gen", "--family", "random", "--n", "4", "--m", "6", "--q-max", "2", "--shape", "tree",
+            option, value]
+    assert main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: need num_max >= 1 and den_max >= 1, got ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def _error_exit(capsys, argv) -> None:
     """The failure half of the CLI contract: exit 1, empty stdout, one error line."""
     assert main(argv) == 1
@@ -635,9 +647,45 @@ def test_main_parses_every_argv_as_the_full_parser(argv):
     _same_as_full_parser(argv)
 
 
-@pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["analyze", "a", "b"], ["solve", "-h"]])
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["analyze", "a", "b"], ["solve", "-h"],
+    # What the plain reader declines: argparse reads these as it always did.
+    ["solve", "--method", "star", "--method", "tree4"],
+    ["decide", "--target", "orientation", "--count", "--count"],
+    ["decide", "--target", "orientation", "--budget", "-5"],
+    ["verify", "i.json", "a.json", "--alpha=1/2"],
+    ["solve", "--meth", "star"],
+    ["analyze", "--", "x.json"],
+    ["solve", "x.json", "--budget"],
+    ["verify", "i.json"],
+    ["analyze", "-"], ["analyze", ""],
+    ["gen", "--family", "random", "--n", " 7"],
+    ["reduce-partition", "--set", ""],
+])
 def test_main_parses_pinned_argvs_as_the_full_parser(argv):
     _same_as_full_parser(argv)
+
+
+def test_plain_reader_matches_the_full_parser_on_every_short_argv():
+    # Per command: its own option strings and choices, plus some values, in
+    # every argv of up to three tokens after the command name.
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = dict.fromkeys(cli.COMMANDS, 0)
+    for name, command_parser in sub.choices.items():
+        words = {"1", "-3", "1/2", "", "-", "--", "x.json"}
+        for action in command_parser._actions:
+            words.update(action.option_strings)
+            words.update(str(choice) for choice in action.choices or ())
+        words = sorted(words)
+        argvs = [[name]] + [[name, a] for a in words] + [[name, a, b] for a in words for b in words]
+        argvs += [[name, a, b, c] for a in words for b in words for c in words]
+        for argv in argvs:
+            plain = cli._read_plain(argv)
+            if plain is not None:
+                accepted[name] += 1
+                assert plain == parser.parse_args(argv), argv
+    assert min(accepted.values()) > 0 and sum(accepted.values()) > 300, accepted
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -656,28 +704,43 @@ def test_top_level_usage_errors(capsys, argv, message):
     assert err.splitlines()[-1] == "efx-multigraph: error: " + message
 
 
-def test_main_builds_only_the_invoked_commands_parser(tmp_path, capsys, monkeypatch):
-    added = []
-    add_parser = argparse._SubParsersAction.add_parser
+def test_main_builds_a_parser_only_for_help_and_usage_errors(monkeypatch):
+    built, added = [], []
+    init, add_parser = argparse.ArgumentParser.__init__, argparse._SubParsersAction.add_parser
 
-    def spy(self, name, **kwargs):
+    def spy_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def spy_add(self, name, **kwargs):
         added.append(name)
         return add_parser(self, name, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-    path = tmp_path / "inst.json"
-    save_instance(running_example(), path)
-    assert main(["analyze", str(path)]) == 0
-    assert added == ["analyze"]
-    for argv in (["-h"], ["bogus"]):
-        added.clear()
-        main(argv)
-        assert added == list(cli.COMMANDS), argv
-    capsys.readouterr()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy_add)
+    seen = []
+    for name, (help_text, add_arguments, _) in cli.COMMANDS.items():
+        monkeypatch.setitem(cli.COMMANDS, name, (help_text, add_arguments, seen.append))
+    plain = {"solve": ["i.json", "--method", "star", "--trace"],
+             "orient": ["--method", "star", "i.json"],
+             "verify": ["i.json", "a.json", "--alpha", "1/2", "--orientation"],
+             "decide": ["-", "--target", "orientation", "--count", "--jobs", "1"],
+             "gen": ["--family", "random", "--n", "4", "--m", "6", "--seed", "3"],
+             "reduce-partition": ["--set", "1,2"], "analyze": []}
+    assert set(plain) == set(cli.COMMANDS)
+    for name, rest in plain.items():
+        main([name, *rest])
+        assert seen.pop().command == name and built == [], name
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv in (["-h"], ["bogus"], ["solve", "x", "--method", "greedy"]):
+            added.clear()
+            assert main(argv) in (cli.EXIT_OK, cli.EXIT_USAGE)
+            assert added == list(cli.COMMANDS) and built, argv
+    assert seen == []
 
 
 def test_full_parser_reads_every_command():
-    # build_parser() with no argument stays the parser of every command.
+    # build_parser() is the parser of every command.
     minimal = {"solve": [], "orient": ["--method", "star"], "verify": ["i.json", "a.json"],
                "decide": ["--target", "orientation"], "gen": ["--family", "c4-counter"],
                "reduce-partition": ["--set", "1,2"], "analyze": []}

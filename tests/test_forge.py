@@ -180,6 +180,12 @@ def test_random_infeasible_parameters():
         random_instance(4, 2, 2, "tree", seed=0)  # fewer edges than skeleton
     with pytest.raises(InstanceError):
         random_instance(4, 2, 2, "blob", seed=0)
+    # Value bounds below 1 are rejected before any draw, on every shape.
+    for num_max, den_max in ((0, 1000), (1000, 0), (-3, 5), (1, -1)):
+        message = f"need num_max >= 1 and den_max >= 1, got {num_max} and {den_max}"
+        for shape in ("star", "tree", "cycle", "bipartite"):
+            with pytest.raises(InstanceError, match=message):
+                random_instance(4, 6, 2, shape, num_max=num_max, den_max=den_max, seed=0)
 
 
 # SHA-256 over _fixed_families(), recorded while each family spelled out its

@@ -103,7 +103,8 @@ ORIENT_METHODS = {"star": solvers.solve_multistar, "tree4": solvers.solve_multit
 
 def _auto_solver(inst: Instance):
     """``--method auto``: the pipeline on a bipartite skeleton, else the cycle solver on a
-    single cycle.  Both tests are linear; a structure report adds every eccentricity."""
+    single cycle.  Both tests are linear; a structure report adds the largest component's
+    eccentricities, O(diameter * skeleton pairs * size / 64) word operations."""
     if two_coloring(inst) is not None:
         return bipartite.efx_completion
     if skeleton_family(inst, bipartite=False) == FAMILY_CYCLE:

@@ -2,8 +2,9 @@
 
 The package computes these through its integer, sparse valuation; the tests
 keep the rational, dense forms here as the reference, the oracle's search
-with its literal per-node envy tests (``ReferenceSearch``), and the rational
-grammar as a regular expression (``parse_rational_by_regex``).
+with its literal per-node envy tests (``ReferenceSearch``), the rational
+grammar as a regular expression (``parse_rational_by_regex``), and a
+component's center from a BFS run at every agent (``center_by_bfs``).
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from efx_multigraph import (
 )
 from efx_multigraph.bipartite import _first_violation, _leftovers
 from efx_multigraph.derived import AllocationState, Bipartition
+from efx_multigraph.model import bfs_depths
 
 
 # The rational grammar as a regular expression, as ``parse_rational`` read it
@@ -124,6 +126,15 @@ def saturate_full_scan(state: AllocationState, events: list[dict], stage: str) -
             state.give(i, a_ij)
             case = 3
         events.append({"stage": stage, "case": case, "i": i, "j": j, "edges": sorted(a_ij)})
+
+
+def center_by_bfs(inst: Instance, comp: list[int]) -> tuple[int, int, int]:
+    """(center, radius, diameter) of a component: the lowest agent of least
+    eccentricity, that eccentricity, and the greatest one.  It runs a BFS from
+    every agent of the component, O(size * edges)."""
+    ecc = {v: max(bfs_depths(inst.neighbours, v).values()) for v in comp}
+    radius = min(ecc.values())
+    return min(v for v in comp if ecc[v] == radius), radius, max(ecc.values())
 
 
 def longest_simple_path(adj, vertices) -> int:

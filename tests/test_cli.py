@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -207,7 +208,7 @@ def test_auto_route_computes_no_diameter(tmp_path, capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("solve --method auto computed a diameter or a longest path")
 
-    monkeypatch.setattr("efx_multigraph.model._center", forbidden)
+    monkeypatch.setattr("efx_multigraph.model._ball_center", forbidden)
     monkeypatch.setattr("efx_multigraph.model._longest_simple_path", forbidden)
     cases = [
         (running_example(), 0),                                 # bipartite
@@ -456,9 +457,9 @@ def test_empty_instance_at_the_agent_limit(tmp_path, capsys):
     # With no edges every command below is linear in the agent count: `solve`,
     # `orient` and `verify` walk the skeleton in linear time (the tree solver's
     # center too, though its EFX re-check after each step is O(n * m) at worst),
-    # and `analyze`, which computes every eccentricity of a component
-    # (O(n * m)), meets only one-agent components.  Each ran under 0.5 s on a
-    # 2-core Xeon VM.
+    # and `analyze`, whose pass over a cyclic component costs
+    # O(diameter * skeleton pairs * size / 64) word operations, meets only
+    # one-agent components.  Each ran under 0.5 s on a 2-core Xeon VM.
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps({"n": MAX_AGENTS, "edges": []}))
     alloc_path = tmp_path / "alloc.json"
@@ -470,6 +471,35 @@ def test_empty_instance_at_the_agent_limit(tmp_path, capsys):
         code, doc = run_cli(capsys, argv)
         assert code == 0 and doc is not None, argv
         assert time.perf_counter() - start < 10.0, argv
+
+
+def test_analyze_and_verify_a_sparse_draw_of_4096_agents(tmp_path, capsys):
+    # 32,000 edges, each from the first half of the agents to the second, drawn
+    # edge by edge: `forge`'s bipartite shape lists every pair of sides first.
+    # `analyze` finds every eccentricity of the one bipartite component in one
+    # bit-parallel pass (6 rounds); `verify` checks an allocation that gives
+    # each edge to one end in turn.  They ran in about 0.7 s and 0.5 s on a
+    # 2-core Xeon VM, where a BFS from every agent took `analyze` over 40 s.
+    rng = random.Random(1)
+    half = 2048
+    specs = [(rng.randrange(half), half + rng.randrange(half),
+              f"{rng.randint(1, 1000)}/{rng.randint(1, 1000)}",
+              f"{rng.randint(1, 1000)}/{rng.randint(1, 1000)}") for _ in range(32_000)]
+    bundles = [[] for _ in range(2 * half)]
+    for k, (u, v, _, _) in enumerate(specs):
+        bundles[v if k % 2 else u].append(k)
+    inst_path = tmp_path / "inst.json"
+    save_instance(build_instance(2 * half, specs), inst_path)
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(json.dumps({"bundles": bundles}))
+    start = time.perf_counter()
+    code, doc = run_cli(capsys, ["analyze", str(inst_path)])
+    assert time.perf_counter() - start < 10.0
+    assert code == 0 and (doc["family"], doc["diameter"]) == ("bipartite", 6)
+    start = time.perf_counter()
+    code, doc = run_cli(capsys, ["verify", str(inst_path), str(alloc_path)])
+    assert time.perf_counter() - start < 10.0
+    assert code in (0, 2) and doc is not None
 
 
 @pytest.mark.parametrize("bundles", [[[[1]], [0, 2]], [None, [0, 1, 2]], [{}, []]])

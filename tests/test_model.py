@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from efx_multigraph import (
     InstanceError,
@@ -31,13 +31,15 @@ from efx_multigraph import (
 )
 from efx_multigraph.bipartite import half_efx_parts
 from efx_multigraph.model import (
+    _ball_center,
+    _component_center,
     _longest_simple_path,
     allocation_from_json,
     connected_components,
     instance_from_json,
     json_text,
 )
-from reference import longest_simple_path, parse_rational_by_regex
+from reference import center_by_bfs, longest_simple_path, parse_rational_by_regex
 
 
 def test_parse_rational_forms():
@@ -286,10 +288,59 @@ def test_analyze_tree_computes_no_eccentricities(monkeypatch):
     def forbidden(*args):
         raise AssertionError("analyze computed every eccentricity of a tree")
 
-    monkeypatch.setattr("efx_multigraph.model._center", forbidden)
+    monkeypatch.setattr("efx_multigraph.model._ball_center", forbidden)
     path = build_instance(4000, [(i, i + 1, 1 + i % 3, 2) for i in range(3999)])
     rep = analyze_structure(path)
     assert (rep.center, rep.diameter) == (1999, 3999)
+
+
+@st.composite
+def multigraphs(draw):
+    """A skeleton on 1-20 agents, each drawn pair repeated as 1-3 parallel edges:
+    a random graph, a union of random graphs on interleaved blocks of agents, or
+    one cycle through agents in a random order (the rest isolated)."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    shape = draw(st.sampled_from(["general", "disconnected", "cycle"]))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if shape == "disconnected":
+        block = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        pairs = [(u, v) for u, v in pairs if block[u] == block[v]]
+    if shape == "cycle" and n >= 3:
+        order = draw(st.permutations(range(n)))[:draw(st.integers(min_value=3, max_value=n))]
+        chosen = [(order[k - 1], order[k]) for k in range(len(order))]
+    else:
+        chosen = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    copies = draw(st.lists(st.integers(1, 3), min_size=len(chosen), max_size=len(chosen)))
+    return build_instance(n, [(u, v, 1, 1) for (u, v), c in zip(chosen, copies) for _ in range(c)])
+
+
+# K4: every agent has eccentricity 1, so the center is the lowest of four ties.
+K4 = build_instance(4, [(u, v, 1, 1) for u in range(4) for v in range(u + 1, 4)])
+# A triangle 0-1-2 with the tail 2-3-4-5 and an isolated agent 6: one hop per
+# round, agent 5 fills its ball only in round 4.
+TAILED_TRIANGLE = build_instance(7, [(0, 1, 1, 1), (1, 2, 1, 1), (0, 2, 1, 1), (0, 2, 2, 1),
+                                     (2, 3, 1, 1), (3, 4, 1, 1), (4, 5, 1, 1)])
+
+
+@given(multigraphs())
+@example(K4)
+@example(TAILED_TRIANGLE)
+@settings(deadline=None)
+def test_component_center_matches_a_bfs_from_every_agent(inst):
+    for depth in inst.component_depths:
+        expected = center_by_bfs(inst, sorted(depth))
+        assert _component_center(inst, depth) == expected
+        assert _ball_center(inst, sorted(depth)) == expected
+
+
+def test_single_cycle_center_is_its_lowest_agent():
+    rng = random.Random(4)
+    for size in range(3, 21):
+        order = rng.sample(range(size), size)
+        cycle = build_instance(size, [(order[k - 1], order[k], 1, 1) for k in range(size)])
+        depth = cycle.component_depths[0]
+        expected = (0, size // 2, size // 2)
+        assert _component_center(cycle, depth) == center_by_bfs(cycle, sorted(depth)) == expected
 
 
 def test_analyze_families():

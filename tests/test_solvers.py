@@ -27,8 +27,8 @@ from efx_multigraph import (
 )
 from efx_multigraph.bipartite import PipelineTrace
 from efx_multigraph.fairness import value_rows
-from efx_multigraph.model import _center
 from efx_multigraph.solvers import _divergent_split, _tree_center
+from reference import center_by_bfs
 
 
 def _solved(inst, alloc, orientation):
@@ -290,15 +290,15 @@ def test_tree_center_matches_least_eccentricity():
     for tree in trees:
         for depth in tree.component_depths:
             if len(depth) > 1:
-                assert _tree_center(tree, depth) == _center(tree, sorted(depth))
+                assert _tree_center(tree, depth) == center_by_bfs(tree, sorted(depth))
 
 
 def test_tree_solver_computes_no_eccentricities(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the tree solver computed every eccentricity")
 
-    monkeypatch.setattr("efx_multigraph.model._center", forbidden)
-    monkeypatch.setattr("efx_multigraph.solvers._center", forbidden, raising=False)
+    monkeypatch.setattr("efx_multigraph.model._ball_center", forbidden)
+    monkeypatch.setattr("efx_multigraph.solvers._ball_center", forbidden, raising=False)
     for k in range(300):
         tree = _pin_instances(k)[1]
         _solved(tree, solve_multitree_d4_q2(tree), orientation=True)

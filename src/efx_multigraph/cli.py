@@ -166,8 +166,9 @@ def _cmd_verify(args) -> int:
 def _cmd_decide(args) -> int:
     if args.jobs < 1:
         raise InstanceError(f"--jobs must be at least 1, got {args.jobs}")
-    # More workers than cores only adds processes and memory.
-    jobs = min(args.jobs, os.cpu_count() or 1)
+    # More workers than cores only adds processes and memory.  One job needs no
+    # core count.
+    jobs = args.jobs if args.jobs == 1 else min(args.jobs, os.cpu_count() or 1)
     inst = _read_instance(args.instance)
     budget = _oracle_budget(args)
     if args.target == "orientation":

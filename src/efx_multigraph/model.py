@@ -364,11 +364,16 @@ def two_coloring(inst: Instance) -> tuple[tuple[int, ...], tuple[int, ...]] | No
     Per connected component the color class holding the component's lowest agent id
     goes to the S side, so agent 0 always lands in S.
     """
+    if any(_has_odd_cycle(inst.neighbours, depth) for depth in inst.component_depths):
+        return None
+    return _depth_parity_sides(inst.component_depths)
+
+
+def _depth_parity_sides(depths: Iterable[dict[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``two_coloring`` of a skeleton with no odd cycle, from its components' depths."""
     s_side: list[int] = []
     t_side: list[int] = []
-    for depth in inst.component_depths:
-        if _has_odd_cycle(inst.neighbours, depth):
-            return None
+    for depth in depths:
         for v, d in depth.items():
             (t_side if d % 2 else s_side).append(v)
     return (tuple(sorted(s_side)), tuple(sorted(t_side)))
@@ -404,14 +409,20 @@ def _component_family(inst: Instance, depth: dict[int, int]) -> str:
 
 def skeleton_family(inst: Instance, bipartite: bool) -> str:
     """The most specific family label of the skeleton, given whether it is
-    bipartite: its one component's label, or the least specific label that
-    covers every component."""
-    families = {_component_family(inst, depth) for depth in inst.component_depths}
-    if len(inst.component_depths) == 1:
-        return next(iter(families))
-    if families <= {FAMILY_STAR}:
+    bipartite."""
+    return _covering_family([_component_family(inst, depth) for depth in inst.component_depths],
+                            bipartite)
+
+
+def _covering_family(families: list[str], bipartite: bool) -> str:
+    """``skeleton_family`` from its components' labels: the one component's
+    label, or the least specific label that covers every component."""
+    if len(families) == 1:
+        return families[0]
+    kinds = set(families)
+    if kinds <= {FAMILY_STAR}:
         return FAMILY_STAR
-    if families <= {FAMILY_STAR, FAMILY_TREE}:
+    if kinds <= {FAMILY_STAR, FAMILY_TREE}:
         return FAMILY_TREE
     return FAMILY_BIPARTITE if bipartite else FAMILY_GENERAL
 
@@ -463,12 +474,12 @@ def _tree_center(inst: Instance, depth: dict[int, int]) -> tuple[int, int, int]:
     return min(path[diameter // 2], path[(diameter + 1) // 2]), (diameter + 1) // 2, diameter
 
 
-def _component_center(inst: Instance, depth: dict[int, int]) -> tuple[int, int, int]:
-    """(center, radius, diameter) of the skeleton component with these depths:
-    the lowest agent of least eccentricity, that eccentricity, and the greatest
-    one.  A tree takes two BFS runs; on a single cycle of s agents every
-    eccentricity is s // 2; any other component takes the bit-parallel pass."""
-    family = _component_family(inst, depth)
+def _component_center(inst: Instance, depth: dict[int, int], family: str) -> tuple[int, int, int]:
+    """(center, radius, diameter) of the skeleton component with these depths
+    and this label (``_component_family``): the lowest agent of least
+    eccentricity, that eccentricity, and the greatest one.  A tree takes two BFS
+    runs; on a single cycle of s agents every eccentricity is s // 2; any other
+    component takes the bit-parallel pass."""
     if family in (FAMILY_STAR, FAMILY_TREE):
         return _tree_center(inst, depth)
     if family == FAMILY_CYCLE:
@@ -480,10 +491,15 @@ def analyze_structure(inst: Instance) -> StructureReport:
     """Compute q, distances, canonical bipartition and the most specific family label."""
     q = max(map(len, inst._pair_edges.values()), default=0)
     depths = inst.component_depths
-    main = max(depths, key=lambda depth: (len(depth), -min(depth)))
-    center, _, diameter = _component_center(inst, main)
+    # Each component is labelled once.  The label picks the route to its center
+    # and says whether it has an odd cycle: a general component has one, and a
+    # single cycle has one when its length is odd.
+    families = [_component_family(inst, depth) for depth in depths]
+    main = max(range(len(depths)), key=lambda c: (len(depths[c]), -min(depths[c])))
+    center, _, diameter = _component_center(inst, depths[main], families[main])
     longest = _longest_simple_path(inst.neighbours, range(inst.n)) if inst.n <= 12 else None
-    bipartition = two_coloring(inst)
+    bipartite = all(family != FAMILY_GENERAL and not (family == FAMILY_CYCLE and len(depth) % 2)
+                    for family, depth in zip(families, depths))
     return StructureReport(
         n=inst.n,
         m=inst.m,
@@ -492,8 +508,8 @@ def analyze_structure(inst: Instance) -> StructureReport:
         longest_path=longest,
         center=center,
         connected=len(depths) == 1,
-        bipartition=bipartition,
-        family=skeleton_family(inst, bipartition is not None),
+        bipartition=_depth_parity_sides(depths) if bipartite else None,
+        family=_covering_family(families, bipartite),
     )
 
 

@@ -12,6 +12,16 @@ integer compare.  An agent whose last edge was just placed scans only the
 bundles its edges can reach, and one holding an item it values at 0 (fewer of
 its own items than the bundle's size) is strongly envied as soon as it is envied.
 
+Edges with one ``(u, v, wu, wv)`` are interchangeable, and multi-graphs repeat
+them often.  Two nodes at one depth that gave each option equally many edges of
+each such class hold equal values, item counts and bundle weights for every
+agent, so their pruned subtrees match node for node.  The search therefore keeps
+a table of the node and leaf counts below each node reached by a repeated edge,
+and adds them up, without searching again, at every other node with the same
+counts.  A stored subtree that holds a leaf has already set the witness (or
+stopped a first-witness search), so every result, ``explored`` included, is the
+one the search without the table gives.
+
 The search runs on each agent's exact integer values (``Instance.weights``); the
 witness is re-verified by ``check_efx``, which reports it in exact rationals.
 """
@@ -79,6 +89,19 @@ class _Search:
     prefix takes the first option from that node's depth on, so the task counts
     sum to the single search's count (without a count requested, over the tasks
     up to the first that finds a witness).
+
+    A pruned search with a repeated edge below its prefix keeps a transposition
+    table.  Edges fall into classes by ``(u, v, wu, wv)``, and ``signature`` is
+    one ``int`` with a bit field per (class, option) slot that counts the placed
+    edges in that slot; every edge counts, one with no twin too.  Equal
+    signatures mean the same depth and, class by class, the same number of
+    edges in each bundle, so equal ``val``, ``held`` and bundle weights.  At a
+    step whose edge is not the first of its class, which lies past the prefix
+    and is not the last step, each child is looked up by (depth, signature): a
+    hit adds the stored ``explored`` and ``count`` of that subtree, and a miss
+    searches it and stores them.  Below the last such step nothing reads the
+    signature, and the plain search goes on.  A search with no such step, or
+    without pruning, runs the plain search throughout.
     """
 
     def __init__(self, inst: Instance, choices: list[tuple[int, ...]], prune: bool,
@@ -92,8 +115,8 @@ class _Search:
         self.counting = counting
 
         last = [-1] * n
-        for e in inst.edges:
-            last[e.u] = last[e.v] = e.id
+        for d, u, v, _, _ in inst.edges:
+            last[u] = last[v] = d
         # Agents no edge touches value every bundle at 0 and never envy: they get
         # no rows.  weight[x][e] is x's scaled value of item e (0 off x's edges).
         self.agents = [x for x in range(n) if last[x] >= 0]
@@ -111,9 +134,14 @@ class _Search:
             rivals[x] = set()
         # final[k]: (agent, value row) of each final agent that has k as a rival.
         final: list[tuple[tuple[int, list[int]], ...]] = [()] * n
+        # Edges with one (u, v, wu, wv) form a class, named by its lowest id:
+        # first[d] names edge d's class.
+        classes: dict[tuple[int, int, int, int], int] = {}
+        first = []
         self.steps = []
-        for e, opts in zip(inst.edges, options):
-            u, v, d = e.u, e.v, e.id
+        for (d, u, v, _, _), opts in zip(inst.edges, options):
+            wu, wv = weight[u][d], weight[v][d]
+            first.append(classes.setdefault((u, v, wu, wv), d))
             rivals[u].update(opts)
             rivals[v].update(opts)
             closing: tuple[int, ...] = ()
@@ -121,8 +149,8 @@ class _Search:
                 closing = (u,)
             if last[v] == d:
                 closing += (v,)
-            self.steps.append((val[u], val[v], held[u], held[v], weight[u][d], weight[v][d],
-                               closing, tuple(zip(opts, map(final.__getitem__, opts)))))
+            self.steps.append((val[u], val[v], held[u], held[v], wu, wv, closing,
+                               tuple(zip(opts, map(final.__getitem__, opts)))))
             # x's edges are all placed: its rivals are known, and it is final below.
             for x in closing:
                 rivals[x].discard(x)
@@ -136,6 +164,30 @@ class _Search:
         self.witness: list[int] | None = None
         self.count = 0
         self.explored = 0
+        self.signature = 0
+        # The last step that looks its children up; -1 keeps no table.
+        self.last_probe = -1
+        self.moves: list[tuple[tuple[int, tuple[tuple[int, list[int]], ...], int], ...]] = []
+        self.tables: list[dict[int, tuple[int, int]] | None] = []
+        if prune and len(classes) < inst.m:
+            self._index_classes(first, len(prefix))
+
+    def _index_classes(self, first: list[int], probe_from: int) -> None:
+        """``moves[d]``: per option k of step d, k's final agents (as in
+        ``steps``) and the signature's increment; ``tables[d]``: the table of
+        step d's children, or None where step d looks nothing up."""
+        # A child of the last step is a leaf: looking it up saves no more than
+        # the test it skips, and would keep the whole tree on the slower path.
+        probes = [d for d in range(probe_from, len(first) - 1) if first[d] < d]
+        if not probes:
+            return
+        self.last_probe = probes[-1]
+        width = max(map(first.count, set(first))).bit_length()
+        field: dict[tuple[int, int], int] = {}
+        for d, (c, step) in enumerate(zip(first, self.steps[:self.last_probe + 1])):
+            self.moves.append(tuple((k, final, 1 << width * field.setdefault((c, k), len(field)))
+                                    for k, final in step[-1]))
+            self.tables.append({} if probe_from <= d and c < d else None)
 
     def _envies_a_rival(self, x: int) -> bool:
         row = self.val[x]
@@ -172,6 +224,11 @@ class _Search:
     def run(self, depth: int) -> bool:
         """Explore below the current assignment; True means stop (witness found and
         no count requested)."""
+        if depth <= self.last_probe:
+            return self._dfs_classes(depth)
+        return self._dfs(depth)
+
+    def _dfs(self, depth: int) -> bool:
         if depth >= self.count_from:
             self.explored += 1
         if depth == len(self.steps):
@@ -206,7 +263,7 @@ class _Search:
                             dead = True
                             break
 
-            stop = False if dead else self.run(depth + 1)
+            stop = False if dead else self._dfs(depth + 1)
 
             bundle.pop()
             val_u[k] -= wu
@@ -216,6 +273,63 @@ class _Search:
             if stop:
                 return True
         return False
+
+    def _dfs_classes(self, depth: int) -> bool:
+        """``_dfs`` of a pruned search, keeping the signature and the tables, down
+        to the last step that looks its children up; ``_dfs`` goes on below it."""
+        if depth >= self.count_from:
+            self.explored += 1
+        val_u, val_v, held_u, held_v, wu, wv, closing, _ = self.steps[depth]
+        table = self.tables[depth]
+        descend = self._dfs if depth == self.last_probe else self._dfs_classes
+        base = self.signature
+        stop = False
+        for k, final, inc in self.moves[depth]:
+            signature = base + inc
+            if table is not None:
+                stored = table.get(signature)
+                if stored is not None:
+                    self.explored += stored[0]
+                    self.count += stored[1]
+                    continue
+            val_u[k] += wu
+            val_v[k] += wv
+            held_u[k] += 1
+            held_v[k] += 1
+            bundle = self.bundles[k]
+            bundle.append(depth)
+            self.signature = signature
+
+            # The tests of ``_dfs``.
+            dead = False
+            for x, row in final:
+                if row[k] > row[x]:
+                    dead = True
+                    break
+            else:
+                for x in closing:
+                    if self._envies_a_rival(x):
+                        dead = True
+                        break
+
+            if not dead:
+                if table is None:
+                    stop = descend(depth + 1)
+                else:
+                    explored, count = self.explored, self.count
+                    stop = descend(depth + 1)
+                    # A search that stopped never reads the table again.
+                    table[signature] = (self.explored - explored, self.count - count)
+
+            bundle.pop()
+            val_u[k] -= wu
+            val_v[k] -= wv
+            held_u[k] -= 1
+            held_v[k] -= 1
+            if stop:
+                break
+        self.signature = base
+        return stop
 
 
 def _run_task(args: tuple[Instance, list[tuple[int, ...]], tuple[int, ...], bool, bool]) -> tuple[list[int] | None, int, int]:

@@ -543,6 +543,18 @@ def test_decide_clamps_jobs_to_cores(tmp_path, capsys, monkeypatch):
     assert seen == [4, 4, 3]
 
 
+def test_decide_with_one_job_reads_no_core_count(tmp_path, capsys, monkeypatch):
+    seen = _record_jobs(monkeypatch)
+    reads: list[int] = []
+    monkeypatch.setattr("os.cpu_count", lambda: reads.append(1) or 4)
+    path = tmp_path / "inst.json"
+    save_instance(running_example(), path)
+    for argv in ([], ["--jobs", "1"], ["--jobs", "2"]):
+        assert main(["decide", str(path), "--target", "orientation", *argv]) == 0
+    assert seen == [1, 1, 2]
+    assert len(reads) == 1
+
+
 # Any JSON document, with the keys and values the readers look for made likely.
 # Integers stay small: the readers accept up to MAX_AGENTS agents, and the work
 # after parsing grows with the count.

@@ -29,15 +29,19 @@ from efx_multigraph import (
     solve_multitree_d4_q2,
     two_coloring,
 )
+from efx_multigraph import model
 from efx_multigraph.bipartite import half_efx_parts
 from efx_multigraph.model import (
+    FAMILY_CYCLE,
     _ball_center,
     _component_center,
+    _component_family,
     _longest_simple_path,
     allocation_from_json,
     connected_components,
     instance_from_json,
     json_text,
+    skeleton_family,
 )
 from reference import center_by_bfs, longest_simple_path, parse_rational_by_regex
 
@@ -329,7 +333,7 @@ TAILED_TRIANGLE = build_instance(7, [(0, 1, 1, 1), (1, 2, 1, 1), (0, 2, 1, 1), (
 def test_component_center_matches_a_bfs_from_every_agent(inst):
     for depth in inst.component_depths:
         expected = center_by_bfs(inst, sorted(depth))
-        assert _component_center(inst, depth) == expected
+        assert _component_center(inst, depth, _component_family(inst, depth)) == expected
         assert _ball_center(inst, sorted(depth)) == expected
 
 
@@ -340,7 +344,27 @@ def test_single_cycle_center_is_its_lowest_agent():
         cycle = build_instance(size, [(order[k - 1], order[k], 1, 1) for k in range(size)])
         depth = cycle.component_depths[0]
         expected = (0, size // 2, size // 2)
-        assert _component_center(cycle, depth) == center_by_bfs(cycle, sorted(depth)) == expected
+        assert _component_center(cycle, depth, FAMILY_CYCLE) == center_by_bfs(cycle, sorted(depth)) \
+            == expected
+
+
+@given(multigraphs())
+@example(TAILED_TRIANGLE)
+@example(build_instance(8, [(k, (k + 1) % 5, 1, 1) for k in range(5)] + [(5, 6, 1, 1), (6, 7, 1, 2)]))
+@settings(deadline=None)
+def test_analyze_labels_each_component_once(inst):
+    # The labels decide the bipartition and the family as the whole-skeleton
+    # queries do, with one label and at most one odd-cycle scan per component.
+    labelled, scanned = [], []
+    label, scan = model._component_family, model._has_odd_cycle
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_component_family", lambda *a: labelled.append(1) or label(*a))
+        patch.setattr(model, "_has_odd_cycle", lambda *a: scanned.append(1) or scan(*a))
+        rep = analyze_structure(inst)
+    components = len(inst.component_depths)
+    assert len(labelled) == components and len(scanned) <= components
+    assert rep.bipartition == two_coloring(inst)
+    assert rep.family == skeleton_family(inst, rep.bipartition is not None)
 
 
 def test_analyze_families():

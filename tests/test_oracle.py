@@ -4,10 +4,11 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from efx_multigraph import (
     BudgetExceededError,
@@ -387,6 +388,68 @@ def test_count_based_search_matches_reference(inst):
             for x in search.agents:
                 assert not any(search.val[x]) and not any(search.held[x])
             assert not any(search.bundles)
+
+
+@st.composite
+def _repeated_edges(draw):
+    """1-3 edge specs on 2-4 agents, each given 1-7 times, at most 14 edges in a
+    drawn order: classes of parallel edges spread out in id order, beside
+    classes of one edge.  Small integer values make ties."""
+    n = draw(st.integers(2, 4))
+    value = st.one_of(st.integers(1, 3).map(Fraction),
+                      st.builds(Fraction, st.integers(1, 1000), st.integers(1, 1000)))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)).map(
+        lambda p: (p[0], p[1] + (p[1] >= p[0])))
+    specs = draw(st.lists(st.tuples(pair, value, value), min_size=1, max_size=3))
+    counts = draw(st.lists(st.integers(1, 7), min_size=len(specs), max_size=len(specs)))
+    edges = [spec for spec, count in zip(specs, counts) for _ in range(count)][:14]
+    edges = draw(st.permutations(edges))
+    return build_instance(n, [(u, v, wu, wv) for (u, v), wu, wv in edges])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_repeated_edges())
+# Edges 1 and 3 form a class, as do edges 2 and 4, and edge 0 is alone in its
+# own: a node that gave edge 0 to agent 0 and one that gave it to agent 2 differ
+# only in edge 0.
+@example(build_instance(3, [(0, 2, 2, 1), (0, 1, 1, 1), (1, 2, 1, 2), (0, 1, 1, 1), (1, 2, 1, 2)]))
+@example(p4_qn(4))  # edges 0 and 1 are one class: a task of depth 2 fixes both
+def test_table_search_matches_reference_on_repeated_edges(inst):
+    # Allocations keep n^m <= 6561 by searching a prefix of the edges.
+    m_alloc = inst.m
+    while inst.n ** m_alloc > 6561:
+        m_alloc -= 1
+    searches = [(inst, [(e.u, e.v) for e in inst.edges]),
+                (_first_edges(inst, m_alloc), [tuple(range(inst.n))] * m_alloc)]
+    for target, choices in searches:
+        for counting in (False, True):
+            for prefix in _tasks(choices):
+                ref = ReferenceSearch(target, choices, True, counting, prefix)
+                ref.run(0)
+                search = oracle._Search(target, choices, True, counting, prefix)
+                search.run(0)
+                assert (search.witness, search.count, search.explored) == \
+                    (ref.witness, ref.count, ref.explored)
+                # The search leaves every counter as it found it, the signature
+                # too, and a task keeps no table inside its fixed prefix.
+                assert search.signature == 0
+                for x in search.agents:
+                    assert not any(search.val[x]) and not any(search.held[x])
+                assert not any(search.bundles)
+                assert all(table is None for table in search.tables[:len(prefix)])
+
+
+def test_p4_qn11_is_refuted_from_stored_subtrees():
+    # ROADMAP's figure: refuting p4_qn(11) takes 2,085,261 nodes.  Most of them
+    # are counted from stored subtrees; searching every one took 3-6 s.
+    inst = p4_qn(11)
+    for jobs in (1, 2):
+        start = time.perf_counter()
+        result = decide_efx_orientation(inst, count=True, jobs=jobs)
+        elapsed = time.perf_counter() - start
+        assert (result.exists, result.count, result.explored) == (False, 0, 2_085_261)
+        if jobs == 1:
+            assert elapsed < 1.0
 
 
 def _tree_nodes(choices):

@@ -3,12 +3,12 @@
 The cutter's greedy: walk the pair's items in descending cutter-value (ties by
 lowest edge id) and drop each onto the currently lighter bundle (ties toward c1).
 The running lighter-bundle invariant makes both halves EFX-feasible for the cutter.
-Values are the cutter's integer weights (``Instance.weights``).
+Values are the cutter's integer weights (``Instance.weights``).  Each instance
+keeps its own cuts (``Instance._cuts``); no module holds on to an instance.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .model import Instance, edge_set
 
@@ -26,9 +26,11 @@ class CutConfig:
     c2: frozenset[int]
 
 
-@lru_cache(maxsize=16384)
 def cut(inst: Instance, cutter: int, other: int) -> CutConfig:
-    """Deterministic balanced split of E(cutter, other) under the cutter's values."""
+    """The deterministic balanced split of E(cutter, other), made once per instance."""
+    cfg = inst._cuts.get((cutter, other))
+    if cfg is not None:
+        return cfg
     if cutter == other:
         raise ValueError(f"cut needs two distinct agents, got ({cutter}, {other})")
     weights = inst.weights[cutter]
@@ -44,7 +46,8 @@ def cut(inst: Instance, cutter: int, other: int) -> CutConfig:
         else:
             c2.add(e)
             v2 += w
-    return CutConfig(cutter, frozenset(c1), frozenset(c2))
+    cfg = inst._cuts[cutter, other] = CutConfig(cutter, frozenset(c1), frozenset(c2))
+    return cfg
 
 
 def _margin(inst: Instance, agent: int, cfg: CutConfig) -> int:

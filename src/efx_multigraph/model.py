@@ -130,11 +130,10 @@ class Instance:
             if wu.numerator <= 0 or wv.numerator <= 0:
                 raise InstanceError(f"edge {k}: non-positive weight")
 
-    # The index, the skeleton, the integer valuation and the hash are built on
-    # first use and kept: the solvers query pairs, incidences, neighbours and
-    # values on every loop turn, every structure query and solver reads the
-    # components, and the cut cache hashes the instance on every call.  Parsing
-    # alone builds none of them.
+    # The index, the skeleton, the integer valuation and the pair cuts are built
+    # on first use and kept: the solvers query pairs, incidences, neighbours,
+    # values and cuts on every loop turn, and every structure query and solver
+    # reads the components.  Parsing alone builds none of them.
 
     @cached_property
     def _pair_edges(self) -> dict[tuple[int, int], frozenset[int]]:
@@ -143,6 +142,11 @@ class Instance:
         for e in self.edges:
             pair_edges.setdefault((min(e.u, e.v), max(e.u, e.v)), []).append(e.id)
         return {pair: frozenset(ids) for pair, ids in sorted(pair_edges.items())}
+
+    @cached_property
+    def _cuts(self) -> dict:
+        """(cutter, other) -> the cut of E(cutter, other), filled by ``cutting.cut``."""
+        return {}
 
     @cached_property
     def neighbours(self) -> tuple[tuple[int, ...], ...]:
@@ -194,13 +198,6 @@ class Instance:
         scales = tuple([lcm(*[den for _, den in r.values()]) for r in ratios])
         return scales, tuple([{e: num * (scale // den) for e, (num, den) in r.items()}
                               for r, scale in zip(ratios, scales)])
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.n, self.edges))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def m(self) -> int:

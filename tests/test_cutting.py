@@ -1,11 +1,29 @@
 from __future__ import annotations
 
+import gc
+import importlib
+import io
+import pkgutil
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from efx_multigraph import build_instance, cut, is_efx_feasible, preferred_bundle
+import efx_multigraph
+from efx_multigraph import (
+    Instance,
+    build_instance,
+    cut,
+    half_efx_orientation,
+    instance_to_text,
+    is_efx_feasible,
+    load_instance,
+    preferred_bundle,
+    random_instance,
+)
+from efx_multigraph.bipartite import efx_completion
+from efx_multigraph.cli import main
 
 
 def _pair_instance(values):
@@ -39,14 +57,72 @@ def test_cut_tie_breaking_by_edge_id():
 
 
 def test_cut_determinism():
-    inst = _pair_instance([Fraction(7, 3), Fraction(7, 3), Fraction(1, 2), Fraction(5)])
-    assert cut(inst, 1, 0) == cut(inst, 1, 0)
+    values = [Fraction(7, 3), Fraction(7, 3), Fraction(1, 2), Fraction(5)]
+    inst = _pair_instance(values)
+    first = cut(inst, 1, 0)
+    assert cut(inst, 1, 0) is first
+    # An equal instance makes its own cut: equal, never shared.
+    twin = _pair_instance(values)
+    assert twin == inst and cut(twin, 1, 0) == first and cut(twin, 1, 0) is not first
+    fresh = _pair_instance(values)
+    with pytest.raises(ValueError):
+        cut(fresh, 0, 0)
+    assert fresh._cuts == {}
 
 
 def test_cut_rejects_same_agent():
     inst = _pair_instance([Fraction(1)])
     with pytest.raises(ValueError):
         cut(inst, 0, 0)
+
+
+def test_reparsed_twin_gives_identical_cli_output(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(instance_to_text(random_instance(16, 60, 4, "bipartite", seed=3)))
+    outs = []
+    # Each run reads the file anew, so the second round solves an equal twin.
+    for _ in range(2):
+        for argv in (["solve", str(path)], ["orient", str(path), "--method", "half-efx"]):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+    assert outs[0] and outs[1] and outs[:2] == outs[2:]
+
+
+def test_reparsed_twin_shares_no_cut_state(monkeypatch):
+    inst = random_instance(32, 150, 4, "bipartite", seed=3)
+    expected = (efx_completion(inst), half_efx_orientation(inst))
+    kept = dict(inst._cuts)
+    assert kept
+    twin = load_instance(io.StringIO(instance_to_text(inst)))
+    compared = []
+    equal = Instance.__eq__
+    monkeypatch.setattr(Instance, "__eq__", lambda a, b: compared.append((a, b)) or equal(a, b))
+    assert (efx_completion(twin), half_efx_orientation(twin)) == expected
+    assert compared == []
+    assert inst._cuts.keys() == kept.keys()
+    assert all(inst._cuts[k] is cfg for k, cfg in kept.items())
+    assert twin._cuts == kept
+    assert not any(twin._cuts[k] is cfg for k, cfg in kept.items())
+
+
+def test_a_solved_instance_is_freed_once_dropped():
+    inst = random_instance(12, 36, 4, "bipartite", seed=7)
+    result = (efx_completion(inst), half_efx_orientation(inst))
+    assert inst._cuts and result
+    ref = weakref.ref(inst)
+    del inst, result
+    gc.collect()
+    assert ref() is None
+
+
+def test_no_module_keeps_a_cache():
+    """Every module-level name is free of ``cache_clear``: a call's cached state
+    lives on its own instance, so each run starts as a fresh process would."""
+    for info in pkgutil.iter_modules(efx_multigraph.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"efx_multigraph.{info.name}")
+            assert [name for name, attr in vars(module).items()
+                    if callable(getattr(attr, "cache_clear", None))] == []
 
 
 def test_preferred_bundle_tie_goes_to_c1():

@@ -2,8 +2,11 @@
 
 Agents are vertices, items are edges; an item is worth something only to its two
 endpoint agents.  All arithmetic is exact; nothing in this package touches
-floating point.  Values are read and written as ``fractions.Fraction``, and every
-comparison runs on each agent's integer valuation (``Instance.scales`` and
+floating point.  An edge keeps each endpoint's value as a reduced
+``(numerator, denominator)`` pair of ints, read straight from the document's
+digits (``parse_ratio``) and written back from them; a ``fractions.Fraction`` is
+built only where one is asked for (``EdgeItem.wu``, ``wv`` and ``value_for``).
+Every comparison runs on each agent's integer valuation (``Instance.scales`` and
 ``Instance.weights``): the agent's values of its own edges, scaled by the LCM of
 their denominators.  An edge is a named tuple (``EdgeItem``), and ``Instance``
 validates every instance, read from a document or built in code.  Every JSON
@@ -18,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -49,14 +52,16 @@ class StructureError(ValueError):
     """An operation was asked to run on a graph shape it does not support."""
 
 
-def parse_rational(raw: Fraction | int | str) -> Fraction:
-    """Parse ``p`` or ``p/q`` into an exact rational (normalized to lowest terms);
-    a ``Fraction`` is returned as it is.
+def parse_ratio(raw: Fraction | int | str) -> tuple[int, int]:
+    """Parse ``p`` or ``p/q`` into ``(numerator, denominator)``, in lowest terms
+    with a positive denominator, as ``Fraction.as_integer_ratio`` gives it; a
+    ``Fraction`` or an ``int`` gives its own ratio.
 
-    The one rational grammar: instance weights and the CLI's ``--alpha``,
-    ``--eps`` and ``--delta`` are read by it.  Text is ``-?[0-9]+(/[0-9]+)?``
-    after stripping whitespace, in ASCII digits only: ``int`` alone would also
-    read other scripts' digits, ``+``, ``_`` and inner whitespace.
+    The one rational grammar: instance weights are read by it, and the CLI's
+    ``--alpha``, ``--eps`` and ``--delta`` through ``parse_rational``.  Text is
+    ``-?[0-9]+(/[0-9]+)?`` after stripping whitespace, in ASCII digits only:
+    ``int`` alone would also read other scripts' digits, ``+``, ``_`` and inner
+    whitespace.
     """
     if isinstance(raw, str):
         text = raw.strip()
@@ -65,32 +70,56 @@ def parse_rational(raw: Fraction | int | str) -> Fraction:
         if text.isascii() and (num.isdigit() or num[:1] == "-" and num[1:].isdigit()) \
                 and (den.isdigit() or not slash):
             try:
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            except ZeroDivisionError:
-                raise InstanceError(f"not a rational: {raw!r} (zero denominator)") from None
+                p = int(num)
+                if not slash:
+                    return p, 1
+                q = int(den)
             except ValueError:  # more digits than int() converts
                 raise InstanceError("not a rational: too many digits") from None
-    elif isinstance(raw, Fraction):
-        return raw
-    elif isinstance(raw, int) and not isinstance(raw, bool):
-        return Fraction(raw)
+            if not q:
+                raise InstanceError(f"not a rational: {raw!r} (zero denominator)")
+            g = gcd(p, q)
+            return p // g, q // g
+    elif isinstance(raw, (Fraction, int)) and not isinstance(raw, bool):
+        return raw.as_integer_ratio()
     raise InstanceError(f"not a rational: {raw!r} (expected digits or digits/digits)")
+
+
+def parse_rational(raw: Fraction | int | str) -> Fraction:
+    """``parse_ratio`` as a ``Fraction``; a ``Fraction`` is returned as it is."""
+    return raw if isinstance(raw, Fraction) else Fraction(*parse_ratio(raw))
+
+
+def _ratio_text(ratio: tuple[int, int]) -> str:
+    """``p`` or ``p/q``: the text ``str`` gives for the ``Fraction`` of a reduced pair."""
+    p, q = ratio
+    return f"{p}/{q}" if q != 1 else str(p)
 
 
 class EdgeItem(NamedTuple):
     """One item, shared by its two endpoint agents.
 
-    ``id`` is the item's position in the instance edge list.  ``wu``/``wv`` are the
-    positive values the item has for ``u``/``v``; every other agent values it at 0.
-    A tuple, so its fields cannot be reassigned and it unpacks as
-    ``id, u, v, wu, wv``.
+    ``id`` is the item's position in the instance edge list.  ``ru``/``rv`` are the
+    positive values the item has for ``u``/``v``, each a reduced ``(numerator,
+    denominator)`` pair of ints; every other agent values it at 0.  ``wu``, ``wv``
+    and ``value_for`` read those values as ``Fraction``s, built on each call.  A
+    tuple, so its fields cannot be reassigned and it unpacks as
+    ``id, u, v, ru, rv``.
     """
 
     id: int
     u: int
     v: int
-    wu: Fraction
-    wv: Fraction
+    ru: tuple[int, int]
+    rv: tuple[int, int]
+
+    @property
+    def wu(self) -> Fraction:
+        return Fraction(*self.ru)
+
+    @property
+    def wv(self) -> Fraction:
+        return Fraction(*self.rv)
 
     def value_for(self, agent: int) -> Fraction:
         if agent == self.u:
@@ -114,7 +143,7 @@ class Instance:
         n = self.n
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InstanceError(f"agent count must be a positive integer, got {n!r}")
-        for k, (eid, u, v, wu, wv) in enumerate(self.edges):
+        for k, (eid, u, v, ru, rv) in enumerate(self.edges):
             if eid != k:
                 raise InstanceError(f"edge {k}: id {eid} does not match its position")
             # Two plain ints in range pass the agent-id rules below at once.
@@ -126,14 +155,23 @@ class Instance:
                         raise InstanceError(f"edge {k}: agent id {a} out of range [0, {n})")
             if u == v:
                 raise InstanceError(f"edge {k}: self-loop on agent {u}")
-            # A Fraction keeps its sign in the numerator, which compares as a plain int.
-            if wu.numerator <= 0 or wv.numerator <= 0:
+            try:
+                (pu, qu), (pv, qv) = ru, rv
+            except (TypeError, ValueError):
+                raise InstanceError(f"edge {k}: weight is not an integer ratio") from None
+            # Equal values must be equal tuples, so a ratio is kept in lowest
+            # terms; its sign then sits in the numerator.
+            if not (type(pu) is type(qu) is type(pv) is type(qv) is int and qu > 0 and qv > 0
+                    and gcd(pu, qu) == 1 == gcd(pv, qv)):
+                raise InstanceError(f"edge {k}: weight is not a reduced integer ratio")
+            if pu <= 0 or pv <= 0:
                 raise InstanceError(f"edge {k}: non-positive weight")
 
     # The index, the skeleton, the integer valuation and the pair cuts are built
     # on first use and kept: the solvers query pairs, incidences, neighbours,
     # values and cuts on every loop turn, and every structure query and solver
-    # reads the components.  Parsing alone builds none of them.
+    # reads the components.  Parsing builds none of them, and no Fraction: the
+    # valuation reads the edges' integer ratios.
 
     @cached_property
     def _pair_edges(self) -> dict[tuple[int, int], frozenset[int]]:
@@ -192,9 +230,9 @@ class Instance:
     def _valuation(self) -> tuple[tuple[int, ...], tuple[dict[int, int], ...]]:
         """``(scales, weights)``, from one pass over the edges."""
         ratios: list[dict[int, tuple[int, int]]] = [{} for _ in range(self.n)]
-        for k, u, v, wu, wv in self.edges:
-            ratios[u][k] = wu.as_integer_ratio()
-            ratios[v][k] = wv.as_integer_ratio()
+        for k, u, v, ru, rv in self.edges:
+            ratios[u][k] = ru
+            ratios[v][k] = rv
         scales = tuple([lcm(*[den for _, den in r.values()]) for r in ratios])
         return scales, tuple([{e: num * (scale // den) for e, (num, den) in r.items()}
                               for r, scale in zip(ratios, scales)])
@@ -215,13 +253,13 @@ class Instance:
 def build_instance(n: int, edge_specs: Iterable[tuple[int, int, Fraction | int | str, Fraction | int | str]]) -> Instance:
     """Construct an Instance from (u, v, wu, wv) tuples, assigning ids by position.
 
-    The weights go through ``parse_rational`` and the rest through ``Instance``,
+    The weights go through ``parse_ratio`` and the rest through ``Instance``,
     the one validator of instances, read from a document or built in code.
     """
     edges = []
     for k, (u, v, wu, wv) in enumerate(edge_specs):
         try:
-            edges.append(EdgeItem(k, u, v, parse_rational(wu), parse_rational(wv)))
+            edges.append(EdgeItem(k, u, v, parse_ratio(wu), parse_ratio(wv)))
         except InstanceError as exc:
             raise InstanceError(f"edge {k}: {exc}") from None
     return Instance(n, tuple(edges))
@@ -518,7 +556,7 @@ def instance_to_json(inst: Instance) -> dict:
     return {
         "n": inst.n,
         "edges": [
-            {"u": e.u, "v": e.v, "wu": str(e.wu), "wv": str(e.wv)}
+            {"u": e.u, "v": e.v, "wu": _ratio_text(e.ru), "wv": _ratio_text(e.rv)}
             for e in inst.edges
         ],
     }

@@ -177,7 +177,7 @@ def _solve_path_rest(inst: Instance, drop: list[set[int]], end_a: int, end_b: in
     dropped pairs: an even path with both ends on the T side (agents left without
     edges go to S).  Edge ids are the instance's own."""
     keep = [e for e in inst.edges if {e.u, e.v} not in drop]
-    sub = Instance(inst.n, tuple(EdgeItem(k, e.u, e.v, e.wu, e.wv) for k, e in enumerate(keep)))
+    sub = Instance(inst.n, tuple(EdgeItem(k, e.u, e.v, e.ru, e.rv) for k, e in enumerate(keep)))
     depth = bfs_depths(sub.neighbours, end_a)
     if end_b not in depth or depth[end_b] % 2:
         raise StructureError("path ends do not share a side; the cycle parity is off")

@@ -41,6 +41,7 @@ from efx_multigraph.model import (
     connected_components,
     instance_from_json,
     json_text,
+    parse_ratio,
     skeleton_family,
 )
 from reference import center_by_bfs, longest_simple_path, parse_rational_by_regex
@@ -106,15 +107,75 @@ def test_parse_rational_matches_regex_reference(text, subclass):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        for parse in (parse_rational, parse_rational_by_regex):
+        for parse in (parse_rational, parse_rational_by_regex, parse_ratio, _edge_weight):
             try:
                 outcomes.append(parse(raw))
             except InstanceError as exc:
                 outcomes.append(str(exc))
     finally:
         sys.set_int_max_str_digits(limit)
-    assert outcomes[0] == outcomes[1]
-    assert type(outcomes[0]) is type(outcomes[1])
+    rational, reference, ratio, weight = outcomes
+    assert rational == reference
+    assert type(rational) is type(reference)
+    if isinstance(reference, Fraction):
+        assert ratio == reference.as_integer_ratio()
+        assert type(ratio[0]) is type(ratio[1]) is int
+        if reference > 0:
+            assert weight == reference and type(weight) is Fraction
+        else:
+            assert weight == "edge 0: non-positive weight"
+    else:
+        assert ratio == reference
+        assert weight == f"edge 0: {reference}"
+
+
+def _edge_weight(raw: str) -> Fraction:
+    """``raw`` read by the JSON reader as the ``wu`` of a one-edge document."""
+    doc = {"n": 2, "edges": [{"u": 0, "v": 1, "wu": raw, "wv": "1"}]}
+    return instance_from_json(doc).edges[0].wu
+
+
+def test_weights_stay_integer_ratios_until_a_fraction_is_asked_for(monkeypatch):
+    text = instance_to_text(random_instance(128, 1000, 4, "bipartite", seed=3))
+    built = []
+    make = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return make(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
+    inst = load_instance(io.StringIO(text))
+    inst.weights
+    assert built == []
+    monkeypatch.undo()
+
+    for e in inst.edges[:50]:
+        assert type(e.wu) is type(e.wv) is Fraction
+        assert (e.wu.as_integer_ratio(), e.wv.as_integer_ratio()) == (e.ru, e.rv)
+        assert (e.value_for(e.u), e.value_for(e.v)) == (e.wu, e.wv)
+        assert type(e.value_for(e.u)) is Fraction
+        other = next(a for a in range(inst.n) if a not in (e.u, e.v))
+        assert e.value_for(other) == 0 and type(e.value_for(other)) is Fraction
+
+    # One value, written four ways: equal instances, equal hashes, one text.
+    same = [build_instance(2, [(0, 1, w, 3)]) for w in ("2/4", " 1/2 ", Fraction(1, 2), "1/2")]
+    assert all(other == same[0] and hash(other) == hash(same[0]) for other in same)
+    assert {instance_to_text(other) for other in same} == {instance_to_text(same[0])}
+    assert same[0].edges[0][3:] == ((1, 2), (3, 1))
+    assert '"wu": "1/2"' in instance_to_text(same[0]) and '"wv": "3"' in instance_to_text(same[0])
+
+    # Instance, the one validator, names a weight that is not a reduced
+    # (numerator, denominator) pair of ints as an InstanceError.
+    good = (1, 2)
+    for bad, message in [(Fraction(1, 2), "not an integer ratio"), (1, "not an integer ratio"),
+                         ((1, 2, 3), "not an integer ratio"), ("12", "not a reduced integer ratio"),
+                         ((2, 4), "not a reduced integer ratio"), ((1, 0), "not a reduced integer ratio"),
+                         ((-1, -2), "not a reduced integer ratio"), ((True, 1), "not a reduced integer ratio"),
+                         ((0, 1), "non-positive weight"), ((-1, 2), "non-positive weight")]:
+        for ru, rv in ((bad, good), (good, bad)):
+            with pytest.raises(InstanceError, match=message):
+                model.Instance(2, (model.EdgeItem(0, 0, 1, ru, rv),))
 
 
 def test_instance_round_trip_keeps_equality_hash_and_ids():
@@ -125,7 +186,7 @@ def test_instance_round_trip_keeps_equality_hash_and_ids():
     assert [e.id for e in again.edges] == list(range(again.m))
     assert again.scales == inst.scales and again.weights == inst.weights
     edge = again.edges[0]
-    for field in ("id", "u", "v", "wu", "wv"):
+    for field in ("id", "u", "v", "ru", "rv", "wu", "wv"):
         with pytest.raises(AttributeError):
             setattr(edge, field, 1)
 

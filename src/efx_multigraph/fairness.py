@@ -6,16 +6,20 @@ values over the edges of ``B`` incident to ``i``.
 
 The verifiers compare each viewer's integer values (``Instance.weights``), and only
 over the bundles that hold one of the viewer's edges: every other bundle is worth
-0 to it.  Witnesses and alphas are reported as rationals; ``bundle_value`` and
-``is_efx_feasible`` stay literal rational definitions.
+0 to it.  A verdict keeps its witnesses as integer records; ``Verdict.witnesses``
+turns them into rationals on first read, and ``Verdict.to_json`` writes them as
+text without a ``Fraction``.  Alphas are reported as rationals; ``bundle_value``
+and ``is_efx_feasible`` stay literal rational definitions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import Allocation, Instance, is_orientation
+from .model import Allocation, Instance, _ratio_text, is_orientation
 
 ONE = Fraction(1)
 
@@ -28,23 +32,48 @@ class Witness(NamedTuple):
     rhs: Fraction
 
 
-@dataclass(frozen=True)
+# (envier, envied, removed_edge, lhs numerator, lhs denominator, rhs numerator,
+# rhs denominator): one witness, its two values as unreduced integer ratios with
+# positive denominators.
+Record = tuple[int, int, int | None, int, int, int, int]
+
+
+@dataclass(frozen=True, repr=False)
 class Verdict:
-    """Outcome of a fairness check: pass, or a list of exact violation witnesses."""
+    """Outcome of a fairness check: pass, or exact violation witnesses.
+
+    ``records`` holds each witness as a ``Record`` of ints, the one stored form;
+    equality and hashing read it.  ``witnesses`` is a read-only view that builds
+    the ``Witness`` tuples, with ``Fraction`` values, once, on first read.
+    """
 
     passed: bool
-    witnesses: tuple[Witness, ...] = ()
+    records: tuple[Record, ...] = ()
     alpha: Fraction = ONE
 
+    @cached_property
+    def witnesses(self) -> tuple[Witness, ...]:
+        out, last, lhs = [], None, ONE
+        for envier, envied, g, lp, lq, rp, rq in self.records:
+            if (lp, lq) != last:
+                last, lhs = (lp, lq), Fraction(lp, lq)
+            out.append(Witness(envier, envied, g, lhs, Fraction(rp, rq)))
+        return tuple(out)
+
+    def __repr__(self) -> str:
+        return f"Verdict(passed={self.passed!r}, witnesses={self.witnesses!r}, alpha={self.alpha!r})"
+
     def to_json(self) -> dict:
-        # One envier's witnesses share its lhs and sort next to each other, so
-        # each lhs is formatted once, on the first witness of its run.
+        # One envier's records share its lhs and sort next to each other, so
+        # each lhs is written once, on the first record of its run.
         witnesses, last, lhs = [], None, ""
-        for w in self.witnesses:
-            if w.lhs is not last:
-                last, lhs = w.lhs, str(w.lhs)
-            witnesses.append({"envier": w.envier, "envied": w.envied,
-                              "removed_edge": w.removed_edge, "lhs": lhs, "rhs": str(w.rhs)})
+        for envier, envied, g, lp, lq, rp, rq in self.records:
+            if (lp, lq) != last:
+                last, d = (lp, lq), gcd(lp, lq)
+                lhs = _ratio_text((lp // d, lq // d))
+            d = gcd(rp, rq)
+            witnesses.append({"envier": envier, "envied": envied, "removed_edge": g,
+                              "lhs": lhs, "rhs": _ratio_text((rp // d, rq // d))})
         return {"pass": self.passed, "alpha": str(self.alpha), "witnesses": witnesses}
 
 
@@ -162,12 +191,11 @@ def efx_verdict(inst: Instance, rows: Sequence[dict[int, int]], bundles: Sequenc
     if not (0 < alpha <= 1):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     num, den = alpha.numerator, alpha.denominator
-    witnesses: list[Witness] = []
+    records: list[Record] = []
     ascending: list[list[int] | None] = [None] * len(bundles)  # each bundle sorted on first use
     for i, row in enumerate(rows):
         own = row[i]
         weights = inst.weights[i]
-        lhs = None  # Fraction(own, scale), built on i's first witness
         for j, other in row.items():
             # The bar alpha * (other - g) never exceeds other: alpha <= 1 and
             # every item is worth >= 0.  So a pair with other <= own cannot fail.
@@ -180,12 +208,10 @@ def efx_verdict(inst: Instance, rows: Sequence[dict[int, int]], bundles: Sequenc
             bar = num * (other - g_weight)
             if own * den < bar:
                 scale = inst.scales[i]
-                if lhs is None:
-                    lhs = Fraction(own, scale)
-                witnesses.append(Witness(i, j, g, lhs, Fraction(bar, den * scale)))
+                records.append((i, j, g, own, scale, bar, den * scale))
     # Each (envier, envied) pair occurs once, so the sort never compares values.
-    witnesses.sort()
-    return Verdict(not witnesses, tuple(witnesses), alpha)
+    records.sort()
+    return Verdict(not records, tuple(records), alpha)
 
 
 def achieved_alpha(inst: Instance, alloc: Allocation, agent: int) -> Fraction:
@@ -240,19 +266,18 @@ def check_envied_singleton(inst: Instance, alloc: Allocation) -> Verdict:
     rows = value_rows(inst, alloc)
     if not efx_verdict(inst, rows, alloc.bundles).passed:
         raise ValueError("input orientation is not EFX")
-    witnesses: list[Witness] = []
+    records: list[Record] = []
     scales = inst.scales
     for i, js in enumerate(envier_lists(rows)):
         if not js:
             continue
         if len(js) != 1:
             for j in js[1:]:
-                witnesses.append(Witness(j, i, None, Fraction(rows[j][j], scales[j]),
-                                         Fraction(rows[j][i], scales[j])))
+                records.append((j, i, None, rows[j][j], scales[j], rows[j][i], scales[j]))
             continue
         j = js[0]
-        own_i = Fraction(rows[i][i], scales[i])
+        own_i = (rows[i][i], scales[i])
         stray = [e for e in sorted(alloc.bundles[i]) if {inst.edges[e].u, inst.edges[e].v} != {i, j}]
         for e in stray:
-            witnesses.append(Witness(j, i, e, own_i, own_i))
-    return Verdict(not witnesses, tuple(witnesses))
+            records.append((j, i, e, *own_i, *own_i))
+    return Verdict(not records, tuple(records))

@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .model import Instance, InstanceError, build_instance, check_agent_count
+from .model import EdgeItem, Instance, InstanceError, build_instance, check_agent_count
 
 DEFAULT_EPS = Fraction(1, 100)
 DEFAULT_DELTA = Fraction(1, 10**6)
@@ -158,7 +159,8 @@ def random_instance(n: int, m: int, q_max: int, shape: str, *, num_max: int = 10
     Shapes: "star" (hub 0), "tree" (depth <= 2 from agent 0, so diameter <= 4),
     "cycle" (0-1-...-0), "bipartite" (random split, random cross edges).  Values
     are uniform rationals with numerator in [1, num_max] and denominator in
-    [1, den_max]; symmetric instances value each edge identically at both ends.
+    [1, den_max], kept as reduced integer ratios with no ``Fraction``; symmetric
+    instances value each edge identically at both ends.
     """
     if n < 1 or m < 0 or q_max < 1:
         raise InstanceError("need n >= 1, m >= 0, q_max >= 1")
@@ -166,8 +168,10 @@ def random_instance(n: int, m: int, q_max: int, shape: str, *, num_max: int = 10
         raise InstanceError(f"need num_max >= 1 and den_max >= 1, got {num_max} and {den_max}")
     rng = random.Random(seed)
 
-    def draw() -> Fraction:
-        return Fraction(rng.randint(1, num_max), rng.randint(1, den_max))
+    def draw() -> tuple[int, int]:
+        p, q = rng.randint(1, num_max), rng.randint(1, den_max)
+        g = gcd(p, q)
+        return p // g, q // g
 
     if shape == "star":
         skeleton = [(0, i) for i in range(1, n)]
@@ -213,11 +217,11 @@ def random_instance(n: int, m: int, q_max: int, shape: str, *, num_max: int = 10
         if counts[pair] == q_max:
             del open_pairs[k]
 
-    specs = []
-    for u, v in chosen:
-        wu = draw()
-        specs.append((u, v, wu, wu if symmetric else draw()))
-    return build_instance(n, specs)
+    edges = []
+    for k, (u, v) in enumerate(chosen):
+        ru = draw()
+        edges.append(EdgeItem(k, u, v, ru, ru if symmetric else draw()))
+    return Instance(n, tuple(edges))
 
 
 @dataclass(frozen=True)

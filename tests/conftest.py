@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from efx_multigraph import make_allocation, running_example
@@ -92,3 +94,17 @@ def stage2_doc_alloc(walkthrough):
 @pytest.fixture(scope="session")
 def stage3_doc_alloc(walkthrough):
     return make_allocation(walkthrough.n, STAGE3_DOCUMENTED)
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """The arguments of every ``Fraction`` built from here on in the test."""
+    built = []
+    make = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return make(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
+    return built

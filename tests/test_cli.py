@@ -877,6 +877,26 @@ def test_anchor_verify_stdout_pinned(tmp_path, capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want, argv
 
 
+def test_verify_builds_no_fraction_past_alpha(tmp_path, capsys, fractions_built):
+    # The anchor's complete allocation fails at every alpha here, with 1805
+    # witnesses at alpha 1; the verdict and its document are written from
+    # integer records, so the only Fraction is the parsed --alpha.
+    inst = random_instance(128, 1000, 4, "bipartite", seed=3)
+    inst_path, alloc_path = tmp_path / "inst.json", tmp_path / "complete.json"
+    save_instance(inst, inst_path)
+    rng = random.Random(3)
+    bundles = [[] for _ in range(inst.n)]
+    for e in inst.edges:
+        bundles[rng.randrange(inst.n)].append(e.id)
+    alloc_path.write_text(json.dumps({"bundles": bundles}))
+    for alpha in ("1", "1/2", "2/3"):
+        fractions_built.clear()
+        assert main(["verify", str(inst_path), str(alloc_path), "--alpha", alpha]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["witnesses"]) > 1000
+        assert len(fractions_built) <= 1, (alpha, len(fractions_built))
+
+
 def _run_in_c_locale(argv, stdin: bytes | None = None) -> subprocess.CompletedProcess:
     """The CLI in a fresh process whose locale encoding is ASCII."""
     src = Path(cli.__file__).resolve().parent.parent

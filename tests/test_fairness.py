@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efx_multigraph import (
+    Verdict,
     Witness,
     achieved_alpha,
     bundle_value,
@@ -19,7 +20,7 @@ from efx_multigraph import (
     random_instance,
     strongly_envies,
 )
-from efx_multigraph.fairness import least_valued_item
+from efx_multigraph.fairness import efx_verdict, least_valued_item, value_rows
 
 
 def test_bundle_value_examples(walkthrough):
@@ -268,3 +269,85 @@ def test_tie_breaks_match_definition(seed, orient_only):
                 assert strongly_envies(inst, alloc, i, j) == by_pair.get((i, j))
         ratios = [w.lhs / w.rhs for (envier, _), w in by_pair.items() if envier == i]
         assert achieved_alpha(inst, alloc, i) == min(ratios, default=Fraction(1))
+
+
+ALPHAS = (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 7))
+
+
+def _document_from_witnesses(verdict):
+    """``to_json`` as it reads through ``.witnesses`` and ``str(Fraction)``."""
+    return {"pass": verdict.passed, "alpha": str(verdict.alpha),
+            "witnesses": [{"envier": w.envier, "envied": w.envied, "removed_edge": w.removed_edge,
+                           "lhs": str(w.lhs), "rhs": str(w.rhs)} for w in verdict.witnesses]}
+
+
+def test_verdict_text_reduces_each_value():
+    # Agent 0 (scale 2) holds nothing of its own and envies agent 1's three
+    # halves; agent 2 holds its 1-edge and envies agent 0's two 3-edges.
+    inst = build_instance(3, [(0, 1, "1/2", 1)] * 3 + [(1, 2, 3, 3)] * 2 + [(1, 2, 1, 1)])
+    alloc = make_allocation(3, [{3, 4}, {0, 1, 2}, {5}])
+    rhs = {Fraction(1): ("1", "3"), Fraction(1, 2): ("1/2", "3/2"),
+           Fraction(2, 3): ("2/3", "2"), Fraction(5, 7): ("5/7", "15/7")}
+    for alpha, (rhs0, rhs2) in rhs.items():
+        verdict = check_efx(inst, alloc, alpha)
+        assert verdict.records == ((0, 1, 0, 0, 2, 2 * alpha.numerator, 2 * alpha.denominator),
+                                   (2, 0, 3, 1, 1, 3 * alpha.numerator, alpha.denominator))
+        assert verdict.to_json()["witnesses"] == [
+            {"envier": 0, "envied": 1, "removed_edge": 0, "lhs": "0", "rhs": rhs0},
+            {"envier": 2, "envied": 0, "removed_edge": 3, "lhs": "1", "rhs": rhs2}]
+        assert verdict.to_json() == _document_from_witnesses(verdict)
+        assert verdict.witnesses is verdict.witnesses
+        assert repr(verdict) == (f"Verdict(passed=False, witnesses={verdict.witnesses!r}, "
+                                 f"alpha={alpha!r})")
+
+
+@st.composite
+def _small_allocations(draw):
+    """An instance of small weights, ties and whole numbers likely, and an
+    allocation that may leave edges unheld and agents empty-handed."""
+    n = draw(st.integers(2, 5))
+    ratio = st.tuples(st.integers(1, 4), st.integers(1, 3)).map(lambda r: f"{r[0]}/{r[1]}")
+    specs = []
+    for _ in range(draw(st.integers(1, 10))):
+        u = draw(st.integers(0, n - 1))
+        v = (u + draw(st.integers(1, n - 1))) % n
+        specs.append((u, v, draw(ratio), draw(ratio)))
+    inst = build_instance(n, specs)
+    holders = draw(st.lists(st.integers(-1, n - 1), min_size=inst.m, max_size=inst.m))
+    alloc = make_allocation(n, [{e for e, h in enumerate(holders) if h == k} for k in range(n)])
+    ends = draw(st.lists(st.booleans(), min_size=inst.m, max_size=inst.m))
+    oriented = [set() for _ in range(n)]
+    for e, first in zip(inst.edges, ends):
+        oriented[e.u if first else e.v].add(e.id)
+    return inst, alloc, make_allocation(n, oriented)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_allocations(), st.sampled_from(ALPHAS))
+def test_verdict_text_matches_its_witnesses(drawn, alpha):
+    inst, alloc, orientation = drawn
+    verdict = check_efx(inst, alloc, alpha)
+    assert verdict.to_json() == _document_from_witnesses(verdict)
+    assert list(verdict.witnesses) == _witnesses_by_definition(inst, alloc, alpha)
+    # Rows in another key order give the same records, sorted.
+    rows = [dict(reversed(row.items())) for row in value_rows(inst, alloc)]
+    assert efx_verdict(inst, rows, alloc.bundles, alpha) == verdict
+    try:
+        singleton = check_envied_singleton(inst, orientation)
+    except ValueError:  # not an EFX orientation
+        return
+    assert singleton.to_json() == _document_from_witnesses(singleton)
+
+
+_record = st.tuples(st.integers(0, 4), st.integers(0, 4), st.none() | st.integers(0, 9),
+                    st.integers(0, 12), st.integers(1, 6), st.integers(1, 12), st.integers(1, 6))
+
+
+@given(st.lists(_record, max_size=8))
+def test_records_text_matches_witnesses(records):
+    # check_envied_singleton's records name no removed edge when an agent has
+    # two enviers; an EFX orientation never has one, so draw such records here.
+    verdict = Verdict(not records, tuple(records))
+    assert verdict.to_json() == _document_from_witnesses(verdict)
+    assert [(w.lhs, w.rhs) for w in verdict.witnesses] == [
+        (Fraction(lp, lq), Fraction(rp, rq)) for _, _, _, lp, lq, rp, rq in records]

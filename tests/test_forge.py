@@ -171,6 +171,12 @@ def test_random_instances_pinned():
     assert digest.hexdigest() == RANDOM_GRID_SHA256
 
 
+def test_random_instance_builds_no_fraction(fractions_built):
+    inst = random_instance(128, 1000, 4, "bipartite", seed=3)
+    assert fractions_built == []
+    assert inst.weights and inst.edges[0].ru == inst.edges[0].wu.as_integer_ratio()
+
+
 def test_random_infeasible_parameters():
     with pytest.raises(InstanceError):
         random_instance(3, 50, 1, "star", seed=0)

@@ -135,19 +135,12 @@ def _edge_weight(raw: str) -> Fraction:
     return instance_from_json(doc).edges[0].wu
 
 
-def test_weights_stay_integer_ratios_until_a_fraction_is_asked_for(monkeypatch):
+def test_weights_stay_integer_ratios_until_a_fraction_is_asked_for(monkeypatch, fractions_built):
     text = instance_to_text(random_instance(128, 1000, 4, "bipartite", seed=3))
-    built = []
-    make = Fraction.__new__
-
-    def spy(cls, *args, **kwargs):
-        built.append(args)
-        return make(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
+    fractions_built.clear()
     inst = load_instance(io.StringIO(text))
     inst.weights
-    assert built == []
+    assert fractions_built == []
     monkeypatch.undo()
 
     for e in inst.edges[:50]:

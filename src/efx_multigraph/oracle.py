@@ -15,12 +15,15 @@ its own items than the bundle's size) is strongly envied as soon as it is envied
 Edges with one ``(u, v, wu, wv)`` are interchangeable, and multi-graphs repeat
 them often.  Two nodes at one depth that gave each option equally many edges of
 each such class hold equal values, item counts and bundle weights for every
-agent, so their pruned subtrees match node for node.  The search therefore keeps
-a table of the node and leaf counts below each node reached by a repeated edge,
-and adds them up, without searching again, at every other node with the same
-counts.  A stored subtree that holds a leaf has already set the witness (or
-stopped a first-witness search), so every result, ``explored`` included, is the
-one the search without the table gives.
+agent, so their pruned subtrees match node for node.  The one recursion,
+``_Search.run``, therefore passes each child these counts, packed in one
+``int``, and keeps a table of the node and leaf counts below each node reached
+by a repeated edge; at every other node with the same counts it adds them up
+without searching again.  A search stores at most ``_TABLE_ENTRIES`` (65,536)
+of them and then only looks up, so its memory is bounded and a subtree it could
+not store is searched again.  A stored subtree that holds a leaf has already set
+the witness (or stopped a first-witness search), so every result, ``explored``
+included, is the one the search without the table gives.
 
 The search runs on each agent's exact integer values (``Instance.weights``); the
 witness is re-verified by ``check_efx``, which reports it in exact rationals.
@@ -34,6 +37,8 @@ from .fairness import check_efx
 from .model import Allocation, Instance, make_allocation
 
 DEFAULT_BUDGET = 10_000_000
+# The subtree entries one search may store; past it, the tables only answer lookups.
+_TABLE_ENTRIES = 1 << 16
 
 
 class BudgetExceededError(RuntimeError):
@@ -90,18 +95,20 @@ class _Search:
     sum to the single search's count (without a count requested, over the tasks
     up to the first that finds a witness).
 
-    A pruned search with a repeated edge below its prefix keeps a transposition
-    table.  Edges fall into classes by ``(u, v, wu, wv)``, and ``signature`` is
-    one ``int`` with a bit field per (class, option) slot that counts the placed
-    edges in that slot; every edge counts, one with no twin too.  Equal
-    signatures mean the same depth and, class by class, the same number of
-    edges in each bundle, so equal ``val``, ``held`` and bundle weights.  At a
-    step whose edge is not the first of its class, which lies past the prefix
-    and is not the last step, each child is looked up by (depth, signature): a
-    hit adds the stored ``explored`` and ``count`` of that subtree, and a miss
-    searches it and stores them.  Below the last such step nothing reads the
-    signature, and the plain search goes on.  A search with no such step, or
-    without pruning, runs the plain search throughout.
+    Edges fall into classes by ``(u, v, wu, wv)``.  The ``signature`` that
+    ``run`` passes each child is one ``int`` with a bit field per (class,
+    option) slot that counts the placed edges in that slot; every edge counts,
+    one with no twin too.  Equal signatures mean the same depth and, class by
+    class, the same number of edges in each bundle, so equal ``val``, ``held``
+    and bundle weights.  A probe step is a step of a pruned search whose edge is
+    not the first of its class, which lies past the prefix and is not the last
+    step.  It carries a table, and every other step ``None``.  The table maps a
+    child's signature to the ``explored`` and ``count`` of that child's
+    subtree: a hit adds them, and a miss searches the subtree and stores them
+    while the search holds fewer than ``_TABLE_ENTRIES`` entries.  Each
+    placement carries its signature increment, which is 0 at every step past
+    the last probe step (at every step, in a search without one): nothing reads
+    the signature there.
     """
 
     def __init__(self, inst: Instance, choices: list[tuple[int, ...]], prune: bool,
@@ -117,6 +124,16 @@ class _Search:
         last = [-1] * n
         for d, u, v, _, _ in inst.edges:
             last[u] = last[v] = d
+        # Edges with one (u, v, wu, wv) form a class, named by its lowest id:
+        # first[d] names edge d's class.
+        classes: dict[tuple, int] = {}
+        first = [classes.setdefault(edge[1:], edge.id) for edge in inst.edges]
+        # A child of the last step is a leaf: looking it up saves no more than
+        # the test it skips.
+        probes = {d for d in range(len(prefix), inst.m - 1) if first[d] < d} if prune else set()
+        last_probe = max(probes, default=-1)
+        width = max(map(first.count, classes.values()), default=0).bit_length()
+        field: dict[tuple[int, int], int] = {}
         # Agents no edge touches value every bundle at 0 and never envy: they get
         # no rows.  weight[x][e] is x's scaled value of item e (0 off x's edges).
         self.agents = [x for x in range(n) if last[x] >= 0]
@@ -134,14 +151,8 @@ class _Search:
             rivals[x] = set()
         # final[k]: (agent, value row) of each final agent that has k as a rival.
         final: list[tuple[tuple[int, list[int]], ...]] = [()] * n
-        # Edges with one (u, v, wu, wv) form a class, named by its lowest id:
-        # first[d] names edge d's class.
-        classes: dict[tuple[int, int, int, int], int] = {}
-        first = []
         self.steps = []
         for (d, u, v, _, _), opts in zip(inst.edges, options):
-            wu, wv = weight[u][d], weight[v][d]
-            first.append(classes.setdefault((u, v, wu, wv), d))
             rivals[u].update(opts)
             rivals[v].update(opts)
             closing: tuple[int, ...] = ()
@@ -149,8 +160,11 @@ class _Search:
                 closing = (u,)
             if last[v] == d:
                 closing += (v,)
-            self.steps.append((val[u], val[v], held[u], held[v], wu, wv, closing,
-                               tuple(zip(opts, map(final.__getitem__, opts)))))
+            placements = tuple(
+                (k, final[k], 1 << width * field.setdefault((first[d], k), len(field))
+                 if d <= last_probe else 0) for k in opts)
+            self.steps.append((val[u], val[v], held[u], held[v], weight[u][d], weight[v][d],
+                               closing, placements, {} if d in probes else None))
             # x's edges are all placed: its rivals are known, and it is final below.
             for x in closing:
                 rivals[x].discard(x)
@@ -164,30 +178,8 @@ class _Search:
         self.witness: list[int] | None = None
         self.count = 0
         self.explored = 0
-        self.signature = 0
-        # The last step that looks its children up; -1 keeps no table.
-        self.last_probe = -1
-        self.moves: list[tuple[tuple[int, tuple[tuple[int, list[int]], ...], int], ...]] = []
-        self.tables: list[dict[int, tuple[int, int]] | None] = []
-        if prune and len(classes) < inst.m:
-            self._index_classes(first, len(prefix))
-
-    def _index_classes(self, first: list[int], probe_from: int) -> None:
-        """``moves[d]``: per option k of step d, k's final agents (as in
-        ``steps``) and the signature's increment; ``tables[d]``: the table of
-        step d's children, or None where step d looks nothing up."""
-        # A child of the last step is a leaf: looking it up saves no more than
-        # the test it skips, and would keep the whole tree on the slower path.
-        probes = [d for d in range(probe_from, len(first) - 1) if first[d] < d]
-        if not probes:
-            return
-        self.last_probe = probes[-1]
-        width = max(map(first.count, set(first))).bit_length()
-        field: dict[tuple[int, int], int] = {}
-        for d, (c, step) in enumerate(zip(first, self.steps[:self.last_probe + 1])):
-            self.moves.append(tuple((k, final, 1 << width * field.setdefault((c, k), len(field)))
-                                    for k, final in step[-1]))
-            self.tables.append({} if probe_from <= d and c < d else None)
+        # Entries the tables may still take.
+        self.room = _TABLE_ENTRIES
 
     def _envies_a_rival(self, x: int) -> bool:
         row = self.val[x]
@@ -221,14 +213,9 @@ class _Search:
                 vector[e] = k
         return vector
 
-    def run(self, depth: int) -> bool:
-        """Explore below the current assignment; True means stop (witness found and
-        no count requested)."""
-        if depth <= self.last_probe:
-            return self._dfs_classes(depth)
-        return self._dfs(depth)
-
-    def _dfs(self, depth: int) -> bool:
+    def run(self, depth: int, signature: int = 0) -> bool:
+        """Explore below the current assignment, whose signature is given; True
+        means stop (witness found and no count requested)."""
         if depth >= self.count_from:
             self.explored += 1
         if depth == len(self.steps):
@@ -242,8 +229,15 @@ class _Search:
                     return True
             self.count += 1
             return False
-        val_u, val_v, held_u, held_v, wu, wv, closing, placements = self.steps[depth]
-        for k, final in placements:
+        val_u, val_v, held_u, held_v, wu, wv, closing, placements, table = self.steps[depth]
+        for k, final, inc in placements:
+            child = signature + inc
+            if table is not None:
+                stored = table.get(child)
+                if stored is not None:
+                    self.explored += stored[0]
+                    self.count += stored[1]
+                    continue
             val_u[k] += wu
             val_v[k] += wv
             held_u[k] += 1
@@ -263,7 +257,17 @@ class _Search:
                             dead = True
                             break
 
-            stop = False if dead else self._dfs(depth + 1)
+            if dead:
+                stop = False
+            elif table is None:
+                stop = self.run(depth + 1, child)
+            else:
+                explored, count = self.explored, self.count
+                stop = self.run(depth + 1, child)
+                # A search that stopped never reads the table again.
+                if self.room:
+                    self.room -= 1
+                    table[child] = (self.explored - explored, self.count - count)
 
             bundle.pop()
             val_u[k] -= wu
@@ -273,63 +277,6 @@ class _Search:
             if stop:
                 return True
         return False
-
-    def _dfs_classes(self, depth: int) -> bool:
-        """``_dfs`` of a pruned search, keeping the signature and the tables, down
-        to the last step that looks its children up; ``_dfs`` goes on below it."""
-        if depth >= self.count_from:
-            self.explored += 1
-        val_u, val_v, held_u, held_v, wu, wv, closing, _ = self.steps[depth]
-        table = self.tables[depth]
-        descend = self._dfs if depth == self.last_probe else self._dfs_classes
-        base = self.signature
-        stop = False
-        for k, final, inc in self.moves[depth]:
-            signature = base + inc
-            if table is not None:
-                stored = table.get(signature)
-                if stored is not None:
-                    self.explored += stored[0]
-                    self.count += stored[1]
-                    continue
-            val_u[k] += wu
-            val_v[k] += wv
-            held_u[k] += 1
-            held_v[k] += 1
-            bundle = self.bundles[k]
-            bundle.append(depth)
-            self.signature = signature
-
-            # The tests of ``_dfs``.
-            dead = False
-            for x, row in final:
-                if row[k] > row[x]:
-                    dead = True
-                    break
-            else:
-                for x in closing:
-                    if self._envies_a_rival(x):
-                        dead = True
-                        break
-
-            if not dead:
-                if table is None:
-                    stop = descend(depth + 1)
-                else:
-                    explored, count = self.explored, self.count
-                    stop = descend(depth + 1)
-                    # A search that stopped never reads the table again.
-                    table[signature] = (self.explored - explored, self.count - count)
-
-            bundle.pop()
-            val_u[k] -= wu
-            val_v[k] -= wv
-            held_u[k] -= 1
-            held_v[k] -= 1
-            if stop:
-                break
-        self.signature = base
-        return stop
 
 
 def _run_task(args: tuple[Instance, list[tuple[int, ...]], tuple[int, ...], bool, bool]) -> tuple[list[int] | None, int, int]:

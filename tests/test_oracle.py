@@ -428,15 +428,53 @@ def test_table_search_matches_reference_on_repeated_edges(inst):
                 ref.run(0)
                 search = oracle._Search(target, choices, True, counting, prefix)
                 search.run(0)
-                assert (search.witness, search.count, search.explored) == \
-                    (ref.witness, ref.count, ref.explored)
-                # The search leaves every counter as it found it, the signature
-                # too, and a task keeps no table inside its fixed prefix.
-                assert search.signature == 0
+                # Past its entry budget a search only looks up: it stores the
+                # first entries the uncapped search stores, and finds the same.
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(oracle, "_TABLE_ENTRIES", 3)
+                    capped = oracle._Search(target, choices, True, counting, prefix)
+                    capped.run(0)
+                for run in (search, capped):
+                    assert (run.witness, run.count, run.explored) == \
+                        (ref.witness, ref.count, ref.explored)
+                assert _stored(capped) == min(3, _stored(search))
+                # The search leaves every counter as it found it, and a task
+                # keeps no table inside its fixed prefix.
                 for x in search.agents:
                     assert not any(search.val[x]) and not any(search.held[x])
                 assert not any(search.bundles)
-                assert all(table is None for table in search.tables[:len(prefix)])
+                assert all(step[-1] is None for step in search.steps[:len(prefix)])
+
+
+def _stored(search):
+    """The entries a search's tables hold."""
+    return sum(len(step[-1]) for step in search.steps if step[-1] is not None)
+
+
+def _distinct_edges(inst):
+    """``inst`` with each repeated edge kept once."""
+    specs = dict.fromkeys((e.u, e.v, e.wu, e.wv) for e in inst.edges)
+    return build_instance(inst.n, list(specs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_multigraphs())
+def test_tables_only_below_repeated_edges_in_pruned_search(inst):
+    # A search keeps no table without pruning, nor without a repeated edge
+    # past its prefix that is not the last edge: below, the only repeats are
+    # edges 0 and 1 under a depth-2 prefix, or the last edge.
+    distinct = _distinct_edges(inst)
+    edges = [(e.u, e.v, e.wu, e.wv) for e in distinct.edges]
+    runs = [(inst, False, ()), (distinct, True, ())]
+    if edges:
+        runs.append((build_instance(inst.n, edges + edges[-1:]), True, ()))
+        head = build_instance(inst.n, edges[:1] + edges)
+        runs += [(head, True, prefix)
+                 for prefix in itertools.product(*[(e.u, e.v) for e in head.edges[:2]])]
+    for target, prune, prefix in runs:
+        for choices in ([(e.u, e.v) for e in target.edges], [tuple(range(target.n))] * target.m):
+            search = oracle._Search(target, choices, prune, True, prefix)
+            assert all(step[-1] is None for step in search.steps)
 
 
 def test_p4_qn11_is_refuted_from_stored_subtrees():

@@ -154,7 +154,7 @@ def _cmd_verify(args) -> int:
     alloc = _read_allocation(args.allocation, inst)
     alpha = parse_rational(args.alpha)
     verdict = check_efx(inst, alloc, alpha)
-    doc = verdict.to_json()
+    doc = verdict._json_doc()
     if args.orientation:
         doc["is_orientation"] = is_orientation(inst, alloc)
         if not doc["is_orientation"]:

@@ -19,7 +19,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import Allocation, Instance, _ratio_text, is_orientation
+from .model import Allocation, Instance, _ratio_text, _Text, is_orientation
 
 ONE = Fraction(1)
 
@@ -45,6 +45,7 @@ class Verdict:
     ``records`` holds each witness as a ``Record`` of ints, the one stored form;
     equality and hashing read it.  ``witnesses`` is a read-only view that builds
     the ``Witness`` tuples, with ``Fraction`` values, once, on first read.
+    ``to_json`` and ``_json_doc`` write the records through ``_record_texts``.
     """
 
     passed: bool
@@ -64,17 +65,33 @@ class Verdict:
         return f"Verdict(passed={self.passed!r}, witnesses={self.witnesses!r}, alpha={self.alpha!r})"
 
     def to_json(self) -> dict:
-        # One envier's records share its lhs and sort next to each other, so
-        # each lhs is written once, on the first record of its run.
-        witnesses, last, lhs = [], None, ""
-        for envier, envied, g, lp, lq, rp, rq in self.records:
-            if (lp, lq) != last:
-                last, d = (lp, lq), gcd(lp, lq)
-                lhs = _ratio_text((lp // d, lq // d))
-            d = gcd(rp, rq)
-            witnesses.append({"envier": envier, "envied": envied, "removed_edge": g,
-                              "lhs": lhs, "rhs": _ratio_text((rp // d, rq // d))})
+        """The verdict's document, one dict per witness; the reference of ``_json_doc``."""
+        witnesses = [{"envier": envier, "envied": envied, "removed_edge": g, "lhs": lhs, "rhs": rhs}
+                     for envier, envied, g, lhs, rhs in _record_texts(self.records)]
         return {"pass": self.passed, "alpha": str(self.alpha), "witnesses": witnesses}
+
+    def _json_doc(self) -> dict:
+        """``to_json()`` with its witness array written ahead as ``json_text``
+        writes it under a top-level key: one template per witness, no dict."""
+        each = ('{\n      "envier": %d,\n      "envied": %d,\n      "removed_edge": %s,'
+                '\n      "lhs": "%s",\n      "rhs": "%s"\n    }')
+        texts = [each % (envier, envied, "null" if g is None else g, lhs, rhs)
+                 for envier, envied, g, lhs, rhs in _record_texts(self.records)]
+        witnesses = _Text("[\n    " + ",\n    ".join(texts) + "\n  ]") if texts else []
+        return {"pass": self.passed, "alpha": str(self.alpha), "witnesses": witnesses}
+
+
+def _record_texts(records: Iterable[Record]) -> Iterable[tuple[int, int, int | None, str, str]]:
+    """Each record as ``(envier, envied, removed_edge, lhs, rhs)``, both values
+    reduced and written as ``str`` writes their ``Fraction``s.  One envier's
+    records share its lhs and sort together: each lhs is reduced once per run."""
+    last, lhs = None, ""
+    for envier, envied, g, lp, lq, rp, rq in records:
+        if (lp, lq) != last:
+            last, d = (lp, lq), gcd(lp, lq)
+            lhs = _ratio_text((lp // d, lq // d))
+        d = gcd(rp, rq)
+        yield envier, envied, g, lhs, _ratio_text((rp // d, rq // d))
 
 
 def bundle_value(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:

@@ -139,7 +139,7 @@ class Instance:
     n: int
     edges: tuple[EdgeItem, ...]
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, reduced: bool = False) -> None:
         n = self.n
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InstanceError(f"agent count must be a positive integer, got {n!r}")
@@ -160,12 +160,22 @@ class Instance:
             except (TypeError, ValueError):
                 raise InstanceError(f"edge {k}: weight is not an integer ratio") from None
             # Equal values must be equal tuples, so a ratio is kept in lowest
-            # terms; its sign then sits in the numerator.
-            if not (type(pu) is type(qu) is type(pv) is type(qv) is int and qu > 0 and qv > 0
-                    and gcd(pu, qu) == 1 == gcd(pv, qv)):
+            # terms; its sign then sits in the numerator.  A ``reduced`` pair
+            # came from ``parse_ratio``, which has reduced it.
+            if not (reduced or type(pu) is type(qu) is type(pv) is type(qv) is int and qu > 0
+                    and qv > 0 and gcd(pu, qu) == 1 == gcd(pv, qv)):
                 raise InstanceError(f"edge {k}: weight is not a reduced integer ratio")
             if pu <= 0 or pv <= 0:
                 raise InstanceError(f"edge {k}: non-positive weight")
+
+    @classmethod
+    def _of_reduced(cls, n: int, edges: tuple[EdgeItem, ...]) -> Instance:
+        """The instance of edges whose pairs ``parse_ratio`` gave, checked by
+        every rule but the reduced-pair one, so no gcd is taken twice."""
+        inst = object.__new__(cls)
+        inst.__dict__.update(n=n, edges=edges)
+        inst.__post_init__(reduced=True)
+        return inst
 
     # The index, the skeleton, the integer valuation and the pair cuts are built
     # on first use and kept: the solvers query pairs, incidences, neighbours,
@@ -316,7 +326,7 @@ def is_orientation(inst: Instance, alloc: Allocation) -> bool:
     """True when every assigned edge sits at one of its two endpoints."""
     for a, bundle in enumerate(alloc.bundles):
         for e in bundle:
-            if a not in inst.edges[e].endpoints():
+            if a != (edge := inst.edges[e]).u and a != edge.v:
                 return False
     return True
 
@@ -573,8 +583,10 @@ def check_agent_count(n: int) -> None:
 
 
 def instance_from_json(doc: object) -> Instance:
-    """The instance a decoded document describes.  This reader checks only the
-    document's shape; ``build_instance`` checks the values it holds."""
+    """The instance a decoded document describes, as ``build_instance`` on its
+    fields gives it.  Each weight is parsed once, into its ``EdgeItem``, and
+    ``Instance._of_reduced`` checks the values.  Of several faults, the first of
+    shape (over every edge), then of grammar, then of value is reported."""
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
     if "n" not in doc or "edges" not in doc:
@@ -582,15 +594,24 @@ def instance_from_json(doc: object) -> Instance:
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise InstanceError("'edges' must be a list")
-    specs = []
+    edges: list[EdgeItem] = []
+    fault = None  # the first weight that does not parse, raised after the shape checks
     for k, rec in enumerate(raw_edges):
         if not isinstance(rec, dict):
             raise InstanceError(f"edge {k}: expected an object")
         try:
-            specs.append((rec["u"], rec["v"], rec["wu"], rec["wv"]))
+            u, v, wu, wv = rec["u"], rec["v"], rec["wu"], rec["wv"]
         except KeyError as exc:
             raise InstanceError(f"edge {k}: missing field {exc.args[0]!r}") from None
-    inst = build_instance(doc["n"], specs)
+        if fault is None:
+            try:
+                # tuple.__new__ skips the named tuple's Python-level __new__.
+                edges.append(tuple.__new__(EdgeItem, (k, u, v, parse_ratio(wu), parse_ratio(wv))))
+            except InstanceError as exc:
+                fault = InstanceError(f"edge {k}: {exc}")
+    if fault is not None:
+        raise fault
+    inst = Instance._of_reduced(doc["n"], tuple(edges))
     check_agent_count(inst.n)
     return inst
 
@@ -611,6 +632,10 @@ def _read_json(source: str | Path | IO[str] | IO[bytes]) -> object:
         raise InstanceError(f"invalid JSON: {exc}") from None
 
 
+class _Text(str):
+    """A value written ahead as ``json_text`` writes it in its place."""
+
+
 _encode_str = json.encoder.encode_basestring_ascii
 # The scalars a document holds, each with its C-level encoder.  Containers write
 # their str and int items inline: those are the bulk of every document.
@@ -619,12 +644,15 @@ _JSON_SCALARS = {
     int: repr,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
+    _Text: str,
 }
 
 
 def json_text(doc: object) -> str:
     """The text of ``json.dumps(doc, indent=2)`` for a document of dicts with str
     keys, lists, tuples, str, int, bool and None; any other type raises ``TypeError``.
+    A ``_Text``, a value already written for its place in the document (such as
+    ``Verdict._json_doc``'s witness array), is copied as it stands.
 
     ``json.dumps`` runs its C encoder only without ``indent``; this writer joins
     each container's items with its depth's padding instead, and encodes each
@@ -699,7 +727,7 @@ def allocation_from_json(doc: object, inst: Instance) -> Allocation:
         if not isinstance(bundle, list):
             raise InstanceError(f"bundle {a}: expected a list of edge ids, got {bundle!r}")
         for e in bundle:
-            if not isinstance(e, int) or isinstance(e, bool):
+            if type(e) is not int and (not isinstance(e, int) or isinstance(e, bool)):
                 raise InstanceError(f"bundle {a}: edge id {e!r} is not an integer")
             if not (0 <= e < inst.m):
                 raise InstanceError(f"bundle {a}: edge id {e!r} out of range [0, {inst.m})")

@@ -3,8 +3,10 @@
 The package computes these through its integer, sparse valuation; the tests
 keep the rational, dense forms here as the reference, the oracle's search
 with its literal per-node envy tests (``ReferenceSearch``), the rational
-grammar as a regular expression (``parse_rational_by_regex``), and a
-component's center from a BFS run at every agent (``center_by_bfs``).
+grammar as a regular expression (``parse_rational_by_regex``), the instance
+reader as a shape pass followed by ``build_instance``
+(``instance_from_json_by_composition``), and a component's center from a BFS
+run at every agent (``center_by_bfs``).
 """
 from __future__ import annotations
 
@@ -17,12 +19,13 @@ from efx_multigraph import (
     InstanceError,
     StructureError,
     bundle_value,
+    build_instance,
     edge_set,
     envied_set,
 )
 from efx_multigraph.bipartite import _first_violation, _leftovers
 from efx_multigraph.derived import AllocationState, Bipartition
-from efx_multigraph.model import bfs_depths
+from efx_multigraph.model import bfs_depths, check_agent_count
 
 
 # The rational grammar as a regular expression, as ``parse_rational`` read it
@@ -49,6 +52,31 @@ def parse_rational_by_regex(raw: Fraction | int | str) -> Fraction:
     elif isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     raise InstanceError(f"not a rational: {raw!r} (expected digits or digits/digits)")
+
+
+def instance_from_json_by_composition(doc: object) -> Instance:
+    """``instance_from_json`` as two passes: the document's shape over every
+    edge, then ``build_instance`` on the fields, which parses every weight and
+    then runs the constructor's full check.  The reader must give an equal
+    instance, or an ``InstanceError`` with the same text."""
+    if not isinstance(doc, dict):
+        raise InstanceError("instance document must be a JSON object")
+    if "n" not in doc or "edges" not in doc:
+        raise InstanceError("instance document needs 'n' and 'edges'")
+    raw_edges = doc["edges"]
+    if not isinstance(raw_edges, list):
+        raise InstanceError("'edges' must be a list")
+    specs = []
+    for k, rec in enumerate(raw_edges):
+        if not isinstance(rec, dict):
+            raise InstanceError(f"edge {k}: expected an object")
+        try:
+            specs.append((rec["u"], rec["v"], rec["wu"], rec["wv"]))
+        except KeyError as exc:
+            raise InstanceError(f"edge {k}: missing field {exc.args[0]!r}") from None
+    inst = build_instance(doc["n"], specs)
+    check_agent_count(inst.n)
+    return inst
 
 
 def value_matrix(inst: Instance, alloc: Allocation) -> list[list[Fraction]]:

@@ -33,7 +33,14 @@ from efx_multigraph import (
 )
 from efx_multigraph.bipartite import efx_completion
 from efx_multigraph.cli import main
-from efx_multigraph.model import MAX_AGENTS, allocation_to_json, instance_to_text
+from efx_multigraph.fairness import Verdict, check_efx
+from efx_multigraph.model import (
+    MAX_AGENTS,
+    allocation_to_json,
+    instance_to_text,
+    is_orientation,
+    load_allocation,
+)
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -895,6 +902,45 @@ def test_verify_builds_no_fraction_past_alpha(tmp_path, capsys, fractions_built)
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["witnesses"]) > 1000
         assert len(fractions_built) <= 1, (alpha, len(fractions_built))
+
+
+def test_verify_writes_witnesses_without_to_json(tmp_path, capsys, monkeypatch):
+    # verify writes its witness array from the verdict's records; it builds no
+    # dict per witness (to_json) and no Witness (.witnesses).  Its text must be
+    # that of the to_json() document, as json.dumps writes it.
+    inst = random_instance(16, 60, 4, "bipartite", seed=3)
+    inst_path = tmp_path / "inst.json"
+    save_instance(inst, inst_path)
+    rng = random.Random(3)
+    deals = {"complete": [rng.randrange(inst.n) for _ in inst.edges],
+             "oriented": [rng.choice((e.u, e.v)) for e in inst.edges],
+             "one-agent": [0] * inst.m, "nothing": [-1] * inst.m}
+    for name, holders in deals.items():
+        bundles = [[e for e, h in enumerate(holders) if h == a] for a in range(inst.n)]
+        (tmp_path / f"{name}.json").write_text(json.dumps({"bundles": bundles}))
+    outputs = {}
+    read = []
+    monkeypatch.setattr(Verdict, "to_json", lambda self: read.append("to_json"))
+    monkeypatch.setattr(Verdict, "witnesses", property(lambda self: read.append("witnesses")))
+    for name in deals:
+        for alpha in ("1", "1/2", "2/3"):
+            for flag in ([], ["--orientation"]):
+                argv = ["verify", str(inst_path), str(tmp_path / f"{name}.json"), "--alpha", alpha, *flag]
+                code = main(argv)
+                outputs[tuple(argv)] = code, capsys.readouterr().out
+    assert read == []
+    monkeypatch.undo()
+    passed = set()
+    for (_, _, alloc_path, _, alpha, *flag), (code, out) in outputs.items():
+        alloc = load_allocation(alloc_path, inst)
+        doc = check_efx(inst, alloc, Fraction(alpha)).to_json()
+        if flag:
+            doc["is_orientation"] = is_orientation(inst, alloc)
+            doc["pass"] = doc["pass"] and doc["is_orientation"]
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert code == (0 if doc["pass"] else 2)
+        passed.add(doc["pass"])
+    assert passed == {True, False}
 
 
 def _run_in_c_locale(argv, stdin: bytes | None = None) -> subprocess.CompletedProcess:

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from efx_multigraph import (
     Verdict,
@@ -16,11 +17,13 @@ from efx_multigraph import (
     envied_set,
     envies,
     is_efx_feasible,
+    is_orientation,
     make_allocation,
     random_instance,
     strongly_envies,
 )
 from efx_multigraph.fairness import efx_verdict, least_valued_item, value_rows
+from efx_multigraph.model import json_text
 
 
 def test_bundle_value_examples(walkthrough):
@@ -296,9 +299,22 @@ def test_verdict_text_reduces_each_value():
             {"envier": 0, "envied": 1, "removed_edge": 0, "lhs": "0", "rhs": rhs0},
             {"envier": 2, "envied": 0, "removed_edge": 3, "lhs": "1", "rhs": rhs2}]
         assert verdict.to_json() == _document_from_witnesses(verdict)
+        _assert_text_path_matches(verdict)
         assert verdict.witnesses is verdict.witnesses
         assert repr(verdict) == (f"Verdict(passed=False, witnesses={verdict.witnesses!r}, "
                                  f"alpha={alpha!r})")
+
+
+def _assert_text_path_matches(verdict, orientation=None):
+    """``json_text`` of ``_json_doc()``, whose witness array is written ahead,
+    equals the text of ``to_json()`` and of ``json.dumps(..., indent=2)``; with
+    ``orientation``, both documents get ``is_orientation`` as ``verify`` adds it."""
+    fast, slow = verdict._json_doc(), verdict.to_json()
+    if orientation is not None:
+        for doc in (fast, slow):
+            doc["is_orientation"] = orientation
+            doc["pass"] = doc["pass"] and orientation
+    assert json_text(fast) == json_text(slow) == json.dumps(slow, indent=2)
 
 
 @st.composite
@@ -337,6 +353,20 @@ def test_verdict_text_matches_its_witnesses(drawn, alpha):
     except ValueError:  # not an EFX orientation
         return
     assert singleton.to_json() == _document_from_witnesses(singleton)
+    _assert_text_path_matches(singleton)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_allocations(), st.sampled_from(ALPHAS[:3]))
+def test_witness_text_matches_to_json(drawn, alpha):
+    # verify writes its witness array through one template per witness; the
+    # text must be that of the to_json() document, for passing and failing
+    # verdicts, with and without --orientation's key.
+    inst, alloc, orientation = drawn
+    for held in (alloc, orientation):
+        verdict = check_efx(inst, held, alpha)
+        for flag in (None, is_orientation(inst, held)):
+            _assert_text_path_matches(verdict, flag)
 
 
 _record = st.tuples(st.integers(0, 4), st.integers(0, 4), st.none() | st.integers(0, 9),
@@ -344,10 +374,13 @@ _record = st.tuples(st.integers(0, 4), st.integers(0, 4), st.none() | st.integer
 
 
 @given(st.lists(_record, max_size=8))
+@example([(0, 1, None, 2, 4, 6, 2), (0, 3, 5, 2, 4, 7, 1)])
 def test_records_text_matches_witnesses(records):
     # check_envied_singleton's records name no removed edge when an agent has
     # two enviers; an EFX orientation never has one, so draw such records here.
     verdict = Verdict(not records, tuple(records))
     assert verdict.to_json() == _document_from_witnesses(verdict)
+    for flag in (None, False, True):
+        _assert_text_path_matches(verdict, flag)
     assert [(w.lhs, w.rhs) for w in verdict.witnesses] == [
         (Fraction(lp, lq), Fraction(rp, rq)) for _, _, _, lp, lq, rp, rq in records]

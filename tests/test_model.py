@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -44,7 +45,12 @@ from efx_multigraph.model import (
     parse_ratio,
     skeleton_family,
 )
-from reference import center_by_bfs, longest_simple_path, parse_rational_by_regex
+from reference import (
+    center_by_bfs,
+    instance_from_json_by_composition,
+    longest_simple_path,
+    parse_rational_by_regex,
+)
 
 
 def test_parse_rational_forms():
@@ -244,6 +250,98 @@ def test_reader_and_constructor_report_each_fault_alike(n, spec, message):
         with pytest.raises(InstanceError) as exc:
             build()
         assert str(exc.value) == message
+
+
+# Document fields: valid values, and every fault of shape, grammar and value
+# the reader must name in the same words and order as the constructor.
+_GOOD_WEIGHTS = st.sampled_from(["1", "7", " 5/2 ", "2/4", 3]) | st.tuples(
+    st.integers(1, 12), st.integers(1, 12)).map(lambda r: f"{r[0]}/{r[1]}")
+_BAD_WEIGHTS = st.sampled_from(["0", "-0", "0/7", "-3/4", "3/x", "1/0", "", "+1", "1.5", "\uff11",
+                                1.5, True, None, 0, -2, [1, 2]])
+_BAD_AGENTS = st.sampled_from([-1, 4, 9, True, False, "1", 1.5, None])
+_BAD_COUNTS = st.sampled_from([0, -2, True, "3", 2.0, None, model.MAX_AGENTS + 1])
+
+
+@st.composite
+def _instance_documents(draw):
+    """A decoded instance document: clean, or with faults anywhere, often several."""
+    faults = draw(st.sampled_from([0, 0, 1, 3, 8]))  # the chance in 16 that a field is faulty
+
+    def pick(good, bad, rare=False):
+        hit = draw(st.integers(0, 15)) < faults and not (rare and draw(st.integers(0, 15)) >= faults)
+        return draw(bad) if hit else draw(good)
+
+    n = pick(st.integers(2, 4), _BAD_COUNTS)
+    top = n if type(n) is int and 2 <= n <= 4 else 4
+    edges = []
+    for _ in range(draw(st.integers(0, 6))):
+        u = draw(st.integers(0, top - 1))
+        rec = {"u": u, "v": (u + draw(st.integers(1, top - 1))) % top,
+               "wu": pick(_GOOD_WEIGHTS, _BAD_WEIGHTS), "wv": pick(_GOOD_WEIGHTS, _BAD_WEIGHTS)}
+        rec["u"] = pick(st.just(rec["u"]), _BAD_AGENTS | st.just(rec["v"]))  # a self-loop too
+        rec["v"] = pick(st.just(rec["v"]), _BAD_AGENTS)
+        if pick(st.just(False), st.booleans(), rare=True):
+            del rec[draw(st.sampled_from(sorted(rec)))]
+        edges.append(pick(st.just(rec), st.just(list(rec.values())), rare=True))
+    doc = {"n": n, "edges": edges}
+    if pick(st.just(False), st.booleans(), rare=True):
+        shape = draw(st.sampled_from(["no-n", "no-edges", "edges-object", "list"]))
+        doc = {"no-n": {"edges": edges}, "no-edges": {"n": n}, "edges-object": {"n": n, "edges": {}},
+               "list": [n, edges]}[shape]
+    return doc
+
+
+def _read_or_fault(read, doc):
+    try:
+        return read(doc)
+    except InstanceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_instance_documents())
+@example({"n": 0, "edges": [{"u": 0, "v": 1, "wu": "1/0", "wv": "1"}]})  # grammar before the count
+@example({"n": 2, "edges": [{"u": 1, "v": 1, "wu": "1", "wv": "1"},
+                            {"u": 0, "v": 1, "wu": "x", "wv": "1"}]})  # grammar before a self-loop
+@example({"n": 2, "edges": [{"u": 0, "v": 1, "wu": "x", "wv": "1"}, [0, 1, "1", "1"]]})  # shape first
+@example({"n": 2, "edges": [{"u": 0, "v": 1, "wu": "x", "wv": "1"}, {"u": 0, "v": 1, "wu": "1"}]})
+@example({"n": 2, "edges": [{"u": 0, "v": 1, "wu": "1", "wv": "-1"},
+                            {"u": 0, "v": 1, "wu": "2/0", "wv": "1/0"}]})
+@example({"n": model.MAX_AGENTS + 1, "edges": [{"u": 0, "v": 0, "wu": "1", "wv": "1"}]})
+@example({"n": model.MAX_AGENTS + 1, "edges": [{"u": 0, "v": 1, "wu": "1", "wv": "1"}]})
+def test_reader_matches_shape_pass_then_build_instance(doc):
+    # The reader reads each weight once, into its EdgeItem, and skips the
+    # constructor's gcd; it must still give what the two passes give.
+    got = _read_or_fault(instance_from_json, doc)
+    want = _read_or_fault(instance_from_json_by_composition, doc)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert type(got) is model.Instance and got.n == want.n and len(got.edges) == len(want.edges)
+    for mine, theirs in zip(got.edges, want.edges):
+        assert type(mine) is model.EdgeItem and mine == theirs
+    assert got == want and hash(got) == hash(want)
+
+
+def test_reader_reduces_each_weight_once(monkeypatch):
+    # parse_ratio takes one gcd per p/q weight; the reader hands the pairs to
+    # Instance without taking it again, while a hand-built Instance still
+    # checks every pair.
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return math.gcd(a, b)
+
+    inst = random_instance(64, 400, 4, "bipartite", seed=3)
+    text = instance_to_text(inst)
+    monkeypatch.setattr(model, "gcd", counting_gcd)
+    again = load_instance(io.StringIO(text))
+    assert again == inst
+    assert len(calls) == sum(r[1] != 1 for e in inst.edges for r in (e.ru, e.rv)) > inst.m
+    calls.clear()
+    assert model.Instance(inst.n, inst.edges) == inst
+    assert len(calls) == 2 * inst.m
 
 
 @pytest.mark.parametrize("weight", ["0", "-0", "0/7", "-3/4"])

@@ -19,7 +19,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import Allocation, Instance, _ratio_text, _Text, is_orientation
+from .model import Allocation, Instance, _ratio_text, _records_text, is_orientation
 
 ONE = Fraction(1)
 
@@ -71,14 +71,10 @@ class Verdict:
         return {"pass": self.passed, "alpha": str(self.alpha), "witnesses": witnesses}
 
     def _json_doc(self) -> dict:
-        """``to_json()`` with its witness array written ahead as ``json_text``
-        writes it under a top-level key: one template per witness, no dict."""
-        each = ('{\n      "envier": %d,\n      "envied": %d,\n      "removed_edge": %s,'
-                '\n      "lhs": "%s",\n      "rhs": "%s"\n    }')
-        texts = [each % (envier, envied, "null" if g is None else g, lhs, rhs)
-                 for envier, envied, g, lhs, rhs in _record_texts(self.records)]
-        witnesses = _Text("[\n    " + ",\n    ".join(texts) + "\n  ]") if texts else []
-        return {"pass": self.passed, "alpha": str(self.alpha), "witnesses": witnesses}
+        """``to_json()`` with its witness array written ahead by ``_records_text``."""
+        keys = ("envier", "envied", "removed_edge", "lhs", "rhs")
+        return {"pass": self.passed, "alpha": str(self.alpha),
+                "witnesses": _records_text(keys, _record_texts(self.records))}
 
 
 def _record_texts(records: Iterable[Record]) -> Iterable[tuple[int, int, int | None, str, str]]:

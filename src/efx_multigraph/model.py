@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
@@ -160,22 +161,12 @@ class Instance:
             except (TypeError, ValueError):
                 raise InstanceError(f"edge {k}: weight is not an integer ratio") from None
             # Equal values must be equal tuples, so a ratio is kept in lowest
-            # terms; its sign then sits in the numerator.  A ``reduced`` pair
-            # came from ``parse_ratio``, which has reduced it.
+            # terms, its sign in the numerator: ``reduced`` pairs came so from ``parse_ratio``.
             if not (reduced or type(pu) is type(qu) is type(pv) is type(qv) is int and qu > 0
                     and qv > 0 and gcd(pu, qu) == 1 == gcd(pv, qv)):
                 raise InstanceError(f"edge {k}: weight is not a reduced integer ratio")
             if pu <= 0 or pv <= 0:
                 raise InstanceError(f"edge {k}: non-positive weight")
-
-    @classmethod
-    def _of_reduced(cls, n: int, edges: tuple[EdgeItem, ...]) -> Instance:
-        """The instance of edges whose pairs ``parse_ratio`` gave, checked by
-        every rule but the reduced-pair one, so no gcd is taken twice."""
-        inst = object.__new__(cls)
-        inst.__dict__.update(n=n, edges=edges)
-        inst.__post_init__(reduced=True)
-        return inst
 
     # The index, the skeleton, the integer valuation and the pair cuts are built
     # on first use and kept: the solvers query pairs, incidences, neighbours,
@@ -263,16 +254,21 @@ class Instance:
 def build_instance(n: int, edge_specs: Iterable[tuple[int, int, Fraction | int | str, Fraction | int | str]]) -> Instance:
     """Construct an Instance from (u, v, wu, wv) tuples, assigning ids by position.
 
-    The weights go through ``parse_ratio`` and the rest through ``Instance``,
-    the one validator of instances, read from a document or built in code.
+    The weights go through ``parse_ratio``, once each, and the rest through
+    ``Instance``, the one validator of instances, read from a document or built
+    in code; its reduced-pair test is skipped, as ``parse_ratio`` has met it.
     """
     edges = []
     for k, (u, v, wu, wv) in enumerate(edge_specs):
         try:
-            edges.append(EdgeItem(k, u, v, parse_ratio(wu), parse_ratio(wv)))
+            # tuple.__new__ skips the named tuple's Python-level __new__.
+            edges.append(tuple.__new__(EdgeItem, (k, u, v, parse_ratio(wu), parse_ratio(wv))))
         except InstanceError as exc:
             raise InstanceError(f"edge {k}: {exc}") from None
-    return Instance(n, tuple(edges))
+    inst = object.__new__(Instance)
+    inst.__dict__.update(n=n, edges=tuple(edges))
+    inst.__post_init__(reduced=True)
+    return inst
 
 
 def edge_set(inst: Instance, i: int, j: int) -> frozenset[int]:
@@ -583,10 +579,9 @@ def check_agent_count(n: int) -> None:
 
 
 def instance_from_json(doc: object) -> Instance:
-    """The instance a decoded document describes, as ``build_instance`` on its
-    fields gives it.  Each weight is parsed once, into its ``EdgeItem``, and
-    ``Instance._of_reduced`` checks the values.  Of several faults, the first of
-    shape (over every edge), then of grammar, then of value is reported."""
+    """The instance a decoded document describes.  This reader checks only the
+    document's shape; ``build_instance`` checks the values it holds, so the
+    first fault of shape, over every edge, comes before one of grammar or value."""
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
     if "n" not in doc or "edges" not in doc:
@@ -594,24 +589,15 @@ def instance_from_json(doc: object) -> Instance:
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise InstanceError("'edges' must be a list")
-    edges: list[EdgeItem] = []
-    fault = None  # the first weight that does not parse, raised after the shape checks
+    specs = []
     for k, rec in enumerate(raw_edges):
         if not isinstance(rec, dict):
             raise InstanceError(f"edge {k}: expected an object")
         try:
-            u, v, wu, wv = rec["u"], rec["v"], rec["wu"], rec["wv"]
+            specs.append((rec["u"], rec["v"], rec["wu"], rec["wv"]))
         except KeyError as exc:
             raise InstanceError(f"edge {k}: missing field {exc.args[0]!r}") from None
-        if fault is None:
-            try:
-                # tuple.__new__ skips the named tuple's Python-level __new__.
-                edges.append(tuple.__new__(EdgeItem, (k, u, v, parse_ratio(wu), parse_ratio(wv))))
-            except InstanceError as exc:
-                fault = InstanceError(f"edge {k}: {exc}")
-    if fault is not None:
-        raise fault
-    inst = Instance._of_reduced(doc["n"], tuple(edges))
+    inst = build_instance(doc["n"], specs)
     check_agent_count(inst.n)
     return inst
 
@@ -632,8 +618,13 @@ def _read_json(source: str | Path | IO[str] | IO[bytes]) -> object:
         raise InstanceError(f"invalid JSON: {exc}") from None
 
 
-class _Text(str):
-    """A value written ahead as ``json_text`` writes it in its place."""
+class _Text:
+    """Text written ahead for its place in a document, which ``json_text``
+    copies as it stands; not a ``str``, so ``json.dumps`` refuses it."""
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -644,15 +635,15 @@ _JSON_SCALARS = {
     int: repr,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
-    _Text: str,
+    _Text: lambda value: value.text,
 }
+_INDENT = "  "
 
 
 def json_text(doc: object) -> str:
     """The text of ``json.dumps(doc, indent=2)`` for a document of dicts with str
     keys, lists, tuples, str, int, bool and None; any other type raises ``TypeError``.
-    A ``_Text``, a value already written for its place in the document (such as
-    ``Verdict._json_doc``'s witness array), is copied as it stands.
+    A ``_Text``, such as ``_records_text`` writes, is copied as it stands.
 
     ``json.dumps`` runs its C encoder only without ``indent``; this writer joins
     each container's items with its depth's padding instead, and encodes each
@@ -665,7 +656,7 @@ def _json_value(value: object, pad: str, heads: dict[str, str]) -> str:
     """The text of a value; a container's closing bracket sits after ``pad``.
     ``heads`` maps each key met so far in the document to its ``"key": ``."""
     kind = type(value)
-    inner = pad + "  "
+    inner = pad + _INDENT
     # Plain loops: on Python 3.11 a comprehension is a function call of its own,
     # which slows the many small containers of a document.
     if kind is dict:
@@ -697,6 +688,27 @@ def _json_value(value: object, pad: str, heads: dict[str, str]) -> str:
     if scalar is not None:
         return scalar(value)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _records_text(keys: tuple[str, ...], rows: Iterable[tuple]) -> _Text | list:
+    """What ``json_text`` writes under a top-level key for the list of records
+    that map ``keys`` to each row's values: one template per record, all filled
+    by one ``%``.  A column of one type is encoded in one ``map``; ints by
+    ``%s`` itself, as ``repr``."""
+    values = list(chain.from_iterable(rows))
+    if not values:
+        return []  # which json_text writes itself
+    item, field = "\n" + 2 * _INDENT, "\n" + 3 * _INDENT
+    width = len(keys)
+    for i in range(width):
+        column = values[i::width]
+        kind = type(column[0]) if len(set(map(type, column))) == 1 else None
+        if kind is not int:
+            encode = _JSON_SCALARS.get(kind) or (lambda value: _json_value(value, field, {}))
+            values[i::width] = map(encode, column)
+    each = "{" + ",".join(field + _encode_str(k).replace("%", "%%") + ": %s" for k in keys) + item + "}"
+    return _Text("[" + item + ("," + item).join([each] * (len(values) // width)) % tuple(values)
+                 + "\n" + _INDENT + "]")
 
 
 def load_instance(source: str | Path | IO[str] | IO[bytes]) -> Instance:

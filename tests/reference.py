@@ -4,9 +4,9 @@ The package computes these through its integer, sparse valuation; the tests
 keep the rational, dense forms here as the reference, the oracle's search
 with its literal per-node envy tests (``ReferenceSearch``), the rational
 grammar as a regular expression (``parse_rational_by_regex``), the instance
-reader as a shape pass followed by ``build_instance``
-(``instance_from_json_by_composition``), and a component's center from a BFS
-run at every agent (``center_by_bfs``).
+reader as a shape pass followed by ``build_instance`` with the constructor's
+full check (``instance_from_json_by_composition``), and a component's center
+from a BFS run at every agent (``center_by_bfs``).
 """
 from __future__ import annotations
 
@@ -15,17 +15,17 @@ from fractions import Fraction
 
 from efx_multigraph import (
     Allocation,
+    EdgeItem,
     Instance,
     InstanceError,
     StructureError,
     bundle_value,
-    build_instance,
     edge_set,
     envied_set,
 )
 from efx_multigraph.bipartite import _first_violation, _leftovers
 from efx_multigraph.derived import AllocationState, Bipartition
-from efx_multigraph.model import bfs_depths, check_agent_count
+from efx_multigraph.model import bfs_depths, check_agent_count, parse_ratio
 
 
 # The rational grammar as a regular expression, as ``parse_rational`` read it
@@ -56,9 +56,10 @@ def parse_rational_by_regex(raw: Fraction | int | str) -> Fraction:
 
 def instance_from_json_by_composition(doc: object) -> Instance:
     """``instance_from_json`` as two passes: the document's shape over every
-    edge, then ``build_instance`` on the fields, which parses every weight and
-    then runs the constructor's full check.  The reader must give an equal
-    instance, or an ``InstanceError`` with the same text."""
+    edge, then every weight through ``parse_ratio`` and the instance through
+    the constructor's full check, which ``build_instance`` skips in part.  The
+    reader must give an equal instance, or an ``InstanceError`` with the same
+    text."""
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
     if "n" not in doc or "edges" not in doc:
@@ -74,7 +75,13 @@ def instance_from_json_by_composition(doc: object) -> Instance:
             specs.append((rec["u"], rec["v"], rec["wu"], rec["wv"]))
         except KeyError as exc:
             raise InstanceError(f"edge {k}: missing field {exc.args[0]!r}") from None
-    inst = build_instance(doc["n"], specs)
+    edges = []
+    for k, (u, v, wu, wv) in enumerate(specs):
+        try:
+            edges.append(EdgeItem(k, u, v, parse_ratio(wu), parse_ratio(wv)))
+        except InstanceError as exc:
+            raise InstanceError(f"edge {k}: {exc}") from None
+    inst = Instance(doc["n"], tuple(edges))
     check_agent_count(inst.n)
     return inst
 

@@ -310,8 +310,9 @@ def _read_or_fault(read, doc):
 @example({"n": model.MAX_AGENTS + 1, "edges": [{"u": 0, "v": 0, "wu": "1", "wv": "1"}]})
 @example({"n": model.MAX_AGENTS + 1, "edges": [{"u": 0, "v": 1, "wu": "1", "wv": "1"}]})
 def test_reader_matches_shape_pass_then_build_instance(doc):
-    # The reader reads each weight once, into its EdgeItem, and skips the
-    # constructor's gcd; it must still give what the two passes give.
+    # build_instance reads each weight once, into its EdgeItem, and skips the
+    # constructor's gcd; the reader must still give what the two passes give
+    # with the full check.
     got = _read_or_fault(instance_from_json, doc)
     want = _read_or_fault(instance_from_json_by_composition, doc)
     if isinstance(want, str):
@@ -324,9 +325,9 @@ def test_reader_matches_shape_pass_then_build_instance(doc):
 
 
 def test_reader_reduces_each_weight_once(monkeypatch):
-    # parse_ratio takes one gcd per p/q weight; the reader hands the pairs to
-    # Instance without taking it again, while a hand-built Instance still
-    # checks every pair.
+    # parse_ratio takes one gcd per p/q weight; build_instance, which the
+    # reader calls, hands the pairs to Instance without taking it again, while
+    # a hand-built Instance still checks every pair.
     calls = []
 
     def counting_gcd(a, b):
@@ -751,6 +752,33 @@ _DOCUMENTS = st.recursive(
 @given(_DOCUMENTS)
 def test_json_text_matches_indented_dumps(doc):
     assert json_text(doc) == json.dumps(doc, indent=2)
+
+
+@st.composite
+def _record_lists(draw):
+    """Distinct keys, some holding ``%``, and rows of as many values; a column
+    holds ints only, strings only, or any document value."""
+    keys = draw(st.lists(_DOC_STRINGS | st.sampled_from(["%", "%s", "%%d"]), min_size=1,
+                         max_size=5, unique=True))
+    kinds = [draw(st.sampled_from([st.integers(-2**70, 2**70), _DOC_STRINGS, _DOCUMENTS]))
+             for _ in keys]
+    rows = draw(st.lists(st.tuples(*kinds), max_size=5))
+    return tuple(keys), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_lists(), _DOC_STRINGS)
+@example((("envier", "removed_edge", "rhs"), [(0, None, "1/2"), (1, 3, "2")]), "witnesses")
+def test_records_text_matches_indented_dumps(records, name):
+    # A list of flat records written ahead under a top-level key reads as
+    # json.dumps writes the list of dicts; json.dumps itself refuses it.
+    keys, rows = records
+    doc = {"pass": False, name: model._records_text(keys, iter(rows))}
+    reference = {"pass": False, name: [dict(zip(keys, row)) for row in rows]}
+    assert json_text(doc) == json.dumps(reference, indent=2)
+    if rows:
+        with pytest.raises(TypeError):
+            json.dumps(doc)
 
 
 def test_json_text_empty_containers_and_rejected_types():

@@ -29,7 +29,6 @@ from .model import (
     Allocation,
     Instance,
     StructureError,
-    edge_set,
     is_complete,
     is_orientation,
     make_allocation,
@@ -155,13 +154,12 @@ def _next_violation(state: AllocationState) -> tuple[int, int, frozenset[int]] |
 
 def _saturate_loop(state: AllocationState, events: list[dict] | None, stage: str) -> None:
     """Drain every non-envied agent's available sets in place (the stage-2 cases)."""
-    inst = state.inst
     while True:
         hit = _next_violation(state)
         if hit is None:
             return
         i, j, a_ij = hit
-        if any(state.holder.get(e) == j for e in edge_set(inst, i, j)):
+        if j in state.pair_holders.get((i, j) if i < j else (j, i), ()):
             state.give(i, a_ij)
             case = 1
         else:
@@ -288,8 +286,11 @@ def _leftovers(state: AllocationState) -> list[tuple[int, int, list[int], frozen
     """(envied endpoint, other endpoint, pair, unallocated edges) for every pair
     with unallocated edges, which must have exactly one envied endpoint."""
     out = []
-    for a, b in state.inst.pairs():
-        free = frozenset(e for e in edge_set(state.inst, a, b) if e not in state.holder)
+    for (a, b), pair_edges in state.inst._pair_edges.items():
+        held = state.pair_holders.get((a, b))
+        if held is not None and sum(held.values()) == len(pair_edges):
+            continue
+        free = frozenset(e for e in pair_edges if e not in state.holder)
         if free:
             envied_ends = [x for x in (a, b) if state.enviers[x]]
             if len(envied_ends) != 1:
@@ -377,27 +378,28 @@ def _flags(state: AllocationState) -> PropertyFlags:
 def _flag_values(state: AllocationState) -> Iterator[bool]:
     """P1..P5 of the state, in order, each evaluated only when it is read."""
     inst = state.inst
-    alloc = state.freeze()
-    yield is_orientation(inst, alloc) and efx_verdict(inst, state.val, state.bundles).passed
-    yield _cut_shaped(state, alloc)
+    yield all(x in pair for pair, held in state.pair_holders.items() for x in held) \
+        and efx_verdict(inst, state.val, state.bundles).passed
+    yield _cut_shaped(state)
     yield all(state.worth(i, state.available(i, j)) <= state.val[i][i]
               for i in range(inst.n) for j in state.neighbours[i])
     yield _first_violation(state) is None
     yield _first_unsafe(state) is None
 
 
-def _cut_shaped(state: AllocationState, alloc: Allocation) -> bool:
+def _cut_shaped(state: AllocationState) -> bool:
     """P2: every pair is untouched, split into its cut's two halves, or holds one
     half at one endpoint and nothing at the other."""
-    for (a, b), pair_edges in state.inst._pair_edges.items():
-        if any(state.holder.get(e) not in (None, a, b) for e in pair_edges):
+    for (a, b), held in state.pair_holders.items():
+        if any(x != a and x != b for x in held):
             return False
-        held_a = pair_edges & alloc.bundles[a]
-        held_b = pair_edges & alloc.bundles[b]
+        pair_edges = state.inst._pair_edges[(a, b)]
+        held_a = pair_edges & state.bundles[a]
+        held_b = pair_edges & state.bundles[b]
         cfg = state.pair_cut(a, b)
         halves = {cfg.c1, cfg.c2}
-        ok = (not held_a and not held_b) \
-            or {held_a, held_b} == halves \
+        # The pair is held, so at least one endpoint holds part of it.
+        ok = {held_a, held_b} == halves \
             or (not held_b and held_a in halves) \
             or (not held_a and held_b in halves)
         if not ok:

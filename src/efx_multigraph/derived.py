@@ -12,14 +12,18 @@ A[i,j](X) is what i could still claim from E(i,j):
 From these: A_i = union over j, B_i = the list of A[i,j] over every other agent j
 (empty ones included), and the safe set S_i = non-envied agents k that i would
 still not envy after k absorbed all of A_i.
+
+``AllocationState`` keeps, per held pair, how many of its edges each agent
+holds, so the three cases above are read off the pair's holders without a scan
+of E(i,j).
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .cutting import CutConfig, cut, preferred_bundle
 from .fairness import envier_lists, value_rows
-from .model import Allocation, Instance, edge_set
+from .model import Allocation, Instance, StructureError, edge_set
 
 Bipartition = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -44,9 +48,12 @@ class AllocationState:
     it: agent i and the holders of i's edges) and every agent's set of enviers,
     and updates all of them on each move, so no query re-scans the edges or
     re-sums values.  ``enviers`` is the one record of envy that queries read: k
-    is envied exactly when ``enviers[k]`` is non-empty.  It memoizes, per ordered
-    pair (i, j), i's preferred bundle of the pair's T-side cut, which depends on
-    the instance alone.
+    is envied exactly when ``enviers[k]`` is non-empty.  ``pair_holders`` maps
+    each sorted pair (a, b) of which some edge is held to {agent: how many edges
+    of E(a,b) it holds}; an untouched pair has no entry.  It answers
+    ``available``, the stage-2 case test, flags P1 and P2 and the leftovers.
+    It memoizes, per ordered pair (i, j), i's preferred bundle of the pair's
+    T-side cut, which depends on the instance alone.
 
     ``dirty`` holds every agent whose edges or envied status may have changed
     since the stage-2 loop last found it with nothing to claim; it starts with
@@ -64,7 +71,12 @@ class AllocationState:
         self.holder = alloc.holder_map()
         self.neighbours = inst.neighbours
         self._preferred: dict[tuple[int, int], frozenset[int]] = {}
-        self.val = value_rows(inst, alloc)
+        self.val = value_rows(inst, alloc)  # raises on an invalid edge id
+        self.pair_holders: dict[tuple[int, int], dict[int, int]] = {}
+        for e, agent in self.holder.items():
+            _, u, v, _, _ = inst.edges[e]
+            held = self.pair_holders.setdefault((u, v) if u < v else (v, u), {})
+            held[agent] = held.get(agent, 0) + 1
         self.bundles = [set(b) for b in alloc.bundles]
         self.enviers = [set(js) for js in envier_lists(self.val)]
         self.dirty = set(range(inst.n))
@@ -83,7 +95,11 @@ class AllocationState:
 
     # -- moves
 
-    def give(self, agent: int, edges: Iterable[int]) -> None:
+    def give(self, agent: int, edges: Collection[int]) -> None:
+        """Book unheld edges to the agent; moves nothing if one is already held."""
+        if not self.holder.keys().isdisjoint(edges):
+            e = min(self.holder.keys() & set(edges))
+            raise StructureError(f"edge {e} is already held by agent {self.holder[e]}")
         self._move(agent, edges, 1)
 
     def take(self, agent: int, edges: Iterable[int]) -> None:
@@ -102,15 +118,29 @@ class AllocationState:
     def _move(self, agent: int, edges: Iterable[int], sign: int) -> None:
         bundle = self.bundles[agent]
         weights = self.inst.weights
+        pair_holders = self.pair_holders
         touched: set[int] = set()
         for e in edges:
             edge = self.inst.edges[e]
+            pair = (edge.u, edge.v) if edge.u < edge.v else (edge.v, edge.u)
+            held = pair_holders.get(pair)
             if sign > 0:
                 bundle.add(e)
                 self.holder[e] = agent
+                if held is None:
+                    held = pair_holders[pair] = {}
+                held[agent] = held.get(agent, 0) + 1
             else:
                 bundle.remove(e)
                 del self.holder[e]
+                # An agent holding nothing of the pair leaves its entry, and an
+                # untouched pair leaves the map.
+                if held[agent] > 1:
+                    held[agent] -= 1
+                elif len(held) > 1:
+                    del held[agent]
+                else:
+                    del pair_holders[pair]
             for x in (edge.u, edge.v):
                 row = self.val[x]
                 v = row.get(agent, 0) + sign * weights[x][e]
@@ -146,20 +176,16 @@ class AllocationState:
 
     def available(self, i: int, j: int) -> frozenset[int]:
         """A[i,j](X): edges of E(i,j) still claimable by i."""
-        pair_edges = self.inst._pair_edges.get((i, j) if i < j else (j, i))
-        if pair_edges is None:
-            return edge_set(self.inst, i, j)  # empty, or a ValueError for i == j
-        held_j: set[int] = set()
-        for e in pair_edges:
-            h = self.holder.get(e)
-            if h == j:
-                held_j.add(e)
-            elif h is not None:
-                return frozenset()
-        if held_j:
-            return pair_edges - held_j
+        pair = (i, j) if i < j else (j, i)
+        held = self.pair_holders.get(pair)
+        if held is not None:
+            if len(held) == 1 and j in held:
+                return self.inst._pair_edges[pair] - self.bundles[j]
+            return frozenset()
         bundle = self._preferred.get((i, j))
         if bundle is None:
+            if pair not in self.inst._pair_edges:
+                return edge_set(self.inst, i, j)  # empty, or a ValueError for i == j
             bundle = self._preferred[(i, j)] = preferred_bundle(self.inst, i, self.pair_cut(i, j))
         return bundle
 

@@ -178,9 +178,14 @@ class Instance:
     def _pair_edges(self) -> dict[tuple[int, int], frozenset[int]]:
         """Sorted adjacent pair (i < j) -> ids of the edges between them."""
         pair_edges: dict[tuple[int, int], list[int]] = {}
-        for e in self.edges:
-            pair_edges.setdefault((min(e.u, e.v), max(e.u, e.v)), []).append(e.id)
-        return {pair: frozenset(ids) for pair, ids in sorted(pair_edges.items())}
+        for k, u, v, _, _ in self.edges:
+            pair = (u, v) if u < v else (v, u)
+            ids = pair_edges.get(pair)
+            if ids is None:
+                pair_edges[pair] = [k]
+            else:
+                ids.append(k)
+        return {pair: frozenset(pair_edges[pair]) for pair in sorted(pair_edges)}
 
     @cached_property
     def _cuts(self) -> dict:

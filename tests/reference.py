@@ -5,8 +5,10 @@ keep the rational, dense forms here as the reference, the oracle's search
 with its literal per-node envy tests (``ReferenceSearch``), the rational
 grammar as a regular expression (``parse_rational_by_regex``), the instance
 reader as a shape pass followed by ``build_instance`` with the constructor's
-full check (``instance_from_json_by_composition``), and a component's center
-from a BFS run at every agent (``center_by_bfs``).
+full check (``instance_from_json_by_composition``), a component's center
+from a BFS run at every agent (``center_by_bfs``), and the pipeline state's
+pair queries as scans of E(i,j) through the holder map (``available_by_scan``
+and ``p1_p2_by_scan``).
 """
 from __future__ import annotations
 
@@ -22,9 +24,12 @@ from efx_multigraph import (
     bundle_value,
     edge_set,
     envied_set,
+    is_orientation,
 )
 from efx_multigraph.bipartite import _first_violation, _leftovers
+from efx_multigraph.cutting import preferred_bundle
 from efx_multigraph.derived import AllocationState, Bipartition
+from efx_multigraph.fairness import efx_verdict
 from efx_multigraph.model import bfs_depths, check_agent_count, parse_ratio
 
 
@@ -161,6 +166,51 @@ def saturate_full_scan(state: AllocationState, events: list[dict], stage: str) -
             state.give(i, a_ij)
             case = 3
         events.append({"stage": stage, "case": case, "i": i, "j": j, "edges": sorted(a_ij)})
+
+
+# ``AllocationState.available`` and flags P1 and P2 as they read before the
+# state kept each pair's holders: every query scans E(i,j) through ``holder``.
+def available_by_scan(state: AllocationState, i: int, j: int) -> frozenset[int]:
+    """A[i,j](X): edges of E(i,j) still claimable by i."""
+    pair_edges = state.inst._pair_edges.get((i, j) if i < j else (j, i))
+    if pair_edges is None:
+        return edge_set(state.inst, i, j)  # empty, or a ValueError for i == j
+    held_j: set[int] = set()
+    for e in pair_edges:
+        h = state.holder.get(e)
+        if h == j:
+            held_j.add(e)
+        elif h is not None:
+            return frozenset()
+    if held_j:
+        return pair_edges - held_j
+    return preferred_bundle(state.inst, i, state.pair_cut(i, j))
+
+
+def p1_p2_by_scan(state: AllocationState) -> tuple[bool, bool]:
+    """Flags P1 (an EFX orientation) and P2 (every pair placed as whole bundles
+    of its T-side cut) from the frozen allocation."""
+    inst = state.inst
+    alloc = state.freeze()
+    p1 = is_orientation(inst, alloc) and efx_verdict(inst, state.val, state.bundles).passed
+    return p1, _cut_shaped_by_scan(state, alloc)
+
+
+def _cut_shaped_by_scan(state: AllocationState, alloc: Allocation) -> bool:
+    for (a, b), pair_edges in state.inst._pair_edges.items():
+        if any(state.holder.get(e) not in (None, a, b) for e in pair_edges):
+            return False
+        held_a = pair_edges & alloc.bundles[a]
+        held_b = pair_edges & alloc.bundles[b]
+        cfg = state.pair_cut(a, b)
+        halves = {cfg.c1, cfg.c2}
+        ok = (not held_a and not held_b) \
+            or {held_a, held_b} == halves \
+            or (not held_b and held_a in halves) \
+            or (not held_a and held_b in halves)
+        if not ok:
+            return False
+    return True
 
 
 def center_by_bfs(inst: Instance, comp: list[int]) -> tuple[int, int, int]:

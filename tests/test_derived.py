@@ -1,22 +1,27 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from efx_multigraph import (
+    StructureError,
     available,
     available_set,
     bundle_value,
     build_instance,
+    check_properties,
     envied_set,
+    is_orientation,
     make_allocation,
     random_instance,
     safe_set,
     two_coloring,
 )
+from efx_multigraph.bipartite import _flags, _greedy
 from efx_multigraph.derived import AllocationState
-from reference import unallocated_incident
+from reference import available_by_scan, p1_p2_by_scan, unallocated_incident
 
 
 def test_available_remainder_rule(walkthrough):
@@ -177,6 +182,75 @@ def test_moves_mark_every_agent_whose_claims_change():
                 assert _claims(state, i) == before[i]
                 checked += 1
     assert checked > 300
+
+
+def _recount_pair_holders(state: AllocationState) -> dict[tuple[int, int], dict[int, int]]:
+    out: dict[tuple[int, int], dict[int, int]] = {}
+    for e, agent in state.holder.items():
+        edge = state.inst.edges[e]
+        held = out.setdefault((min(edge.u, edge.v), max(edge.u, edge.v)), {})
+        held[agent] = held.get(agent, 0) + 1
+    return out
+
+
+def test_pair_holders_follow_every_move():
+    # After gives, takes and swaps, to and from endpoints and third agents, on
+    # random and stage-1 states: the pair holders match a recount from the
+    # holder map, and ``available`` and flags P1 and P2 match their scans of E(i,j).
+    rng = random.Random(23)
+    seen: Counter = Counter()
+    for seed in range(200):
+        n = rng.randint(2, 7)
+        try:
+            inst = random_instance(n, rng.randint(1, 16), 4, "bipartite", num_max=30,
+                                   den_max=5, seed=seed)
+        except Exception:
+            continue
+        parts = two_coloring(inst)
+        if rng.random() < 0.4:
+            state = AllocationState(inst, parts)
+            _greedy(state, None)
+        else:
+            bundles = [set() for _ in range(n)]
+            for e in inst.edges:
+                if rng.random() < 0.6:
+                    bundles[rng.choice((e.u, e.v, rng.randrange(n)))].add(e.id)
+            state = AllocationState(inst, parts, make_allocation(n, bundles))
+        pairs = inst.pairs()
+        for _ in range(rng.randint(0, 6)):
+            r = rng.random()
+            if r < 0.25:
+                state.swap(*rng.choice(pairs))
+                continue
+            e = rng.randrange(inst.m)
+            if e in state.holder:
+                state.take(state.holder[e], [e])
+                if r < 0.6:
+                    continue
+            edge = inst.edges[e]
+            state.give(rng.choice((edge.u, edge.v, rng.randrange(n))), [e])
+        assert state.pair_holders == _recount_pair_holders(state)
+        for a, b in pairs:
+            for i, j in ((a, b), (b, a)):
+                assert state.available(i, j) == available_by_scan(state, i, j)
+        p1_p2 = p1_p2_by_scan(state)
+        assert _flags(state)[:2] == p1_p2
+        assert check_properties(inst, state.freeze(), parts)[:2] == p1_p2
+        seen[is_orientation(inst, state.freeze()), p1_p2] += 1
+    # Non-orientations (a third holder fails P1 and P2) occur, and orientations
+    # with each value of P1 and of P2.
+    assert seen[False, (False, False)] > 10
+    for f in (0, 1):
+        assert {flags[f] for orientation, flags in seen if orientation} == {False, True}
+
+
+def test_give_rejects_a_held_edge():
+    inst = build_instance(3, [(0, 1, 2, 2), (0, 1, 1, 1)])
+    state = AllocationState(inst, two_coloring(inst), make_allocation(3, [{0}]))
+    with pytest.raises(StructureError, match="edge 0 is already held by agent 0"):
+        state.give(1, [1, 0])
+    assert state.bundles == [{0}, set(), set()]
+    assert state.pair_holders == {(0, 1): {0: 1}}
 
 
 def test_swap_exchanges_what_the_pair_holds():

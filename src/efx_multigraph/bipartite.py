@@ -107,14 +107,13 @@ def greedy_orientation(inst: Instance, parts: Bipartition | None = None,
 def _greedy(state: AllocationState, events: list[dict] | None) -> None:
     for agent in state.parts[0] + state.parts[1]:
         best_k = -1
-        best_bundle: frozenset[int] = frozenset()
         best_val = 0
         for k in state.neighbours[agent]:
-            bundle = state.available(agent, k)
-            val = state.worth(agent, bundle)
+            val = state.available_worth(agent, k)
             if val > best_val:
-                best_k, best_bundle, best_val = k, bundle, val
+                best_k, best_val = k, val
         if best_val > 0:
+            best_bundle = state.available(agent, best_k)
             state.give(agent, best_bundle)
             if events is not None:
                 events.append({"stage": "greedy", "agent": agent, "from": best_k,
@@ -128,9 +127,8 @@ def _violation_among(state: AllocationState, agents: Iterable[int]) -> tuple[int
         if state.enviers[i]:
             continue
         for j in state.neighbours[i]:
-            a_ij = state.available(i, j)
-            if a_ij:
-                return i, j, a_ij
+            if state.has_available(i, j):
+                return i, j, state.available(i, j)
     return None
 
 
@@ -378,10 +376,9 @@ def _flags(state: AllocationState) -> PropertyFlags:
 def _flag_values(state: AllocationState) -> Iterator[bool]:
     """P1..P5 of the state, in order, each evaluated only when it is read."""
     inst = state.inst
-    yield all(x in pair for pair, held in state.pair_holders.items() for x in held) \
-        and efx_verdict(inst, state.val, state.bundles).passed
+    yield state.foreign == 0 and efx_verdict(inst, state.val, state.bundles).passed
     yield _cut_shaped(state)
-    yield all(state.worth(i, state.available(i, j)) <= state.val[i][i]
+    yield all(state.available_worth(i, j) <= state.val[i][i]
               for i in range(inst.n) for j in state.neighbours[i])
     yield _first_violation(state) is None
     yield _first_unsafe(state) is None
@@ -390,18 +387,16 @@ def _flag_values(state: AllocationState) -> Iterator[bool]:
 def _cut_shaped(state: AllocationState) -> bool:
     """P2: every pair is untouched, split into its cut's two halves, or holds one
     half at one endpoint and nothing at the other."""
-    for (a, b), held in state.pair_holders.items():
-        if any(x != a and x != b for x in held):
-            return False
-        pair_edges = state.inst._pair_edges[(a, b)]
-        held_a = pair_edges & state.bundles[a]
-        held_b = pair_edges & state.bundles[b]
-        cfg = state.pair_cut(a, b)
-        halves = {cfg.c1, cfg.c2}
-        # The pair is held, so at least one endpoint holds part of it.
-        ok = {held_a, held_b} == halves \
-            or (not held_b and held_a in halves) \
-            or (not held_a and held_b in halves)
-        if not ok:
-            return False
+    if state.foreign:
+        return False
+    bundles = state.bundles
+    for pair, held in state.pair_holders.items():
+        cfg = state.pair_cut(*pair)
+        c1, c2 = cfg.c1, cfg.c2
+        # Every holder is an endpoint.  One holding as many of the pair's edges
+        # as a half, that half included, holds exactly that half; the
+        # endpoints' bundles are disjoint, so two holders hold both halves.
+        for x, count in held.items():
+            if not (count == len(c1) and c1 <= bundles[x] or count == len(c2) and c2 <= bundles[x]):
+                return False
     return True

@@ -15,7 +15,13 @@ still not envy after k absorbed all of A_i.
 
 ``AllocationState`` keeps, per held pair, how many of its edges each agent
 holds, so the three cases above are read off the pair's holders without a scan
-of E(i,j).
+of E(i,j).  Most questions need only whether A[i,j] is empty (the stage-2 scan,
+flag P4) or what it is worth to i (stage 1's picks, flag P3, the safe sets'
+bar); ``has_available`` and ``available_worth`` answer them from those counts,
+the value rows and per-pair memos, and ``available`` builds the set only for a
+bundle that is given.  ``available_worth`` reads "only j holds part of E(i,j)"
+as i's worth of the pair less ``val[i][j]``, which holds only while no agent
+holds an edge off its own pair (``foreign == 0``); otherwise it sums the set.
 """
 from __future__ import annotations
 
@@ -51,9 +57,12 @@ class AllocationState:
     is envied exactly when ``enviers[k]`` is non-empty.  ``pair_holders`` maps
     each sorted pair (a, b) of which some edge is held to {agent: how many edges
     of E(a,b) it holds}; an untouched pair has no entry.  It answers
-    ``available``, the stage-2 case test, flags P1 and P2 and the leftovers.
-    It memoizes, per ordered pair (i, j), i's preferred bundle of the pair's
-    T-side cut, which depends on the instance alone.
+    ``available``, ``has_available``, ``available_worth``, the stage-2 case
+    test, flag P2 and the leftovers.  ``foreign`` counts the held edges whose
+    holder is not an endpoint of the edge; flag P1's orientation half is
+    ``foreign == 0``.  The state memoizes what depends on the instance alone:
+    per unordered pair its T-side cut, and per ordered pair (i, j) i's
+    preferred half of that cut with its worth, and i's worth of all of E(i,j).
 
     ``dirty`` holds every agent whose edges or envied status may have changed
     since the stage-2 loop last found it with nothing to claim; it starts with
@@ -70,13 +79,18 @@ class AllocationState:
         self._t_side = frozenset(parts[1])
         self.holder = alloc.holder_map()
         self.neighbours = inst.neighbours
-        self._preferred: dict[tuple[int, int], frozenset[int]] = {}
+        self._cuts: dict[tuple[int, int], CutConfig] = {}
+        self._preferred: dict[tuple[int, int], tuple[frozenset[int], int]] = {}
+        self._pair_worth: dict[tuple[int, int], int] = {}
         self.val = value_rows(inst, alloc)  # raises on an invalid edge id
         self.pair_holders: dict[tuple[int, int], dict[int, int]] = {}
+        self.foreign = 0
         for e, agent in self.holder.items():
             _, u, v, _, _ = inst.edges[e]
             held = self.pair_holders.setdefault((u, v) if u < v else (v, u), {})
             held[agent] = held.get(agent, 0) + 1
+            if agent != u and agent != v:
+                self.foreign += 1
         self.bundles = [set(b) for b in alloc.bundles]
         self.enviers = [set(js) for js in envier_lists(self.val)]
         self.dirty = set(range(inst.n))
@@ -90,8 +104,13 @@ class AllocationState:
 
     def pair_cut(self, i: int, j: int) -> CutConfig:
         """The cut of E(i,j), made by the pair's T-side agent."""
-        cutter = _t_end((i, j), self._t_side)
-        return cut(self.inst, cutter, j if cutter == i else i)
+        pair = (i, j) if i < j else (j, i)
+        cfg = self._cuts.get(pair)
+        if cfg is None:
+            a, b = pair
+            cutter = _t_end(pair, self._t_side)
+            cfg = self._cuts[pair] = cut(self.inst, cutter, b if cutter == a else a)
+        return cfg
 
     # -- moves
 
@@ -117,22 +136,26 @@ class AllocationState:
 
     def _move(self, agent: int, edges: Iterable[int], sign: int) -> None:
         bundle = self.bundles[agent]
+        all_edges = self.inst.edges
         weights = self.inst.weights
+        holder = self.holder
         pair_holders = self.pair_holders
         touched: set[int] = set()
         for e in edges:
-            edge = self.inst.edges[e]
-            pair = (edge.u, edge.v) if edge.u < edge.v else (edge.v, edge.u)
+            _, u, v, _, _ = all_edges[e]
+            pair = (u, v) if u < v else (v, u)
             held = pair_holders.get(pair)
+            if agent != u and agent != v:
+                self.foreign += sign
             if sign > 0:
                 bundle.add(e)
-                self.holder[e] = agent
+                holder[e] = agent
                 if held is None:
                     held = pair_holders[pair] = {}
                 held[agent] = held.get(agent, 0) + 1
             else:
                 bundle.remove(e)
-                del self.holder[e]
+                del holder[e]
                 # An agent holding nothing of the pair leaves its entry, and an
                 # untouched pair leaves the map.
                 if held[agent] > 1:
@@ -141,7 +164,7 @@ class AllocationState:
                     del held[agent]
                 else:
                     del pair_holders[pair]
-            for x in (edge.u, edge.v):
+            for x in (u, v):
                 row = self.val[x]
                 v = row.get(agent, 0) + sign * weights[x][e]
                 # A row keeps its own agent's entry and only positive others.
@@ -182,12 +205,47 @@ class AllocationState:
             if len(held) == 1 and j in held:
                 return self.inst._pair_edges[pair] - self.bundles[j]
             return frozenset()
-        bundle = self._preferred.get((i, j))
-        if bundle is None:
-            if pair not in self.inst._pair_edges:
-                return edge_set(self.inst, i, j)  # empty, or a ValueError for i == j
-            bundle = self._preferred[(i, j)] = preferred_bundle(self.inst, i, self.pair_cut(i, j))
-        return bundle
+        if pair not in self.inst._pair_edges:
+            return edge_set(self.inst, i, j)  # empty, or a ValueError for i == j
+        return self._preferred_half(i, j)[0]
+
+    def has_available(self, i: int, j: int) -> bool:
+        """``bool(available(i, j))``, with no set built."""
+        pair = (i, j) if i < j else (j, i)
+        held = self.pair_holders.get(pair)
+        if held is not None:
+            return len(held) == 1 and j in held and held[j] < len(self.inst._pair_edges[pair])
+        if pair not in self.inst._pair_edges:
+            return bool(edge_set(self.inst, i, j))  # False, or a ValueError for i == j
+        # Weights are positive, so an untouched pair's preferred half is never empty.
+        return True
+
+    def available_worth(self, i: int, j: int) -> int:
+        """``worth(i, available(i, j))``, with no set built while ``foreign == 0``."""
+        pair = (i, j) if i < j else (j, i)
+        held = self.pair_holders.get(pair)
+        if held is not None:
+            if len(held) != 1 or j not in held:
+                return 0
+            if self.foreign:
+                return self.worth(i, self.available(i, j))
+            # No edge is held off its pair, so the edges at i that j holds are
+            # E(i,j)'s, and val[i][j] is i's worth of exactly those.
+            total = self._pair_worth.get((i, j))
+            if total is None:
+                total = self._pair_worth[(i, j)] = self.worth(i, self.inst._pair_edges[pair])
+            return total - self.val[i].get(j, 0)
+        if pair not in self.inst._pair_edges:
+            return self.worth(i, edge_set(self.inst, i, j))  # 0, or a ValueError for i == j
+        return self._preferred_half(i, j)[1]
+
+    def _preferred_half(self, i: int, j: int) -> tuple[frozenset[int], int]:
+        """i's preferred half of the adjacent pair's cut, and its worth to i."""
+        got = self._preferred.get((i, j))
+        if got is None:
+            bundle = preferred_bundle(self.inst, i, self.pair_cut(i, j))
+            got = self._preferred[(i, j)] = (bundle, self.worth(i, bundle))
+        return got
 
     def available_set(self, i: int) -> frozenset[int]:
         """A_i(X): the union of A[i,j](X) over i's neighbours."""
@@ -207,9 +265,10 @@ class AllocationState:
         (``enviers[k]`` is empty) and whom i would not envy after k absorbed A_i(X)."""
         if not self.enviers[i]:
             raise ValueError(f"agent {i} is not envied; its safe set is undefined")
-        # A_i holds only unallocated edges, so v_i(X_k | A_i) = val[i][k] + v_i(A_i).
+        # A_i holds only unallocated edges, so v_i(X_k | A_i) = val[i][k] + v_i(A_i),
+        # and its parts A[i,j] lie in disjoint pairs, so their worths add up.
         row = self.val[i]
-        bar = row[i] - self.worth(i, self.available_set(i))
+        bar = row[i] - sum(self.available_worth(i, j) for j in self.neighbours[i])
         among = range(self.inst.n) if among is None else among
         return {k for k in among if k != i and not self.enviers[k] and row.get(k, 0) <= bar}
 

@@ -7,8 +7,8 @@ grammar as a regular expression (``parse_rational_by_regex``), the instance
 reader as a shape pass followed by ``build_instance`` with the constructor's
 full check (``instance_from_json_by_composition``), a component's center
 from a BFS run at every agent (``center_by_bfs``), and the pipeline state's
-pair queries as scans of E(i,j) through the holder map (``available_by_scan``
-and ``p1_p2_by_scan``).
+pair queries as scans of E(i,j) through the holder map (``available_by_scan``,
+``p1_p2_by_scan``, ``p3_p4_by_scan`` and ``p5_by_scan``).
 """
 from __future__ import annotations
 
@@ -209,6 +209,38 @@ def _cut_shaped_by_scan(state: AllocationState, alloc: Allocation) -> bool:
             or (not held_b and held_a in halves) \
             or (not held_a and held_b in halves)
         if not ok:
+            return False
+    return True
+
+
+# Flags P3 to P5 with no count, memo or value row of the state: A[i,j] from
+# ``available_by_scan`` and every value a rational sum over the frozen bundles.
+def p3_p4_by_scan(state: AllocationState) -> tuple[bool, bool]:
+    """Flags P3 (nobody values an available bundle above their own bundle) and
+    P4 (non-envied agents have nothing available)."""
+    inst = state.inst
+    val = value_matrix(inst, state.freeze())
+    others = [[j for j in range(inst.n) if j != i] for i in range(inst.n)]
+    p3 = all(bundle_value(inst, i, available_by_scan(state, i, j)) <= val[i][i]
+             for i in range(inst.n) for j in others[i])
+    envied = {i for i in range(inst.n) if any(val[k][i] > val[k][k] for k in others[i])}
+    p4 = not any(available_by_scan(state, i, j)
+                 for i in range(inst.n) if i not in envied for j in others[i])
+    return p3, p4
+
+
+def p5_by_scan(state: AllocationState) -> bool:
+    """Flag P5 (every envier of an envied agent is in its safe set)."""
+    inst = state.inst
+    alloc = state.freeze()
+    val = value_matrix(inst, alloc)
+    enviers = [{k for k in range(inst.n) if val[k][i] > val[k][k]} for i in range(inst.n)]
+    for i, who in enumerate(enviers):
+        if not who:
+            continue
+        a_i = frozenset().union(*(available_by_scan(state, i, j) for j in range(inst.n) if j != i))
+        bar = val[i][i] - bundle_value(inst, i, a_i)
+        if any(enviers[k] or val[i][k] > bar for k in who):
             return False
     return True
 

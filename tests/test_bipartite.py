@@ -370,3 +370,18 @@ def test_p2_fails_on_a_split_off_the_cut():
     for mine in ({0}, {1}, {2}):
         split = [frozenset(mine), frozenset({0, 1, 2} - mine)]
         assert check_properties(inst, make_allocation(2, split), parts).p2 == (set(split) == halves)
+
+
+def test_p3_builds_the_set_when_an_edge_is_held_off_its_pair():
+    # Agent 1 holds edge 2 of pair (0, 2), so val[0][1] = 5 + 4 counts more
+    # than agent 1's share of pair (0, 1).  A[0,1] = {1} is worth 5 to agent 0,
+    # who holds 2: P3 fails, where "pair total less val[0][1]" would read
+    # 10 - 9 = 1 and pass.
+    inst = build_instance(4, [(0, 1, 5, 1), (0, 1, 5, 1), (0, 2, 4, 1), (0, 3, 2, 1)])
+    parts = ((0,), (1, 2, 3))
+    alloc = make_allocation(4, [[3], [0, 2], [], []])
+    state = AllocationState(inst, parts, alloc)
+    assert state.foreign == 1
+    assert state.available(0, 1) == {1}
+    assert state.available_worth(0, 1) == 5
+    assert check_properties(inst, alloc, parts).p3 is False

@@ -19,9 +19,16 @@ from efx_multigraph import (
     safe_set,
     two_coloring,
 )
+from efx_multigraph import derived
 from efx_multigraph.bipartite import _flags, _greedy
 from efx_multigraph.derived import AllocationState
-from reference import available_by_scan, p1_p2_by_scan, unallocated_incident
+from reference import (
+    available_by_scan,
+    p1_p2_by_scan,
+    p3_p4_by_scan,
+    p5_by_scan,
+    unallocated_incident,
+)
 
 
 def test_available_remainder_rule(walkthrough):
@@ -193,10 +200,17 @@ def _recount_pair_holders(state: AllocationState) -> dict[tuple[int, int], dict[
     return out
 
 
+def _recount_foreign(state: AllocationState) -> int:
+    return sum(agent not in (state.inst.edges[e].u, state.inst.edges[e].v)
+               for e, agent in state.holder.items())
+
+
 def test_pair_holders_follow_every_move():
     # After gives, takes and swaps, to and from endpoints and third agents, on
-    # random and stage-1 states: the pair holders match a recount from the
-    # holder map, and ``available`` and flags P1 and P2 match their scans of E(i,j).
+    # random and stage-1 states: the pair holders and the count of edges held
+    # off their pair match a recount from the holder map; ``available``,
+    # ``has_available`` and ``available_worth`` match the scan of E(i,j) on
+    # every ordered pair, adjacent or not; and all five flags match their scans.
     rng = random.Random(23)
     seen: Counter = Counter()
     for seed in range(200):
@@ -230,18 +244,42 @@ def test_pair_holders_follow_every_move():
             edge = inst.edges[e]
             state.give(rng.choice((edge.u, edge.v, rng.randrange(n))), [e])
         assert state.pair_holders == _recount_pair_holders(state)
-        for a, b in pairs:
-            for i, j in ((a, b), (b, a)):
-                assert state.available(i, j) == available_by_scan(state, i, j)
-        p1_p2 = p1_p2_by_scan(state)
-        assert _flags(state)[:2] == p1_p2
-        assert check_properties(inst, state.freeze(), parts)[:2] == p1_p2
-        seen[is_orientation(inst, state.freeze()), p1_p2] += 1
-    # Non-orientations (a third holder fails P1 and P2) occur, and orientations
-    # with each value of P1 and of P2.
-    assert seen[False, (False, False)] > 10
-    for f in (0, 1):
+        assert state.foreign == _recount_foreign(state)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    scan = available_by_scan(state, i, j)
+                    assert state.available(i, j) == scan
+                    assert state.has_available(i, j) == bool(scan)
+                    assert state.available_worth(i, j) == state.worth(i, scan)
+        flags = p1_p2_by_scan(state) + p3_p4_by_scan(state) + (p5_by_scan(state),)
+        assert _flags(state) == flags
+        assert check_properties(inst, state.freeze(), parts) == flags
+        seen[is_orientation(inst, state.freeze()), flags] += 1
+    # Non-orientations (a third holder fails P1 and P2) occur, with each value
+    # of P3, and orientations with each value of every flag.
+    assert sum(c for (orientation, flags), c in seen.items() if not orientation and not any(flags[:2])) > 10
+    assert {flags[2] for orientation, flags in seen if not orientation} == {False, True}
+    for f in range(5):
         assert {flags[f] for orientation, flags in seen if orientation} == {False, True}
+
+
+def test_pair_cut_is_made_once_per_pair(monkeypatch):
+    # Both orders of a pair read one memo entry, so the T-side end is found
+    # once per unordered pair.
+    inst = random_instance(6, 14, 4, "bipartite", seed=2)
+    state = AllocationState(inst, two_coloring(inst))
+    ends: Counter = Counter()
+    t_end = derived._t_end
+
+    def counted(pair, t_side):
+        ends[pair] += 1
+        return t_end(pair, t_side)
+
+    monkeypatch.setattr(derived, "_t_end", counted)
+    for a, b in inst.pairs():
+        assert state.pair_cut(a, b) is state.pair_cut(b, a) is state.pair_cut(a, b)
+    assert ends == Counter(inst.pairs())
 
 
 def test_give_rejects_a_held_edge():

@@ -127,7 +127,7 @@ def _violation_among(state: AllocationState, agents: Iterable[int]) -> tuple[int
         if state.enviers[i]:
             continue
         for j in state.neighbours[i]:
-            if state.has_available(i, j):
+            if state.available_worth(i, j):
                 return i, j, state.available(i, j)
     return None
 
@@ -157,6 +157,9 @@ def _saturate_loop(state: AllocationState, events: list[dict] | None, stage: str
         if hit is None:
             return
         i, j, a_ij = hit
+        if not a_ij:
+            # Giving nothing would leave i dirty and return this hit forever.
+            raise StructureError(f"agent {i} was found with an empty available set from {j}")
         if j in state.pair_holders.get((i, j) if i < j else (j, i), ()):
             state.give(i, a_ij)
             case = 1

@@ -33,12 +33,8 @@ def cut(inst: Instance, cutter: int, other: int) -> CutConfig:
         return cfg
     if cutter == other:
         raise ValueError(f"cut needs two distinct agents, got ({cutter}, {other})")
-    pair_edges = edge_set(inst, cutter, other)
-    if len(pair_edges) == 1:
-        cfg = inst._cuts[cutter, other] = CutConfig(cutter, pair_edges, frozenset())
-        return cfg
     weights = inst.weights[cutter]
-    items = sorted(pair_edges, key=lambda e: (-weights[e], e))
+    items = sorted(edge_set(inst, cutter, other), key=lambda e: (-weights[e], e))
     c1: set[int] = set()
     c2: set[int] = set()
     v1 = v2 = 0

@@ -15,13 +15,14 @@ still not envy after k absorbed all of A_i.
 
 ``AllocationState`` keeps, per held pair, how many of its edges each agent
 holds, so the three cases above are read off the pair's holders without a scan
-of E(i,j).  Most questions need only whether A[i,j] is empty (the stage-2 scan,
-flag P4) or what it is worth to i (stage 1's picks, flag P3, the safe sets'
-bar); ``has_available`` and ``available_worth`` answer them from those counts,
-the value rows and per-pair memos, and ``available`` builds the set only for a
-bundle that is given.  ``available_worth`` reads "only j holds part of E(i,j)"
-as i's worth of the pair less ``val[i][j]``, which holds only while no agent
-holds an edge off its own pair (``foreign == 0``); otherwise it sums the set.
+of E(i,j).  Most questions need only what A[i,j] is worth to i (stage 1's
+picks, flag P3, the safe sets' bar), or whether it is empty (the stage-2 scan,
+flag P4): weights are positive, so A[i,j] is empty exactly when it is worth 0.
+``available_worth`` answers both from those counts, the value rows and
+per-pair memos, and ``available`` builds the set only for a bundle that is
+given.  ``available_worth`` reads "only j holds part of E(i,j)" as i's worth
+of the pair less ``val[i][j]``, which holds only while no agent holds an edge
+off its own pair (``foreign == 0``); otherwise it sums the set.
 """
 from __future__ import annotations
 
@@ -57,12 +58,12 @@ class AllocationState:
     is envied exactly when ``enviers[k]`` is non-empty.  ``pair_holders`` maps
     each sorted pair (a, b) of which some edge is held to {agent: how many edges
     of E(a,b) it holds}; an untouched pair has no entry.  It answers
-    ``available``, ``has_available``, ``available_worth``, the stage-2 case
-    test, flag P2 and the leftovers.  ``foreign`` counts the held edges whose
-    holder is not an endpoint of the edge; flag P1's orientation half is
-    ``foreign == 0``.  The state memoizes what depends on the instance alone:
-    per unordered pair its T-side cut, and per ordered pair (i, j) i's
-    preferred half of that cut with its worth, and i's worth of all of E(i,j).
+    ``available``, ``available_worth``, the stage-2 case test, flag P2 and the
+    leftovers.  ``foreign`` counts the held edges whose holder is not an
+    endpoint of the edge; flag P1's orientation half is ``foreign == 0``.  The
+    state memoizes, per ordered pair (i, j), what depends on the instance
+    alone: i's preferred half of the pair's T-side cut with its worth, and i's
+    worth of all of E(i,j).
 
     ``dirty`` holds every agent whose edges or envied status may have changed
     since the stage-2 loop last found it with nothing to claim; it starts with
@@ -79,7 +80,6 @@ class AllocationState:
         self._t_side = frozenset(parts[1])
         self.holder = alloc.holder_map()
         self.neighbours = inst.neighbours
-        self._cuts: dict[tuple[int, int], CutConfig] = {}
         self._preferred: dict[tuple[int, int], tuple[frozenset[int], int]] = {}
         self._pair_worth: dict[tuple[int, int], int] = {}
         self.val = value_rows(inst, alloc)  # raises on an invalid edge id
@@ -104,13 +104,8 @@ class AllocationState:
 
     def pair_cut(self, i: int, j: int) -> CutConfig:
         """The cut of E(i,j), made by the pair's T-side agent."""
-        pair = (i, j) if i < j else (j, i)
-        cfg = self._cuts.get(pair)
-        if cfg is None:
-            a, b = pair
-            cutter = _t_end(pair, self._t_side)
-            cfg = self._cuts[pair] = cut(self.inst, cutter, b if cutter == a else a)
-        return cfg
+        cutter = _t_end((i, j), self._t_side)
+        return cut(self.inst, cutter, j if cutter == i else i)
 
     # -- moves
 
@@ -208,17 +203,6 @@ class AllocationState:
         if pair not in self.inst._pair_edges:
             return edge_set(self.inst, i, j)  # empty, or a ValueError for i == j
         return self._preferred_half(i, j)[0]
-
-    def has_available(self, i: int, j: int) -> bool:
-        """``bool(available(i, j))``, with no set built."""
-        pair = (i, j) if i < j else (j, i)
-        held = self.pair_holders.get(pair)
-        if held is not None:
-            return len(held) == 1 and j in held and held[j] < len(self.inst._pair_edges[pair])
-        if pair not in self.inst._pair_edges:
-            return bool(edge_set(self.inst, i, j))  # False, or a ValueError for i == j
-        # Weights are positive, so an untouched pair's preferred half is never empty.
-        return True
 
     def available_worth(self, i: int, j: int) -> int:
         """``worth(i, available(i, j))``, with no set built while ``foreign == 0``."""

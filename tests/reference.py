@@ -154,6 +154,8 @@ def saturate_full_scan(state: AllocationState, events: list[dict], stage: str) -
         if hit is None:
             return
         i, j, a_ij = hit
+        # An empty hit would be found again on every turn.
+        assert a_ij, f"agent {i} was found with an empty available set from {j}"
         cfg = state.pair_cut(i, j)
         if edge_set(state.inst, i, j) & state.bundles[j]:
             state.give(i, a_ij)

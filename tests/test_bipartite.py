@@ -385,3 +385,24 @@ def test_p3_builds_the_set_when_an_edge_is_held_off_its_pair():
     assert state.available(0, 1) == {1}
     assert state.available_worth(0, 1) == 5
     assert check_properties(inst, alloc, parts).p3 is False
+
+
+def test_stage_two_refuses_an_empty_hit():
+    # Agent 1 holds edge 0 of pair (0, 1), so the non-envied agent 0 is found
+    # with A[0,1] = {1}.  Were that set built empty, case 1 would give nothing
+    # and find the same hit again; the loop must raise instead.
+    inst = build_instance(2, [(0, 1, 2, 1), (0, 1, 1, 1)])
+    state = AllocationState(inst, ((0,), (1,)), make_allocation(2, [[], [0]]))
+    assert state.available(0, 1) == {1}
+    calls = 0
+
+    def empty(i, j):
+        nonlocal calls
+        calls += 1
+        if calls > 3:
+            raise AssertionError("the stage-2 loop found the same empty hit again")
+        return frozenset()
+
+    state.available = empty
+    with pytest.raises(StructureError, match="agent 0 was found with an empty available set from 1"):
+        bipartite._saturate_loop(state, None, "saturate")

@@ -19,7 +19,6 @@ from efx_multigraph import (
     safe_set,
     two_coloring,
 )
-from efx_multigraph import derived
 from efx_multigraph.bipartite import _flags, _greedy
 from efx_multigraph.derived import AllocationState
 from reference import (
@@ -208,9 +207,10 @@ def _recount_foreign(state: AllocationState) -> int:
 def test_pair_holders_follow_every_move():
     # After gives, takes and swaps, to and from endpoints and third agents, on
     # random and stage-1 states: the pair holders and the count of edges held
-    # off their pair match a recount from the holder map; ``available``,
-    # ``has_available`` and ``available_worth`` match the scan of E(i,j) on
-    # every ordered pair, adjacent or not; and all five flags match their scans.
+    # off their pair match a recount from the holder map; ``available`` and
+    # ``available_worth`` match the scan of E(i,j) on every ordered pair,
+    # adjacent or not, and the worth is 0 exactly when the scan is empty; and
+    # all five flags match their scans.
     rng = random.Random(23)
     seen: Counter = Counter()
     for seed in range(200):
@@ -250,8 +250,9 @@ def test_pair_holders_follow_every_move():
                 if i != j:
                     scan = available_by_scan(state, i, j)
                     assert state.available(i, j) == scan
-                    assert state.has_available(i, j) == bool(scan)
-                    assert state.available_worth(i, j) == state.worth(i, scan)
+                    worth = state.available_worth(i, j)
+                    assert worth == state.worth(i, scan)
+                    assert bool(worth) == bool(scan)
         flags = p1_p2_by_scan(state) + p3_p4_by_scan(state) + (p5_by_scan(state),)
         assert _flags(state) == flags
         assert check_properties(inst, state.freeze(), parts) == flags
@@ -262,24 +263,6 @@ def test_pair_holders_follow_every_move():
     assert {flags[2] for orientation, flags in seen if not orientation} == {False, True}
     for f in range(5):
         assert {flags[f] for orientation, flags in seen if orientation} == {False, True}
-
-
-def test_pair_cut_is_made_once_per_pair(monkeypatch):
-    # Both orders of a pair read one memo entry, so the T-side end is found
-    # once per unordered pair.
-    inst = random_instance(6, 14, 4, "bipartite", seed=2)
-    state = AllocationState(inst, two_coloring(inst))
-    ends: Counter = Counter()
-    t_end = derived._t_end
-
-    def counted(pair, t_side):
-        ends[pair] += 1
-        return t_end(pair, t_side)
-
-    monkeypatch.setattr(derived, "_t_end", counted)
-    for a, b in inst.pairs():
-        assert state.pair_cut(a, b) is state.pair_cut(b, a) is state.pair_cut(a, b)
-    assert ends == Counter(inst.pairs())
 
 
 def test_give_rejects_a_held_edge():

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
@@ -108,7 +109,7 @@ def _greedy(state: AllocationState, events: list[dict] | None) -> None:
     for agent in state.parts[0] + state.parts[1]:
         best_k = -1
         best_val = 0
-        for k in state.neighbours[agent]:
+        for k in state.inst.neighbours[agent]:
             val = state.available_worth(agent, k)
             if val > best_val:
                 best_k, best_val = k, val
@@ -120,32 +121,34 @@ def _greedy(state: AllocationState, events: list[dict] | None) -> None:
                                "edges": sorted(best_bundle)})
 
 
-def _violation_among(state: AllocationState, agents: Iterable[int]) -> tuple[int, int, frozenset[int]] | None:
-    """The first of ``agents`` that is not envied and has a non-empty available
-    set, with its lowest such co-agent j and A[i,j]."""
-    for i in agents:
-        if state.enviers[i]:
-            continue
-        for j in state.neighbours[i]:
-            if state.available_worth(i, j):
-                return i, j, state.available(i, j)
-    return None
+def _hit(state: AllocationState, i: int) -> tuple[int, int, frozenset[int]]:
+    """Agent i with its lowest claimed co-agent j and A[i,j]."""
+    j = min(state.claims[i])
+    return i, j, state.available(i, j)
 
 
 def _first_violation(state: AllocationState) -> tuple[int, int, frozenset[int]] | None:
-    """The full scan over every agent (flag P4)."""
-    return _violation_among(state, range(state.inst.n))
+    """The lowest agent that is not envied and has a non-empty available set,
+    with its hit: the full scan over every agent (flag P4)."""
+    claims, enviers = state.claims, state.enviers
+    for i in range(state.inst.n):
+        if claims[i] and not enviers[i]:
+            return _hit(state, i)
+    return None
 
 
 def _next_violation(state: AllocationState) -> tuple[int, int, frozenset[int]] | None:
-    """``_first_violation`` over the dirty agents only: every other agent was
-    found clean and nothing it depends on has moved since.  Clean agents leave
-    the worklist."""
-    dirty = state.dirty
-    for i in sorted(dirty):
-        hit = _violation_among(state, (i,))
-        if hit is not None:
-            return hit
+    """``_first_violation``, read off the worklist's heap: every agent off the
+    worklist is envied or claims nothing, so the lowest agent on it that is
+    neither is the lowest overall.  Agents found envied or claiming nothing
+    leave the worklist until a move marks them again."""
+    heap, dirty = state.dirty_heap, state.dirty
+    claims, enviers = state.claims, state.enviers
+    while heap:
+        i = heap[0]
+        if claims[i] and not enviers[i]:
+            return _hit(state, i)
+        heappop(heap)
         dirty.discard(i)
     return None
 
@@ -382,7 +385,7 @@ def _flag_values(state: AllocationState) -> Iterator[bool]:
     yield state.foreign == 0 and efx_verdict(inst, state.val, state.bundles).passed
     yield _cut_shaped(state)
     yield all(state.available_worth(i, j) <= state.val[i][i]
-              for i in range(inst.n) for j in state.neighbours[i])
+              for i in range(inst.n) for j in state.claims[i])
     yield _first_violation(state) is None
     yield _first_unsafe(state) is None
 

@@ -14,18 +14,20 @@ From these: A_i = union over j, B_i = the list of A[i,j] over every other agent 
 still not envy after k absorbed all of A_i.
 
 ``AllocationState`` keeps, per held pair, how many of its edges each agent
-holds, so the three cases above are read off the pair's holders without a scan
-of E(i,j).  Most questions need only what A[i,j] is worth to i (stage 1's
-picks, flag P3, the safe sets' bar), or whether it is empty (the stage-2 scan,
-flag P4): weights are positive, so A[i,j] is empty exactly when it is worth 0.
-``available_worth`` answers both from those counts, the value rows and
-per-pair memos, and ``available`` builds the set only for a bundle that is
-given.  ``available_worth`` reads "only j holds part of E(i,j)" as i's worth
-of the pair less ``val[i][j]``, which holds only while no agent holds an edge
-off its own pair (``foreign == 0``); otherwise it sums the set.
+holds, and from those counts each agent's claims: the neighbours j for which
+A[i,j] is non-empty.  The three cases above are re-derived for a pair's two
+ends after each move that touches it, so emptiness is read off the claims
+without a scan of E(i,j).  Most other questions need only what A[i,j] is worth
+to i (stage 1's picks, flag P3, the safe sets' bar).  ``available_worth``
+answers them from the claims, the pair's holders, the value rows and per-pair
+memos, and ``available`` builds the set only for a bundle that is given.
+``available_worth`` reads "only j holds part of E(i,j)" as i's worth of the
+pair less ``val[i][j]``, which holds only while no agent holds an edge off its
+own pair (``foreign == 0``); otherwise it sums the set.
 """
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Collection, Iterable
 
 from .cutting import CutConfig, cut, preferred_bundle
@@ -57,19 +59,22 @@ class AllocationState:
     re-sums values.  ``enviers`` is the one record of envy that queries read: k
     is envied exactly when ``enviers[k]`` is non-empty.  ``pair_holders`` maps
     each sorted pair (a, b) of which some edge is held to {agent: how many edges
-    of E(a,b) it holds}; an untouched pair has no entry.  It answers
-    ``available``, ``available_worth``, the stage-2 case test, flag P2 and the
-    leftovers.  ``foreign`` counts the held edges whose holder is not an
+    of E(a,b) it holds}; an untouched pair has no entry.  It answers the
+    stage-2 case test, flag P2 and the leftovers, and from it ``_reclaim``
+    re-derives ``claims[i]``, the neighbours j for which A[i,j] is non-empty,
+    after each move.  ``available`` and ``available_worth`` take emptiness from
+    the claims.  ``foreign`` counts the held edges whose holder is not an
     endpoint of the edge; flag P1's orientation half is ``foreign == 0``.  The
     state memoizes, per ordered pair (i, j), what depends on the instance
     alone: i's preferred half of the pair's T-side cut with its worth, and i's
     worth of all of E(i,j).
 
-    ``dirty`` holds every agent whose edges or envied status may have changed
-    since the stage-2 loop last found it with nothing to claim; it starts with
-    every agent.  Each move marks the mover and both endpoints of each moved
-    edge, and each re-derived row marks the agents on it, which covers every
-    agent whose available sets or envied status a move can change.
+    ``dirty`` is the stage-2 worklist, kept as a set with ``dirty_heap``, a
+    min-heap of the same agents; it starts with every agent.  Every agent off
+    the worklist is envied or claims nothing, so the lowest agent on it that is
+    not envied and claims something is the lowest such agent overall.  A move
+    keeps this by marking an agent only when it may start to violate: when its
+    claims go from empty to non-empty, or its enviers from non-empty to empty.
     """
 
     def __init__(self, inst: Instance, parts: Bipartition, alloc: Allocation | None = None):
@@ -79,7 +84,6 @@ class AllocationState:
         self.parts = parts
         self._t_side = frozenset(parts[1])
         self.holder = alloc.holder_map()
-        self.neighbours = inst.neighbours
         self._preferred: dict[tuple[int, int], tuple[frozenset[int], int]] = {}
         self._pair_worth: dict[tuple[int, int], int] = {}
         self.val = value_rows(inst, alloc)  # raises on an invalid edge id
@@ -94,6 +98,10 @@ class AllocationState:
         self.bundles = [set(b) for b in alloc.bundles]
         self.enviers = [set(js) for js in envier_lists(self.val)]
         self.dirty = set(range(inst.n))
+        self.dirty_heap = list(range(inst.n))
+        self.claims = [set(js) for js in inst.neighbours]
+        for pair in self.pair_holders:
+            self._reclaim(pair)
 
     def freeze(self) -> Allocation:
         return Allocation(tuple(frozenset(b) for b in self.bundles))
@@ -136,9 +144,11 @@ class AllocationState:
         holder = self.holder
         pair_holders = self.pair_holders
         touched: set[int] = set()
+        pairs: set[tuple[int, int]] = set()
         for e in edges:
             _, u, v, _, _ = all_edges[e]
             pair = (u, v) if u < v else (v, u)
+            pairs.add(pair)
             held = pair_holders.get(pair)
             if agent != u and agent != v:
                 self.foreign += sign
@@ -168,60 +178,97 @@ class AllocationState:
                 else:
                     del row[agent]
                 touched.add(x)
-        self.dirty |= touched
-        self.dirty.add(agent)
+        for pair in pairs:
+            self._reclaim(pair)
+        enviers = self.enviers[agent]
+        was_envied = bool(enviers)
         for x in touched:
             if x == agent:
                 self._refresh_row(x)
             elif self.val[x].get(agent, 0) > self.val[x][x]:
-                self.enviers[agent].add(x)
+                enviers.add(x)
             else:
-                self.enviers[agent].discard(x)
+                enviers.discard(x)
+        if was_envied and not enviers:
+            self._mark(agent)
 
     def _refresh_row(self, i: int) -> None:
-        """Re-derive whom agent i envies, after i's own value changed.  Agents
-        off the row are worth 0 to i, and so are not envied by i."""
+        """Re-derive whom agent i envies, after i's own value changed, and mark
+        each agent that i's change leaves envied by nobody.  Agents off the row
+        are worth 0 to i, and so are not envied by i."""
         row = self.val[i]
         own = row[i]
-        self.dirty.update(row)
         for k, v in row.items():
+            who = self.enviers[k]
             if v > own:
-                self.enviers[k].add(i)
-            else:
-                self.enviers[k].discard(i)
+                who.add(i)
+            elif i in who:
+                who.remove(i)
+                if not who:
+                    self._mark(k)
+
+    def _reclaim(self, pair: tuple[int, int]) -> None:
+        """Re-derive both ends' claims on the pair from its holders: an untouched
+        pair is claimed by both ends, and a pair of which one end holds some
+        but not all edges by the other end alone."""
+        a, b = pair
+        held = self.pair_holders.get(pair)
+        if held is None:
+            a_claims = b_claims = True
+        elif len(held) == 1:
+            (x, count), = held.items()
+            partial = count < len(self.inst._pair_edges[pair])
+            a_claims, b_claims = partial and x == b, partial and x == a
+        else:
+            a_claims = b_claims = False
+        self._set_claim(a, b, a_claims)
+        self._set_claim(b, a, b_claims)
+
+    def _set_claim(self, i: int, j: int, on: bool) -> None:
+        claims = self.claims[i]
+        if not on:
+            claims.discard(j)
+        elif j not in claims:
+            if not claims:
+                self._mark(i)
+            claims.add(j)
+
+    def _mark(self, i: int) -> None:
+        """Put agent i on the stage-2 worklist."""
+        if i not in self.dirty:
+            self.dirty.add(i)
+            heappush(self.dirty_heap, i)
 
     # -- queries
 
     def available(self, i: int, j: int) -> frozenset[int]:
         """A[i,j](X): edges of E(i,j) still claimable by i."""
-        pair = (i, j) if i < j else (j, i)
-        held = self.pair_holders.get(pair)
-        if held is not None:
-            if len(held) == 1 and j in held:
-                return self.inst._pair_edges[pair] - self.bundles[j]
+        if j not in self.claims[i]:
+            if i == j:
+                raise ValueError(f"available needs two distinct agents, got ({i}, {j})")
             return frozenset()
-        if pair not in self.inst._pair_edges:
-            return edge_set(self.inst, i, j)  # empty, or a ValueError for i == j
+        # A claimed pair is untouched, or only j holds part of it.
+        pair = (i, j) if i < j else (j, i)
+        if pair in self.pair_holders:
+            return self.inst._pair_edges[pair] - self.bundles[j]
         return self._preferred_half(i, j)[0]
 
     def available_worth(self, i: int, j: int) -> int:
-        """``worth(i, available(i, j))``, with no set built while ``foreign == 0``."""
+        """``worth(i, available(i, j))`` for two distinct agents, with no set
+        built while ``foreign == 0``."""
+        if j not in self.claims[i]:
+            return 0
         pair = (i, j) if i < j else (j, i)
-        held = self.pair_holders.get(pair)
-        if held is not None:
-            if len(held) != 1 or j not in held:
-                return 0
-            if self.foreign:
-                return self.worth(i, self.available(i, j))
-            # No edge is held off its pair, so the edges at i that j holds are
-            # E(i,j)'s, and val[i][j] is i's worth of exactly those.
-            total = self._pair_worth.get((i, j))
-            if total is None:
-                total = self._pair_worth[(i, j)] = self.worth(i, self.inst._pair_edges[pair])
-            return total - self.val[i].get(j, 0)
-        if pair not in self.inst._pair_edges:
-            return self.worth(i, edge_set(self.inst, i, j))  # 0, or a ValueError for i == j
-        return self._preferred_half(i, j)[1]
+        if pair not in self.pair_holders:
+            return self._preferred_half(i, j)[1]
+        if self.foreign:
+            return self.worth(i, self.available(i, j))
+        # No edge is held off its pair, so the edges at i that j holds are
+        # E(i,j)'s, and val[i][j] is i's worth of exactly those.
+        total = self._pair_worth.get((i, j))
+        if total is None:
+            total = self._pair_worth[(i, j)] = self.worth(i, self.inst._pair_edges[pair])
+        return total - self.val[i].get(j, 0)
 
     def _preferred_half(self, i: int, j: int) -> tuple[frozenset[int], int]:
         """i's preferred half of the adjacent pair's cut, and its worth to i."""
@@ -234,7 +281,7 @@ class AllocationState:
     def available_set(self, i: int) -> frozenset[int]:
         """A_i(X): the union of A[i,j](X) over i's neighbours."""
         out: set[int] = set()
-        for j in self.neighbours[i]:
+        for j in self.claims[i]:
             out |= self.available(i, j)
         return frozenset(out)
 
@@ -252,7 +299,7 @@ class AllocationState:
         # A_i holds only unallocated edges, so v_i(X_k | A_i) = val[i][k] + v_i(A_i),
         # and its parts A[i,j] lie in disjoint pairs, so their worths add up.
         row = self.val[i]
-        bar = row[i] - sum(self.available_worth(i, j) for j in self.neighbours[i])
+        bar = row[i] - sum(self.available_worth(i, j) for j in self.claims[i])
         among = range(self.inst.n) if among is None else among
         return {k for k in among if k != i and not self.enviers[k] and row.get(k, 0) <= bar}
 

@@ -8,7 +8,8 @@ reader as a shape pass followed by ``build_instance`` with the constructor's
 full check (``instance_from_json_by_composition``), a component's center
 from a BFS run at every agent (``center_by_bfs``), and the pipeline state's
 pair queries as scans of E(i,j) through the holder map (``available_by_scan``,
-``p1_p2_by_scan``, ``p3_p4_by_scan`` and ``p5_by_scan``).
+``p1_p2_by_scan``, ``p3_p4_by_scan`` and ``p5_by_scan``), and the stage-2 loop
+from those scans, with no worklist or claims (``saturate_full_scan``).
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from efx_multigraph import (
     envied_set,
     is_orientation,
 )
-from efx_multigraph.bipartite import _first_violation, _leftovers
+from efx_multigraph.bipartite import _leftovers
 from efx_multigraph.cutting import preferred_bundle
 from efx_multigraph.derived import AllocationState, Bipartition
 from efx_multigraph.fairness import efx_verdict
@@ -146,16 +147,15 @@ def claim_non_envied_bound(inst: Instance, alloc: Allocation) -> bool:
 
 
 def saturate_full_scan(state: AllocationState, events: list[dict], stage: str) -> None:
-    """The stage-2 loop with no worklist: every turn rescans every agent from
-    agent 0 for the lowest non-envied agent with an available set."""
+    """The stage-2 loop with no worklist and no claims: every turn scans E(i,j)
+    for every agent i from agent 0 and every neighbour j, and takes the first
+    non-envied agent with a non-empty A[i,j]."""
     while True:
         envied = state.envied()
-        hit = _first_violation(state)
+        hit = _first_hit_by_scan(state, envied)
         if hit is None:
             return
         i, j, a_ij = hit
-        # An empty hit would be found again on every turn.
-        assert a_ij, f"agent {i} was found with an empty available set from {j}"
         cfg = state.pair_cut(i, j)
         if edge_set(state.inst, i, j) & state.bundles[j]:
             state.give(i, a_ij)
@@ -168,6 +168,20 @@ def saturate_full_scan(state: AllocationState, events: list[dict], stage: str) -
             state.give(i, a_ij)
             case = 3
         events.append({"stage": stage, "case": case, "i": i, "j": j, "edges": sorted(a_ij)})
+
+
+def _first_hit_by_scan(state: AllocationState, envied: set[int]) -> tuple[int, int, frozenset[int]] | None:
+    """The lowest agent i outside ``envied`` with a non-empty A[i,j], its lowest
+    such neighbour j and A[i,j], each A[i,j] scanned from E(i,j)."""
+    inst = state.inst
+    for i in range(inst.n):
+        if i in envied:
+            continue
+        for j in inst.neighbours[i]:
+            a_ij = available_by_scan(state, i, j)
+            if a_ij:
+                return i, j, a_ij
+    return None
 
 
 # ``AllocationState.available`` and flags P1 and P2 as they read before the

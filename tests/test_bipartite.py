@@ -316,6 +316,35 @@ def test_stage2_turns_build_no_envied_set(monkeypatch, n, m, seed):
     assert calls <= 2 + 2 * swaps
 
 
+def test_stage2_turns_ask_no_available_worth(monkeypatch):
+    # Each stage-2 hit is read off the agents' claims, in stage 2 and after
+    # every stage-3 swap, so the loop asks no neighbour what its available set
+    # is worth.  Stage 1 and the gates still ask, which shows the spy counts.
+    calls = {True: 0, False: 0}
+    in_loop = False
+    worth, loop = AllocationState.available_worth, bipartite._saturate_loop
+
+    def counted(state, i, j):
+        calls[in_loop] += 1
+        return worth(state, i, j)
+
+    def marked(state, events, stage):
+        nonlocal in_loop
+        in_loop = True
+        try:
+            loop(state, events, stage)
+        finally:
+            in_loop = False
+
+    monkeypatch.setattr(AllocationState, "available_worth", counted)
+    monkeypatch.setattr(bipartite, "_saturate_loop", marked)
+    trace = bipartite.PipelineTrace()
+    efx_completion(random_instance(256, 2000, 4, "bipartite", seed=3), trace=trace)
+    assert sum("case" in e for e in trace.events) > 250
+    assert calls[True] == 0
+    assert calls[False] > 1000
+
+
 def _walkthrough_gate_breaks(monkeypatch, stage: int) -> None:
     """Leave the stage-1 output without its greedy picks (P3 fails), or the
     stage-2 output unsaturated (P4 fails)."""

@@ -487,6 +487,9 @@ def test_analyze_and_verify_a_sparse_draw_of_4096_agents(tmp_path, capsys):
     # bit-parallel pass (6 rounds); `verify` checks an allocation that gives
     # each edge to one end in turn.  They ran in about 0.7 s and 0.5 s on a
     # 2-core Xeon VM, where a BFS from every agent took `analyze` over 40 s.
+    # `solve` and `orient` run the three-stage pipeline, whose stage-2 loop
+    # reads each hit off the agents' claims and a heap of the agents that may
+    # have started to violate; they ran in about 1.6 s and 1.7 s there.
     rng = random.Random(1)
     half = 2048
     specs = [(rng.randrange(half), half + rng.randrange(half),
@@ -507,6 +510,12 @@ def test_analyze_and_verify_a_sparse_draw_of_4096_agents(tmp_path, capsys):
     code, doc = run_cli(capsys, ["verify", str(inst_path), str(alloc_path)])
     assert time.perf_counter() - start < 10.0
     assert code in (0, 2) and doc is not None
+    for argv in (["solve", str(inst_path), "--method", "bipartite"],
+                 ["orient", str(inst_path), "--method", "half-efx"]):
+        start = time.perf_counter()
+        code, doc = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 10.0, argv
+        assert code == 0 and len(doc["bundles"]) == 2 * half, argv
 
 
 @pytest.mark.parametrize("bundles", [[[[1]], [0, 2]], [None, [0, 1, 2]], [{}, []]])

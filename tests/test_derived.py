@@ -150,16 +150,13 @@ def test_row_exclusivity_and_subset_of_unallocated():
             assert available_set(inst, alloc, i, parts) <= unallocated_incident(inst, alloc, i)
 
 
-def _claims(state: AllocationState, i: int) -> tuple[bool, list[frozenset[int]]]:
-    """What the stage-2 loop reads of agent i: envied or not, and A[i,j] for
-    each neighbour j."""
-    return bool(state.enviers[i]), [state.available(i, j) for j in state.neighbours[i]]
-
-
-def test_moves_mark_every_agent_whose_claims_change():
-    # An agent left out of ``dirty`` must be envied or not, and have the
-    # available sets, that it had when the worklist last dropped it, whatever
-    # the moves: gives and takes, to and from endpoints or third agents.
+def test_moves_keep_every_agent_that_may_violate_on_the_worklist():
+    # The worklist drops every agent that is envied or claims nothing, as the
+    # stage-2 loop does.  After each give or take, to and from endpoints or
+    # third agents: every agent off the worklist is envied or has nothing
+    # available by the scan of E(i,j), every agent's claims are the
+    # neighbours the scan finds something available from, and the heap holds
+    # exactly the worklist's agents.
     rng = random.Random(11)
     checked = 0
     for seed in range(300):
@@ -174,20 +171,23 @@ def test_moves_mark_every_agent_whose_claims_change():
             if rng.random() < 0.6:
                 bundles[rng.choice((e.u, e.v, rng.randrange(n)))].add(e.id)
         state = AllocationState(inst, two_coloring(inst), make_allocation(n, bundles))
-        state.dirty.clear()
-        before = [_claims(state, i) for i in range(n)]
-        for _ in range(rng.randint(1, 4)):
+        state.dirty = {i for i in state.dirty if state.claims[i] and not state.enviers[i]}
+        state.dirty_heap = sorted(state.dirty)
+        for _ in range(rng.randint(1, 6)):
             e = rng.randrange(inst.m)
             if e in state.holder:
                 state.take(state.holder[e], [e])
             else:
                 edge = inst.edges[e]
                 state.give(rng.choice((edge.u, edge.v, rng.randrange(n))), [e])
-        for i in range(n):
-            if i not in state.dirty:
-                assert _claims(state, i) == before[i]
-                checked += 1
-    assert checked > 300
+            assert sorted(state.dirty_heap) == sorted(state.dirty)
+            for i in range(n):
+                scan = {j for j in inst.neighbours[i] if available_by_scan(state, i, j)}
+                assert state.claims[i] == scan
+                if i not in state.dirty:
+                    assert state.enviers[i] or not scan
+                    checked += 1
+    assert checked > 1000
 
 
 def _recount_pair_holders(state: AllocationState) -> dict[tuple[int, int], dict[int, int]]:

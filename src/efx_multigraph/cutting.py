@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .model import Instance, edge_set
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CutConfig:
     """An ordered pair of bundles partitioning E(cutter, other), the edges the
     cutter shares with the other agent given to ``cut``.
@@ -50,13 +50,32 @@ def cut(inst: Instance, cutter: int, other: int) -> CutConfig:
     return cfg
 
 
+def _half_worths(inst: Instance, agent: int, cfg: CutConfig) -> tuple[int, int]:
+    """The agent's worth of c1 and of c2, in its integer weights."""
+    get = inst.weights[agent].get
+    # Plain loops: halves hold a few edges, and a generator costs more to start.
+    w1 = w2 = 0
+    for e in cfg.c1:
+        w1 += get(e, 0)
+    for e in cfg.c2:
+        w2 += get(e, 0)
+    return w1, w2
+
+
 def _margin(inst: Instance, agent: int, cfg: CutConfig) -> int:
-    """The agent's value of c1 minus its value of c2, in its integer weights:
-    the sign says which half it prefers, 0 that it is indifferent."""
-    weights = inst.weights[agent]
-    return sum(weights.get(e, 0) for e in cfg.c1) - sum(weights.get(e, 0) for e in cfg.c2)
+    """The agent's value of c1 minus its value of c2: the sign says which half
+    it prefers, 0 that it is indifferent."""
+    w1, w2 = _half_worths(inst, agent, cfg)
+    return w1 - w2
+
+
+def _preference(inst: Instance, agent: int, cfg: CutConfig) -> tuple[frozenset[int], int, int]:
+    """The cut half this agent weakly prefers (exact ties go to c1), its worth
+    to the agent, and the agent's worth of both halves together."""
+    w1, w2 = _half_worths(inst, agent, cfg)
+    return (cfg.c1, w1, w1 + w2) if w1 >= w2 else (cfg.c2, w2, w1 + w2)
 
 
 def preferred_bundle(inst: Instance, agent: int, cfg: CutConfig) -> frozenset[int]:
     """The cut bundle this agent weakly prefers; exact ties go to c1."""
-    return cfg.c1 if _margin(inst, agent, cfg) >= 0 else cfg.c2
+    return _preference(inst, agent, cfg)[0]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -343,6 +344,24 @@ def test_stage2_turns_ask_no_available_worth(monkeypatch):
     assert sum("case" in e for e in trace.events) > 250
     assert calls[True] == 0
     assert calls[False] > 1000
+
+
+def test_a_run_builds_one_record_per_skeleton_pair(monkeypatch):
+    # Each pair's cut and both ends' preferred halves and totals are worked
+    # out once in a whole run, stage 1, the gates, stages 2 and 3 and the
+    # completion included, and no cut is made for a pair off the skeleton.
+    inst = random_instance(256, 2000, 4, "bipartite", seed=3)
+    built: Counter = Counter()
+    build = AllocationState._build_record
+
+    def counted(state, pair):
+        built[pair] += 1
+        return build(state, pair)
+
+    monkeypatch.setattr(AllocationState, "_build_record", counted)
+    efx_completion(inst)
+    assert built == Counter(dict.fromkeys(inst._pair_edges, 1))
+    assert len(inst._cuts) == len(inst._pair_edges)
 
 
 def _walkthrough_gate_breaks(monkeypatch, stage: int) -> None:

@@ -489,7 +489,7 @@ def test_analyze_and_verify_a_sparse_draw_of_4096_agents(tmp_path, capsys):
     # 2-core Xeon VM, where a BFS from every agent took `analyze` over 40 s.
     # `solve` and `orient` run the three-stage pipeline, whose stage-2 loop
     # reads each hit off the agents' claims and a heap of the agents that may
-    # have started to violate; they ran in about 1.6 s and 1.7 s there.
+    # have started to violate; they ran in about 1.4 s and 1.7 s there.
     rng = random.Random(1)
     half = 2048
     specs = [(rng.randrange(half), half + rng.randrange(half),

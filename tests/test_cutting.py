@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import importlib
 import io
+import pickle
 import pkgutil
 import weakref
 from fractions import Fraction
@@ -61,6 +62,11 @@ def test_cut_determinism():
     inst = _pair_instance(values)
     first = cut(inst, 1, 0)
     assert cut(inst, 1, 0) is first
+    # A slotted cut still pickles, alone and inside its instance, as the
+    # oracle's worker processes need.
+    assert not hasattr(first, "__dict__")
+    assert pickle.loads(pickle.dumps(first)) == first
+    assert pickle.loads(pickle.dumps(inst))._cuts == {(1, 0): first}
     # An equal instance makes its own cut: equal, never shared.
     twin = _pair_instance(values)
     assert twin == inst and cut(twin, 1, 0) == first and cut(twin, 1, 0) is not first

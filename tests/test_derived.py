@@ -12,14 +12,16 @@ from efx_multigraph import (
     bundle_value,
     build_instance,
     check_properties,
+    cut,
     envied_set,
     is_orientation,
     make_allocation,
+    preferred_bundle,
     random_instance,
     safe_set,
     two_coloring,
 )
-from efx_multigraph.bipartite import _flags, _greedy
+from efx_multigraph.bipartite import _flags, _greedy, _next_violation
 from efx_multigraph.derived import AllocationState
 from reference import (
     available_by_scan,
@@ -171,8 +173,7 @@ def test_moves_keep_every_agent_that_may_violate_on_the_worklist():
             if rng.random() < 0.6:
                 bundles[rng.choice((e.u, e.v, rng.randrange(n)))].add(e.id)
         state = AllocationState(inst, two_coloring(inst), make_allocation(n, bundles))
-        state.dirty = {i for i in state.dirty if state.claims[i] and not state.enviers[i]}
-        state.dirty_heap = sorted(state.dirty)
+        _drop_agents_that_cannot_violate(state)
         for _ in range(rng.randint(1, 6)):
             e = rng.randrange(inst.m)
             if e in state.holder:
@@ -188,6 +189,78 @@ def test_moves_keep_every_agent_that_may_violate_on_the_worklist():
                     assert state.enviers[i] or not scan
                     checked += 1
     assert checked > 1000
+
+
+def _drop_agents_that_cannot_violate(state: AllocationState) -> None:
+    """Take every agent that is envied or claims nothing off the worklist, as
+    the stage-2 loop does when it meets one."""
+    state.dirty = {i for i in state.dirty if state.claims[i] and not state.enviers[i]}
+    state.dirty_heap = sorted(state.dirty)
+
+
+def test_a_move_marks_an_agent_that_starts_to_claim_or_stops_being_envied():
+    # Each move below makes one agent violate in exactly one way, and only the
+    # mark named for it puts the agent back on the worklist.
+    inst = build_instance(3, [(0, 1, 3, 3), (0, 1, 2, 2), (1, 2, 1, 1)])
+    parts = ((1,), (0, 2))
+    # Agent 1 holds all of E(0,1) and agent 2 its edge with 1, so agent 0
+    # claims nothing.  Taking edge 1 back leaves agent 1 part of the pair, and
+    # agent 0, envied by nobody, claims the rest (``_set_claim``).
+    state = AllocationState(inst, parts, make_allocation(3, [set(), {0, 1}, {2}]))
+    _drop_agents_that_cannot_violate(state)
+    assert 0 not in state.dirty and not state.enviers[0]
+    state.take(1, [1])
+    assert state.claims[0] == {1}
+    assert _next_violation(state) == (0, 1, {1})
+    # Agent 1 holds edge 0 and is envied by agent 0; it still claims its
+    # untouched pair with agent 2.  Taking edge 0 back empties agent 1's
+    # enviers while its claims stay non-empty (the mover's mark in ``_move``).
+    state = AllocationState(inst, parts, make_allocation(3, [set(), {0}]))
+    _drop_agents_that_cannot_violate(state)
+    assert 1 not in state.dirty and state.claims[1] == {2}
+    state.take(1, [0])
+    assert not state.enviers[1]
+    assert 1 in state.dirty and 1 in state.dirty_heap
+
+
+def test_pair_records_match_the_references():
+    # Every skeleton pair's record, with either side cutting, on seeded
+    # ladder-size instances and on a pair whose non-cutter, either end, values
+    # both halves ({2} and {0, 1}) equally: the cut is the T-side agent's, kept
+    # on the instance; each end's half is ``preferred_bundle``'s and the one its
+    # rational values weakly prefer, ties to c1; its worth is that half's; and
+    # each end's total is its worth of the whole pair.  ``pair_cut`` reads the
+    # record from either end.
+    insts = [random_instance(8, 20, 4, "bipartite", symmetric=s % 2 == 0,
+                             den_max=(1, 8, 1000)[s % 3], seed=s) for s in range(6)]
+    insts += [random_instance(12, 36, 4, "bipartite", seed=5),
+              random_instance(16, 60, 4, "bipartite", seed=3),
+              build_instance(2, [(0, 1, 1, 1), (0, 1, 1, 1), (0, 1, 2, 2)])]
+    ties = 0
+    for inst in insts:
+        s_side, t_side = two_coloring(inst)
+        for parts in ((s_side, t_side), (t_side, s_side)):
+            state = AllocationState(inst, parts)
+            for (a, b), pair_edges in inst._pair_edges.items():
+                rec = state._record((a, b))
+                cutter = a if a in parts[1] else b
+                cfg = rec.cut
+                assert cfg is cut(inst, cutter, b if cutter == a else a)
+                assert state.pair_cut(a, b) is cfg and state.pair_cut(b, a) is cfg
+                for end, half, worth, total in ((a, rec.a_half, rec.a_worth, rec.a_total),
+                                                (b, rec.b_half, rec.b_worth, rec.b_total)):
+                    v1, v2 = bundle_value(inst, end, cfg.c1), bundle_value(inst, end, cfg.c2)
+                    assert half == preferred_bundle(inst, end, cfg)
+                    assert half is (cfg.c1 if v1 >= v2 else cfg.c2)
+                    assert worth == state.worth(end, half)
+                    assert total == state.worth(end, pair_edges)
+                    ties += end != cutter and v1 == v2 and cfg.c1 != cfg.c2
+    assert ties >= 2
+    # A pair with both ends on one side has no cutter, and gets no record.
+    state = AllocationState(insts[-1], ((0, 1), ()))
+    with pytest.raises(ValueError, match="same bipartition side"):
+        state.pair_cut(1, 0)
+    assert state._records == {}
 
 
 def _recount_pair_holders(state: AllocationState) -> dict[tuple[int, int], dict[int, int]]:

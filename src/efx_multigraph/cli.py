@@ -8,20 +8,28 @@ Each command declares its arguments once, in ``COMMANDS``.  ``main`` reads a pla
 argv (see ``_read_plain``) straight from that declaration; the argparse parser of
 every command, built from the same declarations, reads the rest and writes help
 and usage errors.
+
+This module imports only ``model`` at the top.  Each command imports the modules
+it runs when it runs (``_module``): ``verify`` and ``orient`` import ``fairness``,
+``decide`` the oracle, ``gen`` and ``reduce-partition`` ``forge`` (in their
+argument declarations too, so building the full parser loads it), and ``solve``
+and ``orient`` the solver module their method names.  A method is a
+``"module.function"`` name.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import bipartite, forge, oracle, solvers
-from .fairness import achieved_alpha, check_efx
 from .model import (
     FAMILY_CYCLE,
     Allocation,
+    BudgetExceededError,
     Instance,
     InstanceError,
     StructureError,
@@ -36,6 +44,9 @@ from .model import (
     skeleton_family,
     two_coloring,
 )
+
+if TYPE_CHECKING:
+    from .bipartite import PipelineTrace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,14 +73,23 @@ def _emit(doc: dict) -> None:
     print(json_text(doc))
 
 
-def _oracle_budget(args) -> int:
-    """The state budget of an oracle run, at least 1; read only where the oracle runs,
-    so a malformed ``EFX_ORACLE_BUDGET`` fails no command that never searches."""
+def _module(name: str):
+    """This package's module ``name``: read from ``sys.modules``, and imported only
+    the first time.  Callers read its attributes on every call, so a replaced one
+    takes effect."""
+    module = f"{__package__}.{name}"
+    return sys.modules.get(module) or importlib.import_module(module)
+
+
+def _oracle_budget(args) -> int | None:
+    """The state budget of an oracle run, at least 1, or None for the oracle's default;
+    read only where the oracle runs, so a malformed ``EFX_ORACLE_BUDGET`` fails no
+    command that never searches."""
     source, budget = "--budget", args.budget
     if budget is None:
         source, env = "EFX_ORACLE_BUDGET", os.environ.get("EFX_ORACLE_BUDGET")
         if not env:
-            return oracle.DEFAULT_BUDGET
+            return None
         try:
             budget = int(env)
         except ValueError:
@@ -94,45 +114,52 @@ def _parse_set(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
 
 
-# --method name -> solver; each takes the instance and a keyword ``trace``.
-SOLVE_METHODS = {"bipartite": bipartite.efx_completion, "star": solvers.solve_multistar,
-                 "tree4": solvers.solve_multitree_d4_q2, "cycle": solvers.solve_multicycle}
-ORIENT_METHODS = {"star": solvers.solve_multistar, "tree4": solvers.solve_multitree_d4_q2,
-                  "half-efx": bipartite.half_efx_orientation}
+# --method name -> the solver's "module.function" name in this package; each solver
+# takes the instance and a keyword ``trace``.
+SOLVE_METHODS = {"bipartite": "bipartite.efx_completion", "star": "solvers.solve_multistar",
+                 "tree4": "solvers.solve_multitree_d4_q2", "cycle": "solvers.solve_multicycle"}
+ORIENT_METHODS = {"star": "solvers.solve_multistar", "tree4": "solvers.solve_multitree_d4_q2",
+                  "half-efx": "bipartite.half_efx_orientation"}
 
 
-def _auto_solver(inst: Instance):
+def _function(method: str):
+    """The function a ``"module.function"`` name names."""
+    module, _, name = method.partition(".")
+    return getattr(_module(module), name)
+
+
+def _auto_method(inst: Instance) -> str:
     """``--method auto``: the pipeline on a bipartite skeleton, else the cycle solver on a
     single cycle.  Both tests are linear; a structure report adds the largest component's
     eccentricities, O(diameter * skeleton pairs * size / 64) word operations."""
     if two_coloring(inst) is not None:
-        return bipartite.efx_completion
+        return SOLVE_METHODS["bipartite"]
     if skeleton_family(inst, bipartite=False) == FAMILY_CYCLE:
-        return solvers.solve_multicycle
+        return SOLVE_METHODS["cycle"]
     raise StructureError(
         "no constructive method covers this instance: its skeleton is neither "
         "bipartite nor a single cycle, and EFX existence on general multi-graphs "
         "is an open question")
 
 
-def _solve(inst: Instance, args, trace: bipartite.PipelineTrace | None) -> Allocation:
+def _solve(inst: Instance, args, trace: PipelineTrace | None) -> Allocation:
     """The allocation by ``args.method``; a given trace records the solver's run."""
-    solver = SOLVE_METHODS.get(args.method) or _auto_solver(inst)  # only "auto" is no key
-    if solver is solvers.solve_multicycle and inst.n == 3 and len(inst.pairs()) == 3:
+    method = SOLVE_METHODS.get(args.method) or _auto_method(inst)  # only "auto" is no key
+    if method == SOLVE_METHODS["cycle"] and inst.n == 3 and len(inst.pairs()) == 3:
         # The cycle solver has no rule for a triangle; search exhaustively.
         budget = _oracle_budget(args)
         print("triangle skeleton: falling back to the exhaustive search", file=sys.stderr)
-        result = oracle.decide_efx_allocation(inst, budget=budget)
+        result = _module("oracle").decide_efx_allocation(inst, budget=budget)
         if not result.exists or result.witness is None:
             raise StructureError("exhaustive search found no complete EFX allocation")
-        return bipartite.checked(inst, result.witness.bundles, orientation=False,
-                                 label="exhaustive search", trace=trace)
-    return solver(inst, trace=trace)
+        return _module("bipartite").checked(inst, result.witness.bundles, orientation=False,
+                                            label="exhaustive search", trace=trace)
+    return _function(method)(inst, trace=trace)
 
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
-    trace = bipartite.PipelineTrace() if args.trace else None
+    trace = _module("bipartite").PipelineTrace() if args.trace else None
     doc = allocation_to_json(_solve(inst, args, trace))
     if trace is not None:
         doc["trace"] = trace.to_json()
@@ -142,8 +169,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_orient(args) -> int:
     inst = _read_instance(args.instance)
-    alloc = ORIENT_METHODS[args.method](inst)
+    alloc = _function(ORIENT_METHODS[args.method])(inst)
     doc = allocation_to_json(alloc)
+    achieved_alpha = _module("fairness").achieved_alpha
     doc["alpha_per_agent"] = [str(achieved_alpha(inst, alloc, a)) for a in range(inst.n)]
     _emit(doc)
     return EXIT_OK
@@ -153,7 +181,7 @@ def _cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
     alloc = _read_allocation(args.allocation, inst)
     alpha = parse_rational(args.alpha)
-    verdict = check_efx(inst, alloc, alpha)
+    verdict = _module("fairness").check_efx(inst, alloc, alpha)
     doc = verdict._json_doc()
     if args.orientation:
         doc["is_orientation"] = is_orientation(inst, alloc)
@@ -169,6 +197,7 @@ def _cmd_decide(args) -> int:
     # More workers than cores only adds processes and memory.  One job needs no
     # core count.
     jobs = args.jobs if args.jobs == 1 else min(args.jobs, os.cpu_count() or 1)
+    oracle = _module("oracle")
     inst = _read_instance(args.instance)
     budget = _oracle_budget(args)
     if args.target == "orientation":
@@ -183,6 +212,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    forge = _module("forge")
     fields = dataclasses.fields(forge.FamilySpec)
     spec = forge.FamilySpec(**{f.name: getattr(args, f.name, f.default) for f in fields})
     _emit(instance_to_json(forge.generate(spec)))
@@ -224,6 +254,7 @@ def _decide_arguments(p: argparse.ArgumentParser) -> None:
 
 def _gen_arguments(p: argparse.ArgumentParser) -> None:
     # gen's options are FamilySpec's fields, under the same names (dest).
+    forge = _module("forge")
     p.add_argument("--family", choices=list(forge.ALL_FAMILIES), required=True)
     p.add_argument("--eps", type=_rational_option, default=forge.DEFAULT_EPS)
     p.add_argument("--delta", type=_rational_option, default=forge.DEFAULT_DELTA)
@@ -242,6 +273,7 @@ def _gen_arguments(p: argparse.ArgumentParser) -> None:
 
 def _reduce_partition_arguments(p: argparse.ArgumentParser) -> None:
     # gen with the family fixed: the same handler writes the same document.
+    forge = _module("forge")
     p.set_defaults(family="np-gadget")
     p.add_argument("--set", dest="pset", metavar="SET", type=_parse_set, required=True,
                    help="comma-separated partition multiset")
@@ -355,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except oracle.BudgetExceededError as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except StructureError as exc:

@@ -53,6 +53,10 @@ class StructureError(ValueError):
     """An operation was asked to run on a graph shape it does not support."""
 
 
+class BudgetExceededError(RuntimeError):
+    """The requested search space is larger than the allowed budget."""
+
+
 def parse_ratio(raw: Fraction | int | str) -> tuple[int, int]:
     """Parse ``p`` or ``p/q`` into ``(numerator, denominator)``, in lowest terms
     with a positive denominator, as ``Fraction.as_integer_ratio`` gives it; a

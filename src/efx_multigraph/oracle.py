@@ -34,15 +34,11 @@ from dataclasses import dataclass
 from itertools import product
 
 from .fairness import check_efx
-from .model import Allocation, Instance, make_allocation
+from .model import Allocation, BudgetExceededError, Instance, make_allocation
 
 DEFAULT_BUDGET = 10_000_000
 # The subtree entries one search may store; past it, the tables only answer lookups.
 _TABLE_ENTRIES = 1 << 16
-
-
-class BudgetExceededError(RuntimeError):
-    """The requested search space is larger than the allowed budget."""
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -569,6 +570,65 @@ def test_decide_with_one_job_reads_no_core_count(tmp_path, capsys, monkeypatch):
         assert main(["decide", str(path), "--target", "orientation", *argv]) == 0
     assert seen == [1, 1, 2]
     assert len(reads) == 1
+
+
+# Run in a fresh process: the test session has already imported every module.
+_LOADED = """
+import contextlib, io, json, sys
+from efx_multigraph.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "efx_multigraph")]))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    inst, alloc = tmp_path / "inst.json", tmp_path / "alloc.json"
+    save_instance(p4_qn(4), inst)
+    alloc.write_text(json.dumps({"bundles": [[] for _ in range(4)]}))
+    pipeline = {"bipartite", "cutting", "derived", "fairness"}
+    cases = [  # argv, exit code, modules loaded past the package, cli and model
+        (["analyze", inst], 0, set()),
+        (["verify", inst, alloc], 0, {"fairness"}),
+        (["decide", inst, "--target", "orientation"], 0, {"fairness", "oracle"}),
+        (["solve", inst, "--method", "bipartite"], 0, pipeline),
+        (["orient", inst, "--method", "star"], 4, pipeline | {"solvers"}),
+        (["gen", "--family", "c4-counter"], 0, {"forge"}),
+        # The argparse parser (help and usage errors) declares gen's options, so it
+        # loads forge.
+        (["--help"], 0, {"forge"}),
+        (["analyze", inst, "--bogus"], cli.EXIT_USAGE, {"forge"}),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    for argv, code, extra in cases:
+        result = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(list(map(str, argv)))],
+                                capture_output=True, env=env, text=True, timeout=60, check=True)
+        loaded = {"efx_multigraph", "efx_multigraph.cli", "efx_multigraph.model",
+                  *(f"efx_multigraph.{m}" for m in extra)}
+        assert json.loads(result.stdout) == [code, sorted(loaded)], argv
+
+
+def test_repeated_commands_import_nothing_and_cache_no_solver(tmp_path, capsys, monkeypatch):
+    """Each op finds its solver's module in ``sys.modules`` (only a first use imports)
+    and reads the solver from the module, so a replaced one takes effect."""
+    bip, cycle = tmp_path / "bip.json", tmp_path / "cycle.json"
+    save_instance(p4_qn(4), bip)
+    save_instance(random_instance(5, 8, 2, "cycle", seed=1), cycle)
+    argvs = [["solve", str(bip)], ["solve", str(cycle)], ["orient", str(bip), "--method", "half-efx"],
+             ["decide", str(bip), "--target", "orientation"]]
+    for argv in argvs:
+        assert main(argv) == 0
+    calls = []
+    real = importlib.import_module
+    monkeypatch.setattr(importlib, "import_module", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    for argv in argvs:
+        assert main(argv) == 0
+    assert calls == []
+    solved = []
+    monkeypatch.setattr("efx_multigraph.bipartite.efx_completion",
+                        lambda inst, trace: solved.append(inst.n) or efx_completion(inst, trace=trace))
+    assert main(argvs[0]) == 0
+    assert solved == [4]
 
 
 # Any JSON document, with the keys and values the readers look for made likely.

@@ -3,8 +3,9 @@
 The cutter's greedy: walk the pair's items in descending cutter-value (ties by
 lowest edge id) and drop each onto the currently lighter bundle (ties toward c1).
 The running lighter-bundle invariant makes both halves EFX-feasible for the cutter.
-Values are the cutter's integer weights (``Instance.weights``).  Each instance
-keeps its own cuts (``Instance._cuts``); no module holds on to an instance.
+Values are the cutter's integer weights (``Instance.weights``).  A cut also
+carries both ends' views of it, so no caller re-sums a half.  ``cut`` keeps
+nothing: the pipeline's ``AllocationState`` keeps the cuts it reads.
 """
 from __future__ import annotations
 
@@ -12,11 +13,15 @@ from dataclasses import dataclass
 
 from .model import Instance, edge_set
 
+# An agent's view of a cut: the half it weakly prefers (exact ties go to c1),
+# that half's worth to it, and its worth of both halves, in its integer weights.
+_View = tuple[frozenset[int], int, int]
+
 
 @dataclass(frozen=True, slots=True)
 class CutConfig:
-    """An ordered pair of bundles partitioning E(cutter, other), the edges the
-    cutter shares with the other agent given to ``cut``.
+    """An ordered pair of bundles partitioning E(cutter, other), with both
+    ends' views of it.
 
     c1 is the bundle that received the first (most valuable) item.
     """
@@ -24,13 +29,17 @@ class CutConfig:
     cutter: int
     c1: frozenset[int]
     c2: frozenset[int]
+    other: int
+    cutter_view: _View
+    other_view: _View
+
+
+def _view_of(c1: frozenset[int], c2: frozenset[int], w1: int, w2: int) -> _View:
+    return (c1, w1, w1 + w2) if w1 >= w2 else (c2, w2, w1 + w2)
 
 
 def cut(inst: Instance, cutter: int, other: int) -> CutConfig:
-    """The deterministic balanced split of E(cutter, other), made once per instance."""
-    cfg = inst._cuts.get((cutter, other))
-    if cfg is not None:
-        return cfg
+    """The deterministic balanced split of E(cutter, other)."""
     if cutter == other:
         raise ValueError(f"cut needs two distinct agents, got ({cutter}, {other})")
     weights = inst.weights[cutter]
@@ -46,36 +55,27 @@ def cut(inst: Instance, cutter: int, other: int) -> CutConfig:
         else:
             c2.add(e)
             v2 += w
-    cfg = inst._cuts[cutter, other] = CutConfig(cutter, frozenset(c1), frozenset(c2))
-    return cfg
-
-
-def _half_worths(inst: Instance, agent: int, cfg: CutConfig) -> tuple[int, int]:
-    """The agent's worth of c1 and of c2, in its integer weights."""
-    get = inst.weights[agent].get
-    # Plain loops: halves hold a few edges, and a generator costs more to start.
+    h1, h2 = frozenset(c1), frozenset(c2)
+    # Every edge of the pair is the other end's too, so its weights hold them all.
+    theirs = inst.weights[other]
     w1 = w2 = 0
-    for e in cfg.c1:
-        w1 += get(e, 0)
-    for e in cfg.c2:
-        w2 += get(e, 0)
-    return w1, w2
+    for e in c1:
+        w1 += theirs[e]
+    for e in c2:
+        w2 += theirs[e]
+    return CutConfig(cutter, h1, h2, other, _view_of(h1, h2, v1, v2), _view_of(h1, h2, w1, w2))
 
 
-def _margin(inst: Instance, agent: int, cfg: CutConfig) -> int:
-    """The agent's value of c1 minus its value of c2: the sign says which half
-    it prefers, 0 that it is indifferent."""
-    w1, w2 = _half_worths(inst, agent, cfg)
-    return w1 - w2
-
-
-def _preference(inst: Instance, agent: int, cfg: CutConfig) -> tuple[frozenset[int], int, int]:
-    """The cut half this agent weakly prefers (exact ties go to c1), its worth
-    to the agent, and the agent's worth of both halves together."""
-    w1, w2 = _half_worths(inst, agent, cfg)
-    return (cfg.c1, w1, w1 + w2) if w1 >= w2 else (cfg.c2, w2, w1 + w2)
+def _view(cfg: CutConfig, agent: int) -> _View:
+    """The agent's view of the cut; an agent that is not an end values both
+    halves at 0, so it takes c1."""
+    if agent == cfg.cutter:
+        return cfg.cutter_view
+    if agent == cfg.other:
+        return cfg.other_view
+    return (cfg.c1, 0, 0)
 
 
 def preferred_bundle(inst: Instance, agent: int, cfg: CutConfig) -> frozenset[int]:
     """The cut bundle this agent weakly prefers; exact ties go to c1."""
-    return _preference(inst, agent, cfg)[0]
+    return _view(cfg, agent)[0]

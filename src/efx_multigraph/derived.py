@@ -20,22 +20,22 @@ ends after each move that touches it, so emptiness is read off the claims
 without a scan of E(i,j).  Most other questions need only what A[i,j] is worth
 to i (stage 1's picks, flag P3, the safe sets' bar).  ``available_worth``
 answers them from the claims, the pair's holders, the value rows and the
-pair's record, and ``available`` builds the set only for a bundle that is
+pair's cut, and ``available`` builds the set only for a bundle that is
 given.  ``available_worth`` reads "only j holds part of E(i,j)" as i's worth
 of the pair less ``val[i][j]``, which holds only while no agent holds an edge
 off its own pair (``foreign == 0``); otherwise it sums the set.
 
-What depends on the instance and the sides alone is kept in one
-``_PairRecord`` per sorted skeleton pair, built on the pair's first query: the
-T-side cut, each end's preferred half with its worth, and each end's worth of
-the whole pair.
+What depends on the instance and the sides alone is a skeleton pair's cut,
+made by its T-side end on the pair's first query and kept per state; it
+carries each end's preferred half with its worth and each end's worth of the
+whole pair.
 """
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Collection, Iterable, NamedTuple
+from typing import Collection, Iterable
 
-from .cutting import CutConfig, _preference, cut
+from .cutting import CutConfig, _view, cut
 from .fairness import envier_lists, value_rows
 from .model import Allocation, Instance, StructureError, edge_set
 
@@ -54,18 +54,6 @@ def _t_end(pair: tuple[int, int], t_side: frozenset[int]) -> int:
     return a if a in t_side else b
 
 
-class _PairRecord(NamedTuple):
-    """A skeleton pair (a, b), a < b, as the pipeline reads it under given sides."""
-
-    cut: CutConfig  # made by the pair's T-side agent
-    a_half: frozenset[int]  # a's preferred half of the cut
-    a_worth: int  # and its worth to a
-    b_half: frozenset[int]
-    b_worth: int
-    a_total: int  # a's worth of all of E(a,b)
-    b_total: int
-
-
 class AllocationState:
     """A mutable allocation of one instance, with everything the pipeline asks of it.
 
@@ -82,9 +70,9 @@ class AllocationState:
     after each move.  ``available`` and ``available_worth`` take emptiness from
     the claims.  ``foreign`` counts the held edges whose holder is not an
     endpoint of the edge; flag P1's orientation half is ``foreign == 0``.
-    ``_records`` keeps one ``_PairRecord`` per sorted pair, which serves both
-    ends: built on the pair's first query, it works out the pair's cut and
-    both ends' views of it once per state.
+    ``_records`` keeps each sorted pair's cut, which serves both ends: made on
+    the pair's first query, it carries both ends' views, so each is worked out
+    once per state.
 
     ``dirty`` is the stage-2 worklist, kept as a set with ``dirty_heap``, a
     min-heap of the same agents; it starts with every agent.  Every agent off
@@ -101,7 +89,7 @@ class AllocationState:
         self.parts = parts
         self._t_side = frozenset(parts[1])
         self.holder = alloc.holder_map()
-        self._records: dict[tuple[int, int], _PairRecord] = {}
+        self._records: dict[tuple[int, int], CutConfig] = {}
         self.val = value_rows(inst, alloc)  # raises on an invalid edge id
         self.pair_holders: dict[tuple[int, int], dict[int, int]] = {}
         self.foreign = 0
@@ -127,21 +115,14 @@ class AllocationState:
         return sum(map(self.inst.weights[i].__getitem__, edges))
 
     def pair_cut(self, i: int, j: int) -> CutConfig:
-        """The cut of E(i,j), made by the pair's T-side agent."""
-        return self._record((i, j) if i < j else (j, i)).cut
-
-    def _record(self, pair: tuple[int, int]) -> _PairRecord:
-        """The sorted pair's record; raises ``ValueError`` on a same-side pair."""
-        return self._records.get(pair) or self._build_record(pair)
-
-    def _build_record(self, pair: tuple[int, int]) -> _PairRecord:
-        a, b = pair
-        cutter = _t_end(pair, self._t_side)
-        cfg = cut(self.inst, cutter, b if cutter == a else a)
-        a_half, a_worth, a_total = _preference(self.inst, a, cfg)
-        b_half, b_worth, b_total = _preference(self.inst, b, cfg)
-        rec = self._records[pair] = _PairRecord(cfg, a_half, a_worth, b_half, b_worth, a_total, b_total)
-        return rec
+        """The cut of E(i,j), made by the pair's T-side agent; raises
+        ``ValueError`` on a same-side pair."""
+        pair = (i, j) if i < j else (j, i)
+        cfg = self._records.get(pair)
+        if cfg is None:
+            cutter = _t_end(pair, self._t_side)
+            cfg = self._records[pair] = cut(self.inst, cutter, i + j - cutter)
+        return cfg
 
     # -- moves
 
@@ -279,8 +260,7 @@ class AllocationState:
         pair = (i, j) if i < j else (j, i)
         if pair in self.pair_holders:
             return self.inst._pair_edges[pair] - self.bundles[j]
-        rec = self._record(pair)
-        return rec.b_half if i > j else rec.a_half
+        return _view(self.pair_cut(i, j), i)[0]
 
     def available_worth(self, i: int, j: int) -> int:
         """``worth(i, available(i, j))`` for two distinct agents, with no set
@@ -289,14 +269,12 @@ class AllocationState:
             return 0
         pair = (i, j) if i < j else (j, i)
         if pair not in self.pair_holders:
-            rec = self._record(pair)
-            return rec.b_worth if i > j else rec.a_worth
+            return _view(self.pair_cut(i, j), i)[1]
         if self.foreign:
             return self.worth(i, self.available(i, j))
         # No edge is held off its pair, so the edges at i that j holds are
         # E(i,j)'s, and val[i][j] is i's worth of exactly those.
-        rec = self._record(pair)
-        return (rec.b_total if i > j else rec.a_total) - self.val[i].get(j, 0)
+        return _view(self.pair_cut(i, j), i)[2] - self.val[i].get(j, 0)
 
     def available_set(self, i: int) -> frozenset[int]:
         """A_i(X): the union of A[i,j](X) over i's neighbours."""

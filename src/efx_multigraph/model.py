@@ -172,10 +172,10 @@ class Instance:
             if pu <= 0 or pv <= 0:
                 raise InstanceError(f"edge {k}: non-positive weight")
 
-    # The index, the skeleton, the integer valuation and the pair cuts are built
-    # on first use and kept: the solvers query pairs, incidences, neighbours,
-    # values and cuts on every loop turn, and every structure query and solver
-    # reads the components.  Parsing builds none of them, and no Fraction: the
+    # The index, the skeleton and the integer valuation are built on first use
+    # and kept: the solvers query pairs, incidences, neighbours and values on
+    # every loop turn, and every structure query and solver reads the
+    # components.  Parsing builds none of them, and no Fraction: the
     # valuation reads the edges' integer ratios.
 
     @cached_property
@@ -190,11 +190,6 @@ class Instance:
             else:
                 ids.append(k)
         return {pair: frozenset(pair_edges[pair]) for pair in sorted(pair_edges)}
-
-    @cached_property
-    def _cuts(self) -> dict:
-        """(cutter, other) -> the cut of E(cutter, other), filled by ``cutting.cut``."""
-        return {}
 
     @cached_property
     def neighbours(self) -> tuple[tuple[int, ...], ...]:

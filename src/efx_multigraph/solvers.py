@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .bipartite import PipelineTrace, checked, efx_completion
-from .cutting import CutConfig, _margin, cut, preferred_bundle
+from .cutting import CutConfig, _view, cut
 from .derived import AllocationState
 from .fairness import efx_verdict
 from .model import (
@@ -39,9 +39,9 @@ def _components(inst: Instance, families: tuple[str, ...], error: str) -> Iterat
         yield depth
 
 
-def _halves(inst: Instance, cfg: CutConfig, agent: int) -> tuple[frozenset[int], frozenset[int]]:
+def _halves(cfg: CutConfig, agent: int) -> tuple[frozenset[int], frozenset[int]]:
     """The half of the cut the agent weakly prefers (ties to c1), then the other."""
-    mine = preferred_bundle(inst, agent, cfg)
+    mine = _view(cfg, agent)[0]
     return mine, cfg.c2 if mine == cfg.c1 else cfg.c1
 
 
@@ -61,7 +61,7 @@ def solve_multistar(inst: Instance, trace: PipelineTrace | None = None) -> Alloc
         hub = min(v for v in comp if len(inst.neighbours[v]) == len(comp) - 1)
         for leaf in comp:
             if leaf != hub:
-                mine, rest = _halves(inst, cut(inst, hub, leaf), leaf)
+                mine, rest = _halves(cut(inst, hub, leaf), leaf)
                 bundles[leaf] |= mine
                 bundles[hub] |= rest
     return checked(inst, bundles, orientation=True, label="multi-star solver", trace=trace)
@@ -192,11 +192,16 @@ def _divergent_split(inst: Instance, a: int, b: int, cfg: CutConfig) -> tuple[fr
     prefer opposite halves, at least one strictly; None when both rank the halves
     the same way.  Each endpoint gets the half it likes more than the other does.
 
-    The margins are in each endpoint's own integer weights.  Past the first test
-    they have opposite signs or a zero, so the comparisons read signs only, and
-    the two scales cannot change the outcome."""
-    da = _margin(inst, a, cfg)
-    db = _margin(inst, b, cfg)
+    An endpoint's margin, its worth of c1 less its worth of c2, is read off its
+    view: twice the preferred half's worth less the total, negated when that
+    half is c2.  The margins are in each endpoint's own integer weights.  Past
+    the first test they have opposite signs or a zero, so the comparisons read
+    signs only, and the two scales cannot change the outcome."""
+    margins = []
+    for agent in (a, b):
+        half, worth, total = _view(cfg, agent)
+        margins.append(2 * worth - total if half is cfg.c1 else total - 2 * worth)
+    da, db = margins
     if da * db > 0 or da == db:
         return None
     return (cfg.c1, cfg.c2) if da > db else (cfg.c2, cfg.c1)
@@ -243,9 +248,9 @@ def solve_multicycle(inst: Instance, trace: PipelineTrace | None = None) -> Allo
     # Case 1 found no divergent cut, so both endpoints of each of these pairs
     # rank its halves alike, or are both indifferent: the first half named is
     # one that both weakly prefer.
-    c1, c2 = _halves(inst, cut(inst, jq, j), jq)
-    d1, d2 = _halves(inst, cut(inst, i, j), j)
-    e1, e2 = _halves(inst, cut(inst, ip, i), i)
+    c1, c2 = _halves(cut(inst, jq, j), jq)
+    d1, d2 = _halves(cut(inst, i, j), j)
+    e1, e2 = _halves(cut(inst, ip, i), i)
 
     def val(agent: int, *halves: frozenset[int]) -> int:
         # Each is a half of a cut of one of the agent's own pairs.

@@ -26,7 +26,7 @@ from efx_multigraph import (
     saturate_non_envied,
     two_coloring,
 )
-from efx_multigraph import bipartite
+from efx_multigraph import bipartite, derived
 from efx_multigraph.bipartite import checked, efx_completion
 from efx_multigraph.derived import AllocationState
 from conftest import STAGE1_BUNDLES, STAGE2_ACTUAL
@@ -347,21 +347,20 @@ def test_stage2_turns_ask_no_available_worth(monkeypatch):
 
 
 def test_a_run_builds_one_record_per_skeleton_pair(monkeypatch):
-    # Each pair's cut and both ends' preferred halves and totals are worked
-    # out once in a whole run, stage 1, the gates, stages 2 and 3 and the
+    # Each pair's cut, which carries both ends' preferred halves and totals, is
+    # made once in a whole run, stage 1, the gates, stages 2 and 3 and the
     # completion included, and no cut is made for a pair off the skeleton.
     inst = random_instance(256, 2000, 4, "bipartite", seed=3)
-    built: Counter = Counter()
-    build = AllocationState._build_record
+    made: Counter = Counter()
+    make = derived.cut
 
-    def counted(state, pair):
-        built[pair] += 1
-        return build(state, pair)
+    def counted(inst, cutter, other):
+        made[min(cutter, other), max(cutter, other)] += 1
+        return make(inst, cutter, other)
 
-    monkeypatch.setattr(AllocationState, "_build_record", counted)
+    monkeypatch.setattr(derived, "cut", counted)
     efx_completion(inst)
-    assert built == Counter(dict.fromkeys(inst._pair_edges, 1))
-    assert len(inst._cuts) == len(inst._pair_edges)
+    assert made == Counter(dict.fromkeys(inst._pair_edges, 1))
 
 
 def _walkthrough_gate_breaks(monkeypatch, stage: int) -> None:

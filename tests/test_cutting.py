@@ -22,6 +22,8 @@ from efx_multigraph import (
     load_instance,
     preferred_bundle,
     random_instance,
+    solve_multicycle,
+    solve_multistar,
 )
 from efx_multigraph.bipartite import efx_completion
 from efx_multigraph.cli import main
@@ -61,19 +63,21 @@ def test_cut_determinism():
     values = [Fraction(7, 3), Fraction(7, 3), Fraction(1, 2), Fraction(5)]
     inst = _pair_instance(values)
     first = cut(inst, 1, 0)
-    assert cut(inst, 1, 0) is first
-    # A slotted cut still pickles, alone and inside its instance, as the
-    # oracle's worker processes need.
-    assert not hasattr(first, "__dict__")
-    assert pickle.loads(pickle.dumps(first)) == first
-    assert pickle.loads(pickle.dumps(inst))._cuts == {(1, 0): first}
-    # An equal instance makes its own cut: equal, never shared.
+    # ``cut`` keeps nothing: a repeated call, and a call on an equal twin, make
+    # an equal cut.
+    assert cut(inst, 1, 0) == first
     twin = _pair_instance(values)
-    assert twin == inst and cut(twin, 1, 0) == first and cut(twin, 1, 0) is not first
-    fresh = _pair_instance(values)
+    assert twin == inst and cut(twin, 1, 0) == first
+    # A slotted cut still pickles, as the oracle's worker processes need, and
+    # its copy's views name the copy's own halves: both ends prefer c2 (31 of
+    # 61 sixths).
+    assert not hasattr(first, "__dict__")
+    copy = pickle.loads(pickle.dumps(first))
+    assert copy == first
+    assert copy.cutter_view == copy.other_view == (copy.c2, 31, 61)
+    assert copy.cutter_view[0] is copy.c2 is copy.other_view[0]
     with pytest.raises(ValueError):
-        cut(fresh, 0, 0)
-    assert fresh._cuts == {}
+        cut(inst, 0, 0)
 
 
 def test_cut_rejects_same_agent():
@@ -97,24 +101,18 @@ def test_reparsed_twin_gives_identical_cli_output(tmp_path, capsys):
 def test_reparsed_twin_shares_no_cut_state(monkeypatch):
     inst = random_instance(32, 150, 4, "bipartite", seed=3)
     expected = (efx_completion(inst), half_efx_orientation(inst))
-    kept = dict(inst._cuts)
-    assert kept
     twin = load_instance(io.StringIO(instance_to_text(inst)))
     compared = []
     equal = Instance.__eq__
     monkeypatch.setattr(Instance, "__eq__", lambda a, b: compared.append((a, b)) or equal(a, b))
     assert (efx_completion(twin), half_efx_orientation(twin)) == expected
     assert compared == []
-    assert inst._cuts.keys() == kept.keys()
-    assert all(inst._cuts[k] is cfg for k, cfg in kept.items())
-    assert twin._cuts == kept
-    assert not any(twin._cuts[k] is cfg for k, cfg in kept.items())
 
 
 def test_a_solved_instance_is_freed_once_dropped():
     inst = random_instance(12, 36, 4, "bipartite", seed=7)
     result = (efx_completion(inst), half_efx_orientation(inst))
-    assert inst._cuts and result
+    assert result
     ref = weakref.ref(inst)
     del inst, result
     gc.collect()
@@ -135,6 +133,33 @@ def test_preferred_bundle_tie_goes_to_c1():
     inst = _pair_instance([Fraction(4), Fraction(4)])
     cfg = cut(inst, 1, 0)
     assert preferred_bundle(inst, 0, cfg) == cfg.c1
+
+
+def test_preferred_bundle_of_an_agent_off_the_pair_is_c1():
+    # Cut by 0: c1 = {1} (2 against 1).  Agent 1 prefers c2 (5 against 1);
+    # agent 2 values both halves at 0, so it takes c1.
+    inst = build_instance(3, [(0, 1, 1, 5), (0, 1, 2, 1), (1, 2, 1, 1)])
+    cfg = cut(inst, 0, 1)
+    assert (cfg.c1, cfg.c2) == ({1}, {0})
+    assert preferred_bundle(inst, 1, cfg) == cfg.c2
+    assert preferred_bundle(inst, 2, cfg) == cfg.c1
+
+
+# Everything an ``Instance`` may keep: its fields and its index, built on first use.
+INDEX_KEYS = {"n", "edges", "_pair_edges", "neighbours", "component_depths", "_valuation",
+              "scales", "weights"}
+
+
+def test_an_instance_keeps_only_its_index():
+    """No solver leaves per-solve state, such as a cut, on the instance it solved."""
+    runs = [(efx_completion, random_instance(32, 150, 4, "bipartite", seed=3)),
+            (half_efx_orientation, random_instance(16, 60, 4, "bipartite", seed=5)),
+            (solve_multistar, random_instance(9, 20, 3, "star", seed=1))]
+    runs += [(solve_multicycle, random_instance(n, 2 * n, 3, "cycle", num_max=9, den_max=3, seed=s))
+             for n in (5, 6, 7) for s in range(3)]
+    for solve, inst in runs:
+        assert solve(inst)
+        assert set(vars(inst)) <= INDEX_KEYS, solve.__name__
 
 
 @settings(max_examples=200, deadline=None)

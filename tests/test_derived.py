@@ -19,6 +19,7 @@ from efx_multigraph import (
     preferred_bundle,
     random_instance,
     safe_set,
+    t_side_of,
     two_coloring,
 )
 from efx_multigraph.bipartite import _flags, _greedy, _next_violation
@@ -224,13 +225,14 @@ def test_a_move_marks_an_agent_that_starts_to_claim_or_stops_being_envied():
 
 
 def test_pair_records_match_the_references():
-    # Every skeleton pair's record, with either side cutting, on seeded
+    # Every skeleton pair's cut, with either side cutting, on seeded
     # ladder-size instances and on a pair whose non-cutter, either end, values
-    # both halves ({2} and {0, 1}) equally: the cut is the T-side agent's, kept
-    # on the instance; each end's half is ``preferred_bundle``'s and the one its
-    # rational values weakly prefer, ties to c1; its worth is that half's; and
-    # each end's total is its worth of the whole pair.  ``pair_cut`` reads the
-    # record from either end.
+    # both halves ({2} and {0, 1}) equally: ``pair_cut`` gives the one cut the
+    # state keeps from either end, equal to the T-side agent's ``cut``.  Each
+    # end's view names the half its rational values weakly prefer, ties to c1
+    # (``preferred_bundle``'s), that half's worth and its worth of the whole
+    # pair; ``available`` and ``available_worth`` read the view on the
+    # untouched pair.
     insts = [random_instance(8, 20, 4, "bipartite", symmetric=s % 2 == 0,
                              den_max=(1, 8, 1000)[s % 3], seed=s) for s in range(6)]
     insts += [random_instance(12, 36, 4, "bipartite", seed=5),
@@ -242,25 +244,40 @@ def test_pair_records_match_the_references():
         for parts in ((s_side, t_side), (t_side, s_side)):
             state = AllocationState(inst, parts)
             for (a, b), pair_edges in inst._pair_edges.items():
-                rec = state._record((a, b))
                 cutter = a if a in parts[1] else b
-                cfg = rec.cut
-                assert cfg is cut(inst, cutter, b if cutter == a else a)
-                assert state.pair_cut(a, b) is cfg and state.pair_cut(b, a) is cfg
-                for end, half, worth, total in ((a, rec.a_half, rec.a_worth, rec.a_total),
-                                                (b, rec.b_half, rec.b_worth, rec.b_total)):
+                other = b if cutter == a else a
+                cfg = state.pair_cut(a, b)
+                assert state.pair_cut(b, a) is cfg
+                assert cfg == cut(inst, cutter, other)
+                assert (cfg.cutter, cfg.other) == (cutter, other)
+                for end, view in ((cutter, cfg.cutter_view), (other, cfg.other_view)):
+                    half, worth, total = view
                     v1, v2 = bundle_value(inst, end, cfg.c1), bundle_value(inst, end, cfg.c2)
                     assert half == preferred_bundle(inst, end, cfg)
                     assert half is (cfg.c1 if v1 >= v2 else cfg.c2)
                     assert worth == state.worth(end, half)
                     assert total == state.worth(end, pair_edges)
+                    assert state.available(end, a + b - end) == half
+                    assert state.available_worth(end, a + b - end) == worth
                     ties += end != cutter and v1 == v2 and cfg.c1 != cfg.c2
     assert ties >= 2
-    # A pair with both ends on one side has no cutter, and gets no record.
+    # A pair with both ends on one side has no cutter, and the state keeps no cut.
     state = AllocationState(insts[-1], ((0, 1), ()))
     with pytest.raises(ValueError, match="same bipartition side"):
         state.pair_cut(1, 0)
     assert state._records == {}
+
+
+def test_t_side_of_names_the_pairs_t_side_end():
+    inst = random_instance(8, 20, 4, "bipartite", seed=1)
+    parts = two_coloring(inst)
+    for a, b in inst._pair_edges:
+        assert t_side_of((a, b), parts) == t_side_of((b, a), parts) == (a if a in parts[1] else b)
+        assert t_side_of((a, b), parts[::-1]) == (b if a in parts[1] else a)
+    with pytest.raises(ValueError, match="same bipartition side"):
+        t_side_of((0, 1), ((0, 1), ()))
+    with pytest.raises(ValueError, match="same bipartition side"):
+        t_side_of((0, 1), ((), (0, 1)))
 
 
 def _recount_pair_holders(state: AllocationState) -> dict[tuple[int, int], dict[int, int]]:

@@ -177,6 +177,12 @@ def test_random_instance_builds_no_fraction(fractions_built):
     assert inst.weights and inst.edges[0].ru == inst.edges[0].wu.as_integer_ratio()
 
 
+def test_random_instance_rejects_sizes_below_the_minimum():
+    for n, m, q_max in ((0, 1, 1), (-1, 1, 1), (3, -1, 2), (3, 4, 0)):
+        with pytest.raises(InstanceError, match="^need n >= 1, m >= 0, q_max >= 1$"):
+            random_instance(n, m, q_max, "bipartite", seed=0)
+
+
 def test_random_infeasible_parameters():
     with pytest.raises(InstanceError):
         random_instance(3, 50, 1, "star", seed=0)

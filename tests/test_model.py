@@ -25,6 +25,7 @@ from efx_multigraph import (
     make_allocation,
     parse_rational,
     random_instance,
+    save_instance,
     solve_multicycle,
     solve_multistar,
     solve_multitree_d4_q2,
@@ -356,6 +357,23 @@ def test_reader_rejects_non_positive_weight(weight):
     doc["edges"][1].update(u=1, v=1)
     with pytest.raises(InstanceError, match="^edge 1: self-loop on agent 1$"):
         instance_from_json(doc)
+
+
+def test_constructor_rejects_an_edge_id_off_its_position():
+    edge = model.EdgeItem(1, 0, 1, (1, 1), (1, 1))
+    with pytest.raises(InstanceError, match="^edge 0: id 1 does not match its position$"):
+        model.Instance(2, (edge,))
+    with pytest.raises(InstanceError, match="^edge 1: id 0 does not match its position$"):
+        model.Instance(2, (edge._replace(id=0), edge._replace(id=0)))
+
+
+def test_save_instance_writes_to_an_open_text_stream():
+    inst = random_instance(6, 12, 3, "bipartite", seed=2)
+    stream = io.StringIO()
+    assert save_instance(inst, stream) is None
+    assert stream.getvalue() == instance_to_text(inst)
+    stream.seek(0)
+    assert load_instance(stream) == inst
 
 
 @pytest.mark.parametrize("weight", [Fraction(0), Fraction(-1, 2)])

@@ -156,6 +156,28 @@ def test_parallel_jobs_deterministic():
                 (many.exists, many.count, many.witness, many.explored)
 
 
+def test_jobs_fall_back_to_one_process_when_no_pool_starts(monkeypatch):
+    # Where worker processes cannot start, the tasks run one by one in this
+    # process, with the same result as one job, explored nodes included.
+    import multiprocessing
+
+    searches = [lambda jobs: decide_efx_orientation(p4_qn(5), count=True, jobs=jobs),
+                lambda jobs: decide_efx_allocation(random_instance(3, 5, 3, "cycle", seed=1), jobs=jobs)]
+    solo = [search(1) for search in searches]
+    refused = []
+
+    def no_pool(*args, **kwargs):
+        refused.append(kwargs.get("processes"))
+        raise OSError("no process can start here")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for search, want in zip(searches, solo):
+        got = search(2)
+        assert (got.exists, got.count, got.witness, got.explored) == \
+            (want.exists, want.count, want.witness, want.explored)
+    assert refused == [2, 2]
+
+
 def test_pipeline_agrees_with_oracle():
     for inst in _tiny_instances(10, max_m=6):
         final, _ = complete_efx(inst)

@@ -609,7 +609,8 @@ def instance_from_json(doc: object) -> Instance:
 def _read_json(source: str | Path | IO[str] | IO[bytes]) -> object:
     """Decode the JSON document in a file or an open stream.  A file and a
     binary stream are read as UTF-8, whatever the locale; bytes that are not
-    UTF-8 are an ``InstanceError``, as malformed JSON is."""
+    UTF-8 are an ``InstanceError``, as malformed JSON and a document nested too
+    deep to decode are."""
     try:
         text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
         if isinstance(text, bytes):
@@ -618,7 +619,9 @@ def _read_json(source: str | Path | IO[str] | IO[bytes]) -> object:
         raise InstanceError(f"invalid JSON: {exc}") from None
     try:
         return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer with too many digits
+    # A JSONDecodeError, an integer with too many digits, or nesting deeper
+    # than the decoder's recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise InstanceError(f"invalid JSON: {exc}") from None
 
 

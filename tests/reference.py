@@ -9,7 +9,9 @@ full check (``instance_from_json_by_composition``), a component's center
 from a BFS run at every agent (``center_by_bfs``), and the pipeline state's
 pair queries as scans of E(i,j) through the holder map (``available_by_scan``,
 ``p1_p2_by_scan``, ``p3_p4_by_scan`` and ``p5_by_scan``), and the stage-2 loop
-from those scans, with no worklist or claims (``saturate_full_scan``).
+from those scans, with no worklist or claims (``saturate_full_scan``), and a
+pair's cut with a set per half and a second pass for the other end's worths
+(``cut_by_two_passes``).
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from efx_multigraph import (
     is_orientation,
 )
 from efx_multigraph.bipartite import _leftovers
-from efx_multigraph.cutting import preferred_bundle
+from efx_multigraph.cutting import CutConfig, preferred_bundle
 from efx_multigraph.derived import AllocationState, Bipartition
 from efx_multigraph.fairness import efx_verdict
 from efx_multigraph.model import bfs_depths, check_agent_count, parse_ratio
@@ -259,6 +261,37 @@ def p5_by_scan(state: AllocationState) -> bool:
         if any(enviers[k] or val[i][k] > bar for k in who):
             return False
     return True
+
+
+def cut_by_two_passes(inst: Instance, cutter: int, other: int) -> CutConfig:
+    """``cutting.cut`` as it was first written: a sort on a (-weight, id) key,
+    a pass that fills a set per half with the cutter's running sums, and a
+    second pass that sums the other end's worth of each half."""
+    if cutter == other:
+        raise ValueError(f"cut needs two distinct agents, got ({cutter}, {other})")
+    weights = inst.weights[cutter]
+    items = sorted(edge_set(inst, cutter, other), key=lambda e: (-weights[e], e))
+    c1: set[int] = set()
+    c2: set[int] = set()
+    v1 = v2 = 0
+    for e in items:
+        w = weights[e]
+        if v1 <= v2:
+            c1.add(e)
+            v1 += w
+        else:
+            c2.add(e)
+            v2 += w
+    h1, h2 = frozenset(c1), frozenset(c2)
+    theirs = inst.weights[other]
+    w1 = sum(theirs[e] for e in c1)
+    w2 = sum(theirs[e] for e in c2)
+
+    def view(x1: int, x2: int) -> tuple[frozenset[int], int, int]:
+        return (h1, x1, x1 + x2) if x1 >= x2 else (h2, x2, x1 + x2)
+
+    return CutConfig(cutter=cutter, c1=h1, c2=h2, other=other,
+                     cutter_view=view(v1, v2), other_view=view(w1, w2))
 
 
 def center_by_bfs(inst: Instance, comp: list[int]) -> tuple[int, int, int]:

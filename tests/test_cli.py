@@ -511,12 +511,20 @@ def test_analyze_and_verify_a_sparse_draw_of_4096_agents(tmp_path, capsys):
     code, doc = run_cli(capsys, ["verify", str(inst_path), str(alloc_path)])
     assert time.perf_counter() - start < 10.0
     assert code in (0, 2) and doc is not None
-    for argv in (["solve", str(inst_path), "--method", "bipartite"],
-                 ["orient", str(inst_path), "--method", "half-efx"]):
+    # Both outputs are pinned by SHA-256, so a change aimed at time or memory
+    # at this scale is checked for byte-identical output here too.
+    for argv, want in (
+        (["solve", str(inst_path), "--method", "bipartite"],
+         "13b701a72a57e677df9b1064e9e4ef2a7ee73ea839f9199bfde26489548e2731"),
+        (["orient", str(inst_path), "--method", "half-efx"],
+         "ff44e73aff0ededf998fdf27629dedb132a1e375235ca9b2b59a5abd6553f71a"),
+    ):
         start = time.perf_counter()
-        code, doc = run_cli(capsys, argv)
+        code = main(argv)
+        out = capsys.readouterr().out
         assert time.perf_counter() - start < 10.0, argv
-        assert code == 0 and len(doc["bundles"]) == 2 * half, argv
+        assert code == 0 and len(json.loads(out)["bundles"]) == 2 * half, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
 
 
 @pytest.mark.parametrize("bundles", [[[[1]], [0, 2]], [None, [0, 1, 2]], [{}, []]])
@@ -1066,3 +1074,35 @@ def test_undecodable_file_is_an_instance_error(tmp_path):
         load_instance(path)
     with pytest.raises(InstanceError, match="^invalid JSON: 'utf-8' codec can't decode byte 0xff"):
         load_instance(io.BytesIO(path.read_bytes()))
+
+
+def test_a_document_nested_too_deep_to_decode_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # `json.loads` raises RecursionError from about 1000 levels of nesting on;
+    # the reader makes it an "invalid JSON" error, for either document, read
+    # from a file or from stdin, in process or through `python -m`.
+    from efx_multigraph import InstanceError, load_instance
+
+    deep = "[" * 100_000 + "]" * 100_000
+    deep_path = tmp_path / "deep.json"
+    deep_path.write_text(deep)
+    inst_path = tmp_path / "inst.json"
+    save_instance(running_example(), inst_path)
+    inst, deep_file = str(inst_path), str(deep_path)
+    with pytest.raises(InstanceError, match="^invalid JSON: maximum recursion depth exceeded"):
+        load_instance(io.StringIO(deep))
+    with pytest.raises(InstanceError, match="^invalid JSON: maximum recursion depth exceeded"):
+        load_allocation(deep_path, running_example())
+    cases = [(["analyze", deep_file], None), (["verify", inst, deep_file], None),
+             (["analyze", "-"], deep), (["verify", inst, "-"], deep)]
+    for argv, stdin in cases:
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        _error_exit(capsys, argv)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    for argv, stdin in cases:
+        result = subprocess.run([sys.executable, "-m", "efx_multigraph", *argv],
+                                input=(stdin or "").encode(), capture_output=True, env=env, timeout=60)
+        assert (result.returncode, result.stdout) == (1, b""), argv
+        err = result.stderr.decode()
+        assert err.startswith("error: invalid JSON: maximum recursion depth exceeded"), (argv, err)
+        assert len(err.splitlines()) == 1, argv

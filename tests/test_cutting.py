@@ -24,9 +24,13 @@ from efx_multigraph import (
     random_instance,
     solve_multicycle,
     solve_multistar,
+    two_coloring,
 )
 from efx_multigraph.bipartite import efx_completion
 from efx_multigraph.cli import main
+from efx_multigraph.cutting import CutConfig
+from efx_multigraph.derived import AllocationState
+from reference import cut_by_two_passes
 
 
 def _pair_instance(values):
@@ -68,9 +72,9 @@ def test_cut_determinism():
     assert cut(inst, 1, 0) == first
     twin = _pair_instance(values)
     assert twin == inst and cut(twin, 1, 0) == first
-    # A slotted cut still pickles, as the oracle's worker processes need, and
-    # its copy's views name the copy's own halves: both ends prefer c2 (31 of
-    # 61 sixths).
+    # A cut is a tuple with no instance dict.  It still pickles, as the
+    # oracle's worker processes need, and its copy's views name the copy's own
+    # halves: both ends prefer c2 (31 of 61 sixths).
     assert not hasattr(first, "__dict__")
     copy = pickle.loads(pickle.dumps(first))
     assert copy == first
@@ -181,3 +185,70 @@ def test_cut_halves_are_feasible_and_balanced(raw):
         v1 = sum((inst.edges[e].wu for e in cfg.c1), Fraction(0))
         v2 = sum((inst.edges[e].wu for e in cfg.c2), Fraction(0))
         assert abs(v1 - v2) <= max(values)
+
+
+def _assert_cut_matches_reference(inst, cutter, other):
+    got, ref = cut(inst, cutter, other), cut_by_two_passes(inst, cutter, other)
+    assert got == ref, (cutter, other)
+    assert (got.cutter, got.other) == (cutter, other)
+    # Each view names one of its own cut's halves, the same one as the reference's.
+    for mine, theirs in ((got.cutter_view, ref.cutter_view), (got.other_view, ref.other_view)):
+        assert mine[0] is (got.c1 if theirs[0] is ref.c1 else got.c2), (cutter, other)
+
+
+# Small weights, so that ties, within an end and across the halves, are common.
+_WEIGHTS = st.sampled_from([Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_WEIGHTS, _WEIGHTS), min_size=0, max_size=9),
+       st.lists(st.tuples(_WEIGHTS, _WEIGHTS), min_size=0, max_size=2))
+def test_cut_matches_the_two_pass_reference(pair, side):
+    # Agents 0 and 1 share `pair` (none, one or several edges); agents 1 and 2
+    # share `side`; agents 0 and 2 share nothing, so their cut has empty halves.
+    inst = build_instance(3, [(0, 1, a, b) for a, b in pair] + [(1, 2, a, b) for a, b in side])
+    for cutter in range(3):
+        for other in range(3):
+            if cutter != other:
+                _assert_cut_matches_reference(inst, cutter, other)
+
+
+def test_cut_matches_the_reference_on_every_pair_of_seeded_draws():
+    insts = [random_instance(8, 20, 4, "bipartite", symmetric=s % 2 == 0,
+                             den_max=(1, 8, 1000)[s % 3], seed=s) for s in range(6)]
+    insts += [random_instance(16, 60, 4, "bipartite", seed=3),
+              random_instance(32, 40, 2, "bipartite", num_max=3, den_max=1, seed=4)]
+    for inst in insts:
+        for a, b in inst._pair_edges:
+            _assert_cut_matches_reference(inst, a, b)
+            _assert_cut_matches_reference(inst, b, a)
+
+
+def test_one_edge_pairs_build_no_set():
+    # A sparse draw: most pairs have one edge.  Their cuts keep the index's own
+    # id set as c1 and share one empty frozenset as c2, whichever end cuts.
+    inst = random_instance(32, 40, 4, "bipartite", seed=4)
+    single = [pair for pair, ids in inst._pair_edges.items() if len(ids) == 1]
+    assert len(single) > len(inst._pair_edges) // 2
+    empty = cut(inst, *single[0]).c2
+    assert empty == frozenset()
+    s_side, t_side = two_coloring(inst)
+    for parts in ((s_side, t_side), (t_side, s_side)):
+        state = AllocationState(inst, parts)
+        for a, b in single:
+            cfg = state.pair_cut(a, b)
+            assert cfg.c1 is inst._pair_edges[(a, b)]
+            assert cfg.c2 is empty
+            assert cfg.cutter_view[0] is cfg.other_view[0] is cfg.c1
+
+
+def test_a_cut_is_an_immutable_tuple_built_from_keywords():
+    inst = _pair_instance([Fraction(3), Fraction(2), Fraction(2)])
+    cfg = cut(inst, 0, 1)
+    for field in CutConfig._fields:
+        with pytest.raises(AttributeError):
+            setattr(cfg, field, None)
+    built = CutConfig(cutter=0, c1=cfg.c1, c2=cfg.c2, other=1,
+                      cutter_view=cfg.cutter_view, other_view=cfg.other_view)
+    assert built == cfg and type(built) is CutConfig
+    assert CutConfig._fields == ("cutter", "c1", "c2", "other", "cutter_view", "other_view")

@@ -140,16 +140,15 @@ def _first_violation(state: AllocationState) -> tuple[int, int, frozenset[int]] 
 def _next_violation(state: AllocationState) -> tuple[int, int, frozenset[int]] | None:
     """``_first_violation``, read off the worklist's heap: every agent off the
     worklist is envied or claims nothing, so the lowest agent on it that is
-    neither is the lowest overall.  Agents found envied or claiming nothing
-    leave the worklist until a move marks them again."""
-    heap, dirty = state.dirty_heap, state.dirty
+    neither is the lowest overall.  Entries of agents found envied or claiming
+    nothing, one per mark, leave the heap until a move marks them again."""
+    heap = state.dirty_heap
     claims, enviers = state.claims, state.enviers
     while heap:
         i = heap[0]
         if claims[i] and not enviers[i]:
             return _hit(state, i)
         heappop(heap)
-        dirty.discard(i)
     return None
 
 

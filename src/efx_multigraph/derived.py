@@ -13,17 +13,18 @@ From these: A_i = union over j, B_i = the list of A[i,j] over every other agent 
 (empty ones included), and the safe set S_i = non-envied agents k that i would
 still not envy after k absorbed all of A_i.
 
-``AllocationState`` keeps, per held pair, how many of its edges each agent
-holds, and from those counts each agent's claims: the neighbours j for which
-A[i,j] is non-empty.  The three cases above are re-derived for a pair's two
-ends after each move that touches it, so emptiness is read off the claims
-without a scan of E(i,j).  Most other questions need only what A[i,j] is worth
-to i (stage 1's picks, flag P3, the safe sets' bar).  ``available_worth``
-answers them from the claims, the pair's holders, the value rows and the
-pair's cut, and ``available`` builds the set only for a bundle that is
-given.  ``available_worth`` reads "only j holds part of E(i,j)" as i's worth
-of the pair less ``val[i][j]``, which holds only while no agent holds an edge
-off its own pair (``foreign == 0``); otherwise it sums the set.
+``AllocationState`` is built only by moves, from the empty allocation.  It
+keeps, per held pair, how many of its edges each agent holds, and from those
+counts each agent's claims: the neighbours j for which A[i,j] is non-empty.
+The three cases above are re-derived for a pair's two ends after each move
+that touches it, so emptiness is read off the claims without a scan of E(i,j).
+Most other questions need only what A[i,j] is worth to i (stage 1's picks,
+flag P3, the safe sets' bar).  ``available_worth`` answers them from the
+claims, the pair's holders, the value rows and the pair's cut, and
+``available`` builds the set only for a bundle that is given.
+``available_worth`` reads "only j holds part of E(i,j)" as i's worth of the
+pair less ``val[i][j]``, which holds only while no agent holds an edge off its
+own pair (``foreign == 0``); otherwise it sums the set.
 
 What depends on the instance and the sides alone is a skeleton pair's cut,
 made by its T-side end on the pair's first query and kept per state; it
@@ -36,8 +37,7 @@ from heapq import heappush
 from typing import Collection, Iterable
 
 from .cutting import CutConfig, _view, cut
-from .fairness import envier_lists, value_rows
-from .model import Allocation, Instance, StructureError, edge_set
+from .model import Allocation, Instance, InstanceError, StructureError, edge_set
 
 Bipartition = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -58,24 +58,25 @@ class AllocationState:
     """A mutable allocation of one instance, with everything the pipeline asks of it.
 
     Besides the bundles and the holder map it keeps every agent's value row
-    ``val[i][k] = scale_i * v_i(X_k)`` (sparse, as ``fairness.value_rows`` builds
-    it: agent i and the holders of i's edges) and every agent's set of enviers,
-    and updates all of them on each move, so no query re-scans the edges or
-    re-sums values.  ``enviers`` is the one record of envy that queries read: k
-    is envied exactly when ``enviers[k]`` is non-empty.  ``pair_holders`` maps
-    each sorted pair (a, b) of which some edge is held to {agent: how many edges
-    of E(a,b) it holds}; an untouched pair has no entry.  It answers the
-    stage-2 case test, flag P2 and the leftovers, and from it ``_reclaim``
-    re-derives ``claims[i]``, the neighbours j for which A[i,j] is non-empty,
-    after each move.  ``available`` and ``available_worth`` take emptiness from
-    the claims.  ``foreign`` counts the held edges whose holder is not an
-    endpoint of the edge; flag P1's orientation half is ``foreign == 0``.
-    ``_records`` keeps each sorted pair's cut, which serves both ends: made on
-    the pair's first query, it carries both ends' views, so each is worked out
-    once per state.
+    ``val[i][k] = scale_i * v_i(X_k)`` (sparse: agent i and the holders of i's
+    edges) and every agent's set of enviers, and updates all of them on each
+    move, so no query re-scans the edges or re-sums values.  ``enviers`` is the
+    one record of envy that queries read: k is envied exactly when
+    ``enviers[k]`` is non-empty.  ``pair_holders`` maps each sorted pair (a, b)
+    of which some edge is held to {agent: how many edges of E(a,b) it holds};
+    an untouched pair has no entry.  It answers the stage-2 case test, flag P2
+    and the leftovers, and from it ``_reclaim`` re-derives ``claims[i]``, the
+    neighbours j for which A[i,j] is non-empty, after each move.  ``available``
+    and ``available_worth`` take emptiness from the claims.  ``foreign`` counts
+    the held edges whose holder is not an endpoint of the edge; flag P1's
+    orientation half is ``foreign == 0``.  ``_records`` keeps each sorted pair's
+    cut, which serves both ends: made on the pair's first query, it carries both
+    ends' views, so each is worked out once per state.  A state starts empty
+    and reaches a given allocation by one ``give`` per non-empty bundle (an edge
+    listed twice is refused as held), so only ``_move`` writes the records.
 
-    ``dirty`` is the stage-2 worklist, kept as a set with ``dirty_heap``, a
-    min-heap of the same agents; it starts with every agent.  Every agent off
+    ``dirty_heap`` is the stage-2 worklist, a min-heap of agents that starts
+    with every agent and may hold one agent more than once.  Every agent off
     the worklist is envied or claims nothing, so the lowest agent on it that is
     not envied and claims something is the lowest such agent overall.  A move
     keeps this by marking an agent only when it may start to violate: when its
@@ -83,29 +84,28 @@ class AllocationState:
     """
 
     def __init__(self, inst: Instance, parts: Bipartition, alloc: Allocation | None = None):
-        if alloc is None:
-            alloc = Allocation((frozenset(),) * inst.n)
         self.inst = inst
         self.parts = parts
         self._t_side = frozenset(parts[1])
-        self.holder = alloc.holder_map()
         self._records: dict[tuple[int, int], CutConfig] = {}
-        self.val = value_rows(inst, alloc)  # raises on an invalid edge id
+        self.holder: dict[int, int] = {}
+        self.bundles: list[set[int]] = [set() for _ in range(inst.n)]
+        self.val: list[dict[int, int]] = [{i: 0} for i in range(inst.n)]
+        self.enviers: list[set[int]] = [set() for _ in range(inst.n)]
         self.pair_holders: dict[tuple[int, int], dict[int, int]] = {}
         self.foreign = 0
-        for e, agent in self.holder.items():
-            _, u, v, _, _ = inst.edges[e]
-            held = self.pair_holders.setdefault((u, v) if u < v else (v, u), {})
-            held[agent] = held.get(agent, 0) + 1
-            if agent != u and agent != v:
-                self.foreign += 1
-        self.bundles = [set(b) for b in alloc.bundles]
-        self.enviers = [set(js) for js in envier_lists(self.val)]
-        self.dirty = set(range(inst.n))
-        self.dirty_heap = list(range(inst.n))
         self.claims = [set(js) for js in inst.neighbours]
-        for pair in self.pair_holders:
-            self._reclaim(pair)
+        self.dirty_heap = list(range(inst.n))
+        if alloc is None:
+            return
+        bad = next((e for bundle in alloc.bundles for e in bundle if not 0 <= e < inst.m), None)
+        if bad is not None:
+            raise ValueError(f"invalid edge id {bad}")
+        if len(alloc.bundles) != inst.n:
+            raise InstanceError(f"allocation has {len(alloc.bundles)} bundles for {inst.n} agents")
+        for agent, bundle in enumerate(alloc.bundles):
+            if bundle:
+                self.give(agent, bundle)
 
     def freeze(self) -> Allocation:
         return Allocation(tuple(frozenset(b) for b in self.bundles))
@@ -243,10 +243,8 @@ class AllocationState:
             claims.add(j)
 
     def _mark(self, i: int) -> None:
-        """Put agent i on the stage-2 worklist."""
-        if i not in self.dirty:
-            self.dirty.add(i)
-            heappush(self.dirty_heap, i)
+        """Put agent i on the stage-2 worklist, again if it is on it already."""
+        heappush(self.dirty_heap, i)
 
     # -- queries
 

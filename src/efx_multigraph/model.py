@@ -304,10 +304,6 @@ class Allocation:
         holder = self._holder
         return (min(holder), max(holder)) if holder else (0, -1)
 
-    def holder_map(self) -> dict[int, int]:
-        """Edge id -> the agent holding it (a fresh dict the caller may change)."""
-        return dict(self._holder)
-
 
 def make_allocation(n: int, bundles: Iterable[Iterable[int]]) -> Allocation:
     """Build an Allocation, padding missing trailing bundles with empty sets."""

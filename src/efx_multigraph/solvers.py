@@ -187,7 +187,7 @@ def _solve_path_rest(inst: Instance, drop: list[set[int]], end_a: int, end_b: in
     return [{keep[e].id for e in bundle} for bundle in sub_alloc.bundles]
 
 
-def _divergent_split(inst: Instance, a: int, b: int, cfg: CutConfig) -> tuple[frozenset[int], frozenset[int]] | None:
+def _divergent_split(a: int, b: int, cfg: CutConfig) -> tuple[frozenset[int], frozenset[int]] | None:
     """A (bundle-for-a, bundle-for-b) labeling under which the endpoints weakly
     prefer opposite halves, at least one strictly; None when both rank the halves
     the same way.  Each endpoint gets the half it likes more than the other does.
@@ -229,7 +229,7 @@ def solve_multicycle(inst: Instance, trace: PipelineTrace | None = None) -> Allo
     # Case 1: hunt for a pair and a cut whose halves the endpoints rank oppositely.
     for a, b in inst.pairs():
         for cutter, other in ((a, b), (b, a)):
-            split = _divergent_split(inst, a, b, cut(inst, cutter, other))
+            split = _divergent_split(a, b, cut(inst, cutter, other))
             if split is not None:
                 bundles = _solve_path_rest(inst, [{a, b}], a, b)
                 bundles[a] |= split[0]

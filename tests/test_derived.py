@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from efx_multigraph import (
+    Allocation,
+    InstanceError,
     StructureError,
     available,
     available_set,
@@ -24,6 +29,7 @@ from efx_multigraph import (
 )
 from efx_multigraph.bipartite import _flags, _greedy, _next_violation
 from efx_multigraph.derived import AllocationState
+from efx_multigraph.fairness import envier_lists, value_rows
 from reference import (
     available_by_scan,
     p1_p2_by_scan,
@@ -158,8 +164,8 @@ def test_moves_keep_every_agent_that_may_violate_on_the_worklist():
     # stage-2 loop does.  After each give or take, to and from endpoints or
     # third agents: every agent off the worklist is envied or has nothing
     # available by the scan of E(i,j), every agent's claims are the
-    # neighbours the scan finds something available from, and the heap holds
-    # exactly the worklist's agents.
+    # neighbours the scan finds something available from, and the worklist
+    # is a min-heap.
     rng = random.Random(11)
     checked = 0
     for seed in range(300):
@@ -182,11 +188,13 @@ def test_moves_keep_every_agent_that_may_violate_on_the_worklist():
             else:
                 edge = inst.edges[e]
                 state.give(rng.choice((edge.u, edge.v, rng.randrange(n))), [e])
-            assert sorted(state.dirty_heap) == sorted(state.dirty)
+            heap = state.dirty_heap
+            assert all(heap[(k - 1) // 2] <= heap[k] for k in range(1, len(heap)))
+            worklist = set(heap)
             for i in range(n):
                 scan = {j for j in inst.neighbours[i] if available_by_scan(state, i, j)}
                 assert state.claims[i] == scan
-                if i not in state.dirty:
+                if i not in worklist:
                     assert state.enviers[i] or not scan
                     checked += 1
     assert checked > 1000
@@ -195,8 +203,7 @@ def test_moves_keep_every_agent_that_may_violate_on_the_worklist():
 def _drop_agents_that_cannot_violate(state: AllocationState) -> None:
     """Take every agent that is envied or claims nothing off the worklist, as
     the stage-2 loop does when it meets one."""
-    state.dirty = {i for i in state.dirty if state.claims[i] and not state.enviers[i]}
-    state.dirty_heap = sorted(state.dirty)
+    state.dirty_heap = sorted({i for i in state.dirty_heap if state.claims[i] and not state.enviers[i]})
 
 
 def test_a_move_marks_an_agent_that_starts_to_claim_or_stops_being_envied():
@@ -209,7 +216,7 @@ def test_a_move_marks_an_agent_that_starts_to_claim_or_stops_being_envied():
     # agent 0, envied by nobody, claims the rest (``_set_claim``).
     state = AllocationState(inst, parts, make_allocation(3, [set(), {0, 1}, {2}]))
     _drop_agents_that_cannot_violate(state)
-    assert 0 not in state.dirty and not state.enviers[0]
+    assert 0 not in state.dirty_heap and not state.enviers[0]
     state.take(1, [1])
     assert state.claims[0] == {1}
     assert _next_violation(state) == (0, 1, {1})
@@ -218,10 +225,10 @@ def test_a_move_marks_an_agent_that_starts_to_claim_or_stops_being_envied():
     # enviers while its claims stay non-empty (the mover's mark in ``_move``).
     state = AllocationState(inst, parts, make_allocation(3, [set(), {0}]))
     _drop_agents_that_cannot_violate(state)
-    assert 1 not in state.dirty and state.claims[1] == {2}
+    assert 1 not in state.dirty_heap and state.claims[1] == {2}
     state.take(1, [0])
     assert not state.enviers[1]
-    assert 1 in state.dirty and 1 in state.dirty_heap
+    assert 1 in state.dirty_heap
 
 
 def test_pair_records_match_the_references():
@@ -371,6 +378,118 @@ def test_swap_exchanges_what_the_pair_holds():
     state = AllocationState(inst, ((0,), (1, 2)), make_allocation(3, [{0, 1, 3}, {2}]))
     assert state.swap(0, 1) == ({0, 1}, {2})
     assert state.bundles == [{2, 3}, {0, 1}, set()]
-    fresh = AllocationState(inst, ((0,), (1, 2)), state.freeze())
-    assert state.val == fresh.val and state.enviers == fresh.enviers
-    assert state.holder == fresh.holder
+    _assert_matches_recounts(state, make_allocation(3, [{2, 3}, {0, 1}]))
+
+
+def _claims_by_scan(inst, holder: dict[int, int]) -> list[set[int]]:
+    """Per agent i, the neighbours j for which a scan of E(i,j) finds A[i,j]
+    non-empty: nothing of the pair is held, or j alone holds some but not all."""
+    claims: list[set[int]] = [set() for _ in range(inst.n)]
+    for i in range(inst.n):
+        for j in inst.neighbours[i]:
+            held = {holder.get(e.id) for e in inst.edges if {e.u, e.v} == {i, j}}
+            if held <= {None, j} and held != {j}:
+                claims[i].add(j)
+    return claims
+
+
+def _assert_matches_recounts(state: AllocationState, alloc: Allocation) -> None:
+    """The state holds ``alloc``, and each of its five kept records matches a
+    recount from the allocation alone."""
+    inst = state.inst
+    assert state.bundles == [set(b) for b in alloc.bundles]
+    assert state.holder == alloc._holder
+    rows = value_rows(inst, alloc)
+    assert state.val == rows
+    assert state.enviers == [set(js) for js in envier_lists(rows)]
+    assert state.pair_holders == _recount_pair_holders(state)
+    assert state.foreign == _recount_foreign(state)
+    assert state.claims == _claims_by_scan(inst, state.holder)
+
+
+@st.composite
+def _held_allocations(draw):
+    """An instance on two to five agents with parallel edges likely, an
+    allocation that may leave edges unheld and hold edges at their ends or off
+    their pair, and the held edges to take back afterwards."""
+    n = draw(st.integers(2, 5))
+    weight = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3))
+    specs = []
+    for _ in range(draw(st.integers(1, 10))):
+        u = draw(st.integers(0, n - 1))
+        v = (u + draw(st.integers(1, n - 1))) % n
+        specs.append((u, v, draw(weight), draw(weight)))
+    inst = build_instance(n, specs)
+    bundles: list[set[int]] = [set() for _ in range(n)]
+    back: set[int] = set()
+    for e in inst.edges:
+        holder = draw(st.one_of(st.none(), st.sampled_from((e.u, e.v)), st.integers(0, n - 1)))
+        if holder is not None:
+            bundles[holder].add(e.id)
+            if draw(st.booleans()):
+                back.add(e.id)
+    return inst, make_allocation(n, bundles), back
+
+
+@settings(max_examples=300, deadline=None)
+@given(_held_allocations())
+def test_a_state_built_from_an_allocation_matches_recounts(drawn):
+    # A state built from any allocation, partial or complete, an orientation or
+    # not, matches recounts of its rows, enviers, pair holders, ``foreign`` and
+    # claims, with every agent on the worklist; so does it after some of the
+    # held edges are taken back, a take per holder.
+    inst, alloc, back = drawn
+    state = AllocationState(inst, ((), ()), alloc)
+    _assert_matches_recounts(state, alloc)
+    assert set(state.dirty_heap) == set(range(inst.n))
+    for agent, bundle in enumerate(alloc.bundles):
+        if bundle & back:
+            state.take(agent, bundle & back)
+    _assert_matches_recounts(state, make_allocation(inst.n, [b - back for b in alloc.bundles]))
+
+
+def test_building_a_state_from_an_allocation_recounts_nothing(walkthrough, stage1_alloc):
+    # A state built from an allocation reaches it by moves alone: neither
+    # ``value_rows`` nor ``envier_lists`` runs while it is built or while its
+    # flags are read.  ``envied_set`` under the same spy shows that it sees
+    # a call to each.
+    recounts = {value_rows.__code__, envier_lists.__code__}
+    called: list[str] = []
+
+    def spy(frame, event, arg):
+        if event == "call" and frame.f_code in recounts:
+            called.append(frame.f_code.co_name)
+
+    parts = two_coloring(walkthrough)
+    before = sys.getprofile()
+    sys.setprofile(spy)
+    try:
+        AllocationState(walkthrough, parts, stage1_alloc)
+        check_properties(walkthrough, stage1_alloc, parts)
+        assert called == []
+        envied_set(walkthrough, stage1_alloc)
+    finally:
+        sys.setprofile(before)
+    assert called == ["value_rows", "envier_lists"]
+
+
+def test_an_allocation_listing_an_edge_twice_or_the_wrong_bundle_count_is_refused():
+    inst = build_instance(3, [(0, 1, 1, 1), (1, 2, 2, 1), (0, 1, 3, 1)])
+    parts = two_coloring(inst)
+    twice = make_allocation(3, [[0], [0, 1]])
+    with pytest.raises(StructureError, match="edge 0 is already held by agent 0"):
+        check_properties(inst, twice)
+    with pytest.raises(StructureError, match="edge 0 is already held by agent 0"):
+        available(inst, twice, 0, 1, parts)
+    for count in (1, 2, 4):
+        bundles = Allocation(((frozenset({0}),) + (frozenset(),) * 3)[:count])
+        with pytest.raises(InstanceError, match=f"allocation has {count} bundles for 3 agents"):
+            check_properties(inst, bundles)
+    # An edge id out of range is named before any move, and the same id as
+    # ``value_rows`` names: a negative id never reaches ``inst.edges``.
+    for bad in ([[0], [-1]], [[0], [-1, 5]], [[7, 2], [1]], [[], [], [3, -2]]):
+        alloc = make_allocation(3, bad)
+        with pytest.raises(ValueError) as expected:
+            value_rows(inst, alloc)
+        with pytest.raises(ValueError, match=f"^{expected.value}$"):
+            AllocationState(inst, parts, alloc)

@@ -262,7 +262,7 @@ def test_state_moves_keep_matrix_and_envy_current(case, data):
         else:
             state.give(data.draw(st.integers(0, inst.n - 1)), [e])
         now = state.freeze()
-        assert state.holder == now.holder_map()
+        assert state.holder == now._holder
         assert state.val == scaled_rows(inst, value_matrix(inst, now))
         envied = literal_envied(inst, now)
         assert state.envied() == envied

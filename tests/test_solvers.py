@@ -341,8 +341,8 @@ def test_divergent_split_across_scales():
     assert inst.scales == (1, 7)
     cfg = cut(inst, 0, 1)
     assert (cfg.c1, cfg.c2) == ({0}, {1})
-    assert _divergent_split(inst, 0, 1, cfg) == ({0}, {1})
-    assert _divergent_split(inst, 1, 0, cfg) == ({1}, {0})
+    assert _divergent_split(0, 1, cfg) == ({0}, {1})
+    assert _divergent_split(1, 0, cfg) == ({1}, {0})
 
 
 _weight = st.builds(Fraction, st.integers(1, 60), st.sampled_from([1, 2, 3, 7, 10, 12, 1000]))
@@ -354,4 +354,4 @@ def test_divergent_split_matches_rational_margins(weights):
     for cutter in (0, 1):
         cfg = cut(inst, cutter, 1 - cutter)
         for a in (0, 1):
-            assert _divergent_split(inst, a, 1 - a, cfg) == _rational_split(inst, a, 1 - a, cfg)
+            assert _divergent_split(a, 1 - a, cfg) == _rational_split(inst, a, 1 - a, cfg)

@@ -7,9 +7,12 @@ values over the edges of ``B`` incident to ``i``.
 The verifiers compare each viewer's integer values (``Instance.weights``), and only
 over the bundles that hold one of the viewer's edges: every other bundle is worth
 0 to it.  A verdict keeps its witnesses as integer records; ``Verdict.witnesses``
-turns them into rationals on first read, and ``Verdict.to_json`` writes them as
-text without a ``Fraction``.  Alphas are reported as rationals; ``bundle_value``
-and ``is_efx_feasible`` stay literal rational definitions.
+turns them into rationals on first read.  Its documents are written without a
+``Fraction``: ``_witness_values`` turns the records into one flat list of
+values, which ``Verdict.to_json`` groups into dicts and ``Verdict._json_doc``
+writes through one fixed template per witness.  Alphas are reported as
+rationals; ``bundle_value`` and ``is_efx_feasible`` stay literal rational
+definitions.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import Allocation, Instance, _ratio_text, _records_text, is_orientation
+from .model import Allocation, Instance, _ratio_text, _Text, is_orientation
 
 ONE = Fraction(1)
 
@@ -45,7 +48,8 @@ class Verdict:
     ``records`` holds each witness as a ``Record`` of ints, the one stored form;
     equality and hashing read it.  ``witnesses`` is a read-only view that builds
     the ``Witness`` tuples, with ``Fraction`` values, once, on first read.
-    ``to_json`` and ``_json_doc`` write the records through ``_record_texts``.
+    ``to_json`` and ``_json_doc`` write the records' values as
+    ``_witness_values`` lists them.
     """
 
     passed: bool
@@ -66,28 +70,42 @@ class Verdict:
 
     def to_json(self) -> dict:
         """The verdict's document, one dict per witness; the reference of ``_json_doc``."""
-        witnesses = [{"envier": envier, "envied": envied, "removed_edge": g, "lhs": lhs, "rhs": rhs}
-                     for envier, envied, g, lhs, rhs in _record_texts(self.records)]
+        values, width = _witness_values(self.records), len(_WITNESS_KEYS)
+        witnesses = [dict(zip(_WITNESS_KEYS, values[k:k + width])) for k in range(0, len(values), width)]
         return {"pass": self.passed, "alpha": str(self.alpha), "witnesses": witnesses}
 
     def _json_doc(self) -> dict:
-        """``to_json()`` with its witness array written ahead by ``_records_text``."""
-        keys = ("envier", "envied", "removed_edge", "lhs", "rhs")
-        return {"pass": self.passed, "alpha": str(self.alpha),
-                "witnesses": _records_text(keys, _record_texts(self.records))}
+        """``to_json()`` with its witness array written ahead: ``_WITNESS_TEXT``
+        once per record, all filled by one ``%``."""
+        values = _witness_values(self.records, "null")
+        witnesses = _Text("[" + ",".join([_WITNESS_TEXT] * len(self.records)) % tuple(values)
+                          + "\n  ]") if values else []
+        return {"pass": self.passed, "alpha": str(self.alpha), "witnesses": witnesses}
 
 
-def _record_texts(records: Iterable[Record]) -> Iterable[tuple[int, int, int | None, str, str]]:
-    """Each record as ``(envier, envied, removed_edge, lhs, rhs)``, both values
-    reduced and written as ``str`` writes their ``Fraction``s.  One envier's
-    records share its lhs and sort together: each lhs is reduced once per run."""
+_WITNESS_KEYS = ("envier", "envied", "removed_edge", "lhs", "rhs")
+# One witness as ``json_text`` writes it in a top-level array.  Its lhs and rhs
+# are ASCII digits and "/", which need no escaping, so they are quoted here.
+_WITNESS_TEXT = ('\n    {\n      "envier": %s,\n      "envied": %s,\n      "removed_edge": %s,'
+                 '\n      "lhs": "%s",\n      "rhs": "%s"\n    }')
+
+
+def _witness_values(records: Iterable[Record], null: str | None = None) -> list:
+    """The records' ``envier, envied, removed_edge, lhs, rhs`` values in one flat
+    list: both values reduced and written as ``str`` writes their ``Fraction``s,
+    and ``null`` in place of a removed edge of ``None``.  One envier's records
+    share its lhs and sort together: each lhs is reduced once per run."""
+    values: list = []
+    add = values.extend
     last, lhs = None, ""
     for envier, envied, g, lp, lq, rp, rq in records:
         if (lp, lq) != last:
             last, d = (lp, lq), gcd(lp, lq)
             lhs = _ratio_text((lp // d, lq // d))
         d = gcd(rp, rq)
-        yield envier, envied, g, lhs, _ratio_text((rp // d, rq // d))
+        q = rq // d
+        add((envier, envied, null if g is None else g, lhs, f"{rp // d}/{q}" if q != 1 else str(rp // d)))
+    return values
 
 
 def bundle_value(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:

@@ -21,8 +21,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -69,23 +69,28 @@ def parse_ratio(raw: Fraction | int | str) -> tuple[int, int]:
     whitespace.
     """
     if isinstance(raw, str):
-        text = raw.strip()
-        num, slash, den = text.partition("/")
         # An ASCII string's only digits are 0-9, and ``isdigit`` is False on "".
-        if text.isascii() and (num.isdigit() or num[:1] == "-" and num[1:].isdigit()) \
-                and (den.isdigit() or not slash):
-            try:
-                p = int(num)
-                if not slash:
-                    return p, 1
-                q = int(den)
-            except ValueError:  # more digits than int() converts
-                raise InstanceError("not a rational: too many digits") from None
-            if not q:
-                raise InstanceError(f"not a rational: {raw!r} (zero denominator)")
-            g = gcd(p, q)
-            return p // g, q // g
-    elif isinstance(raw, (Fraction, int)) and not isinstance(raw, bool):
+        # The plain ``p`` and ``p/q``, which every document this package writes
+        # holds, need no strip and no sign.
+        num, slash, den = raw.partition("/")
+        if not (raw.isascii() and num.isdigit() and (den.isdigit() or not slash)):
+            text = raw.strip()
+            num, slash, den = text.partition("/")
+            if not (text.isascii() and (num.isdigit() or num[:1] == "-" and num[1:].isdigit())
+                    and (den.isdigit() or not slash)):
+                raise InstanceError(f"not a rational: {raw!r} (expected digits or digits/digits)")
+        try:
+            p = int(num)
+            if not slash:
+                return p, 1
+            q = int(den)
+        except ValueError:  # more digits than int() converts
+            raise InstanceError("not a rational: too many digits") from None
+        if not q:
+            raise InstanceError(f"not a rational: {raw!r} (zero denominator)")
+        g = gcd(p, q)
+        return (p, q) if g == 1 else (p // g, q // g)
+    if isinstance(raw, (Fraction, int)) and not isinstance(raw, bool):
         return raw.as_integer_ratio()
     raise InstanceError(f"not a rational: {raw!r} (expected digits or digits/digits)")
 
@@ -578,6 +583,9 @@ def check_agent_count(n: int) -> None:
         raise InstanceError(f"'n' is {n}, above the limit of {MAX_AGENTS} agents")
 
 
+_EDGE_FIELDS = itemgetter("u", "v", "wu", "wv")
+
+
 def instance_from_json(doc: object) -> Instance:
     """The instance a decoded document describes.  This reader checks only the
     document's shape; ``build_instance`` checks the values it holds, so the
@@ -589,17 +597,29 @@ def instance_from_json(doc: object) -> Instance:
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise InstanceError("'edges' must be a list")
+    inst = build_instance(doc["n"], _edge_specs(raw_edges))
+    check_agent_count(inst.n)
+    return inst
+
+
+def _edge_specs(raw_edges: list) -> list:
+    """Each edge record's ``(u, v, wu, wv)``.  Plain dicts that each hold the
+    four fields, as in every document this package writes, are read in one
+    map; otherwise the loop names the first faulty record."""
+    if set(map(type, raw_edges)) <= {dict}:
+        try:
+            return list(map(_EDGE_FIELDS, raw_edges))
+        except KeyError:
+            pass
     specs = []
     for k, rec in enumerate(raw_edges):
         if not isinstance(rec, dict):
             raise InstanceError(f"edge {k}: expected an object")
         try:
-            specs.append((rec["u"], rec["v"], rec["wu"], rec["wv"]))
+            specs.append(_EDGE_FIELDS(rec))
         except KeyError as exc:
             raise InstanceError(f"edge {k}: missing field {exc.args[0]!r}") from None
-    inst = build_instance(doc["n"], specs)
-    check_agent_count(inst.n)
-    return inst
+    return specs
 
 
 def _read_json(source: str | Path | IO[str] | IO[bytes]) -> object:
@@ -646,7 +666,7 @@ _INDENT = "  "
 def json_text(doc: object) -> str:
     """The text of ``json.dumps(doc, indent=2)`` for a document of dicts with str
     keys, lists, tuples, str, int, bool and None; any other type raises ``TypeError``.
-    A ``_Text``, such as ``_records_text`` writes, is copied as it stands.
+    A ``_Text``, such as ``Verdict._json_doc`` writes, is copied as it stands.
 
     ``json.dumps`` runs its C encoder only without ``indent``; this writer joins
     each container's items with its depth's padding instead, and encodes each
@@ -691,27 +711,6 @@ def _json_value(value: object, pad: str, heads: dict[str, str]) -> str:
     if scalar is not None:
         return scalar(value)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-def _records_text(keys: tuple[str, ...], rows: Iterable[tuple]) -> _Text | list:
-    """What ``json_text`` writes under a top-level key for the list of records
-    that map ``keys`` to each row's values: one template per record, all filled
-    by one ``%``.  A column of one type is encoded in one ``map``; ints by
-    ``%s`` itself, as ``repr``."""
-    values = list(chain.from_iterable(rows))
-    if not values:
-        return []  # which json_text writes itself
-    item, field = "\n" + 2 * _INDENT, "\n" + 3 * _INDENT
-    width = len(keys)
-    for i in range(width):
-        column = values[i::width]
-        kind = type(column[0]) if len(set(map(type, column))) == 1 else None
-        if kind is not int:
-            encode = _JSON_SCALARS.get(kind) or (lambda value: _json_value(value, field, {}))
-            values[i::width] = map(encode, column)
-    each = "{" + ",".join(field + _encode_str(k).replace("%", "%%") + ": %s" for k in keys) + item + "}"
-    return _Text("[" + item + ("," + item).join([each] * (len(values) // width)) % tuple(values)
-                 + "\n" + _INDENT + "]")
 
 
 def load_instance(source: str | Path | IO[str] | IO[bytes]) -> Instance:

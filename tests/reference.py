@@ -11,12 +11,16 @@ pair queries as scans of E(i,j) through the holder map (``available_by_scan``,
 ``p1_p2_by_scan``, ``p3_p4_by_scan`` and ``p5_by_scan``), and the stage-2 loop
 from those scans, with no worklist or claims (``saturate_full_scan``), and a
 pair's cut with a set per half and a second pass for the other end's worths
-(``cut_by_two_passes``).
+(``cut_by_two_passes``), and ``verify``'s witness array as the generic
+column-wise writer of flat records gave it (``json_doc_by_columns``).
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
+from math import gcd
+from typing import Iterable
 
 from efx_multigraph import (
     Allocation,
@@ -32,8 +36,18 @@ from efx_multigraph import (
 from efx_multigraph.bipartite import _leftovers
 from efx_multigraph.cutting import CutConfig, preferred_bundle
 from efx_multigraph.derived import AllocationState, Bipartition
-from efx_multigraph.fairness import efx_verdict
-from efx_multigraph.model import bfs_depths, check_agent_count, parse_ratio
+from efx_multigraph.fairness import Record, Verdict, efx_verdict
+from efx_multigraph.model import (
+    _INDENT,
+    _JSON_SCALARS,
+    _encode_str,
+    _json_value,
+    _ratio_text,
+    _Text,
+    bfs_depths,
+    check_agent_count,
+    parse_ratio,
+)
 
 
 # The rational grammar as a regular expression, as ``parse_rational`` read it
@@ -92,6 +106,49 @@ def instance_from_json_by_composition(doc: object) -> Instance:
     inst = Instance(doc["n"], tuple(edges))
     check_agent_count(inst.n)
     return inst
+
+
+def record_texts(records: Iterable[Record]) -> Iterable[tuple[int, int, int | None, str, str]]:
+    """Each record as ``(envier, envied, removed_edge, lhs, rhs)``, both values
+    reduced and written as ``str`` writes their ``Fraction``s.  One envier's
+    records share its lhs and sort together: each lhs is reduced once per run."""
+    last, lhs = None, ""
+    for envier, envied, g, lp, lq, rp, rq in records:
+        if (lp, lq) != last:
+            last, d = (lp, lq), gcd(lp, lq)
+            lhs = _ratio_text((lp // d, lq // d))
+        d = gcd(rp, rq)
+        yield envier, envied, g, lhs, _ratio_text((rp // d, rq // d))
+
+
+def records_text(keys: tuple[str, ...], rows: Iterable[tuple]) -> _Text | list:
+    """What ``json_text`` writes under a top-level key for the list of records
+    that map ``keys`` to each row's values: one template per record, all filled
+    by one ``%``.  A column of one type is encoded in one ``map``; ints by
+    ``%s`` itself, as ``repr``."""
+    values = list(chain.from_iterable(rows))
+    if not values:
+        return []  # which json_text writes itself
+    item, field = "\n" + 2 * _INDENT, "\n" + 3 * _INDENT
+    width = len(keys)
+    for i in range(width):
+        column = values[i::width]
+        kind = type(column[0]) if len(set(map(type, column))) == 1 else None
+        if kind is not int:
+            encode = _JSON_SCALARS.get(kind) or (lambda value: _json_value(value, field, {}))
+            values[i::width] = map(encode, column)
+    each = "{" + ",".join(field + _encode_str(k).replace("%", "%%") + ": %s" for k in keys) + item + "}"
+    return _Text("[" + item + ("," + item).join([each] * (len(values) // width)) % tuple(values)
+                 + "\n" + _INDENT + "]")
+
+
+def json_doc_by_columns(verdict: Verdict) -> dict:
+    """``Verdict._json_doc`` as the generic writer gave it: each record's texts
+    (``record_texts``), then a list of flat records encoded column by column
+    (``records_text``).  Its ``json_text`` must equal the verdict's own."""
+    keys = ("envier", "envied", "removed_edge", "lhs", "rhs")
+    return {"pass": verdict.passed, "alpha": str(verdict.alpha),
+            "witnesses": records_text(keys, record_texts(verdict.records))}
 
 
 def value_matrix(inst: Instance, alloc: Allocation) -> list[list[Fraction]]:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,8 +24,10 @@ from efx_multigraph import (
     random_instance,
     strongly_envies,
 )
+from efx_multigraph import fairness
 from efx_multigraph.fairness import efx_verdict, least_valued_item, value_rows
 from efx_multigraph.model import json_text
+from reference import json_doc_by_columns
 
 
 def test_bundle_value_examples(walkthrough):
@@ -384,3 +388,52 @@ def test_records_text_matches_witnesses(records):
         _assert_text_path_matches(verdict, flag)
     assert [(w.lhs, w.rhs) for w in verdict.witnesses] == [
         (Fraction(lp, lq), Fraction(rp, rq)) for _, _, _, lp, lq, rp, rq in records]
+
+
+# A witness's values as verdicts hold them: an lhs drawn from a few, so that
+# runs of equal lhs occur, and denominators up to the 64 digits of the anchor's
+# common scales; a removed edge may be None, as check_envied_singleton writes.
+_LONG = st.integers(10**63, 10**64 - 1)
+_lhs = st.sampled_from([(0, 1), (3, 6), (5, 10**63), (7, 2)]) | st.tuples(
+    st.integers(0, 12), st.integers(1, 6) | _LONG)
+_long_records = st.builds(lambda ends, g, lhs, rhs: (*ends, g, *lhs, *rhs),
+                          st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                          st.none() | st.integers(0, 999), _lhs,
+                          st.tuples(st.integers(0, 10**65), st.integers(1, 6) | _LONG))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_long_records, max_size=12), st.sampled_from(ALPHAS[:3]))
+@example([], Fraction(1))
+@example([(0, 1, None, 5, 10**63, 10**64 - 1, 10**63), (0, 2, 4, 5, 10**63, 6, 3)], Fraction(2, 3))
+def test_witness_template_matches_column_writer(records, alpha):
+    # verify's witness array, one fixed template per witness, reads as the
+    # generic writer of flat records wrote it and as json.dumps writes to_json().
+    verdict = Verdict(not records, tuple(records), alpha)
+    want = json.dumps(verdict.to_json(), indent=2)
+    assert json_text(verdict._json_doc()) == json_text(json_doc_by_columns(verdict)) == want
+    for flag in (None, False, True):
+        _assert_text_path_matches(verdict, flag)
+
+
+def test_witness_text_reduces_each_lhs_once_per_run(monkeypatch):
+    # Writing the 128/1000 anchor's witness array takes one gcd per run of
+    # equal lhs and one per record, however long the denominators.
+    inst = random_instance(128, 1000, 4, "bipartite", seed=3)
+    rng = random.Random(3)
+    bundles = [set() for _ in range(inst.n)]
+    for e in inst.edges:
+        bundles[rng.randrange(inst.n)].add(e.id)
+    verdict = check_efx(inst, make_allocation(inst.n, bundles))
+    records = verdict.records
+    runs = 1 + sum(a[3:5] != b[3:5] for a, b in zip(records, records[1:]))
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return math.gcd(a, b)
+
+    monkeypatch.setattr(fairness, "gcd", counting_gcd)
+    json_text(verdict._json_doc())
+    assert (runs, len(records)) == (128, 1805)
+    assert len(calls) == runs + len(records)

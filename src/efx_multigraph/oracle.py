@@ -5,12 +5,16 @@ witness found is canonical regardless of pruning or worker count.  Pruning cuts 
 branch only when some agent whose own value is already final strongly envies a
 bundle that can only keep growing, which cannot be repaired by later assignments.
 
-Each node is tested on small integer counters, with two exact rules (see
-``_Search``).  An agent that was final before the edge just placed values that
-edge at 0, so it strongly envies the bundle exactly when it envies it: one
-integer compare.  An agent whose last edge was just placed scans only the
-bundles its edges can reach, and one holding an item it values at 0 (fewer of
-its own items than the bundle's size) is strongly envied as soon as it is envied.
+Each placement of an edge is tested before it is booked, on small integer
+counters, with two exact rules (see ``_Search``); one that fails either touches
+no counter.  An agent that was final before the edge is not one of its
+endpoints, so the placement leaves its row as it was; it values the edge at 0,
+so it strongly envies the receiving bundle exactly when it envies it already:
+one integer compare.  An agent whose last edge is being placed is tested on its
+row as the placement would leave it, the edge's value added to its own bundle
+or to the receiving one.  It scans only the bundles its edges can reach, and one
+holding an item it values at 0 (fewer of its own items than the bundle's size)
+is strongly envied as soon as it is envied.
 
 Edges with one ``(u, v, wu, wv)`` are interchangeable, and multi-graphs repeat
 them often.  Two nodes at one depth that gave each option equally many edges of
@@ -68,20 +72,30 @@ class _Search:
 
     Edges are placed in id order, so an agent's own value is final from its last
     incident edge on.  Every weight is positive, so bundle k holds an item worth
-    0 to x exactly when ``held[x][k] < len(bundles[k])``.  Two rules test a node
-    after an edge goes to bundle k:
+    0 to x exactly when ``held[x][k] < len(bundles[k])``.  Two rules test each
+    placement of an edge in bundle k before it is booked, on the rows it would
+    leave; only a placement that passes both changes ``val``, ``held`` and
+    ``bundles``:
 
-    - A final agent x is not an endpoint of that edge, so the edge is worth 0 to
-      x and removing it leaves k's value to x unchanged: x strongly envies k iff
-      ``val[x][k] > val[x][x]``.  Only the final agents that can hold an item in
-      k are tested; in an orientation these are k's final neighbours.
-    - A closing agent x, whose own value has just become final, is tested
-      against its rivals: the agents other than x that appear in the options of
-      x's edges.  No other bundle can ever hold x's items, so x values it at 0.
-      A rival bundle worth more than x's own that holds an item worth 0 to x is
-      strongly envied at once; otherwise its least-valued item is taken.
+    - A final agent x is not an endpoint of the edge, so the placement leaves
+      x's row as it was, and the edge is worth 0 to x: removing it leaves k's
+      value to x unchanged.  So x would strongly envy k iff ``val[x][k] >
+      val[x][x]`` already.  Only the final agents that can hold an item in k
+      are tested; in an orientation these are k's final neighbours.
+    - A closing agent x, whose own value becomes final with this edge, is
+      tested against its rivals: the agents other than x that appear in the
+      options of x's edges.  No other bundle can ever hold x's items, so x
+      values it at 0.  A rival bundle worth more than x's own that holds an
+      item worth 0 to x is strongly envied at once; otherwise its least-valued
+      item is taken.  The edge is x's own item, worth ``w`` to x.  If k is x,
+      x's own value is read as ``val[x][x] + w``.  If k is a rival, bundle k's
+      value to x is read as ``val[x][k] + w`` and its least-valued item as the
+      lesser of ``w`` and the bundle's least before; ``held[x][k] <
+      len(bundles[k])`` reads the same before and after, as both sides grow by
+      one.
 
-    Each agent's rivals, and the final agents to test per step and option, are
+    Each agent's rivals, the final agents to test per step and option, and
+    each closing agent's rows, edge value and other rivals per option, are
     listed once when the search is set up.
 
     A search may be confined to the subtree below a fixed ``prefix`` of
@@ -104,7 +118,7 @@ class _Search:
     while the search holds fewer than ``_TABLE_ENTRIES`` entries.  Each
     placement carries its signature increment, which is 0 at every step past
     the last probe step (at every step, in a search without one): nothing reads
-    the signature there.
+    the signature there, so such a step neither adds it nor looks for a table.
     """
 
     def __init__(self, inst: Instance, choices: list[tuple[int, ...]], prune: bool,
@@ -151,24 +165,28 @@ class _Search:
         for (d, u, v, _, _), opts in zip(inst.edges, options):
             rivals[u].update(opts)
             rivals[v].update(opts)
-            closing: tuple[int, ...] = ()
-            if last[u] == d:
-                closing = (u,)
-            if last[v] == d:
-                closing += (v,)
-            placements = tuple(
-                (k, final[k], 1 << width * field.setdefault((first[d], k), len(field))
-                 if d <= last_probe else 0) for k in opts)
-            self.steps.append((val[u], val[v], held[u], held[v], weight[u][d], weight[v][d],
-                               closing, placements, {} if d in probes else None))
-            # x's edges are all placed: its rivals are known, and it is final below.
+            # The agents whose edges are all placed with this one: their rivals
+            # are known, and they are final below.  Without pruning none is tested.
+            closing = [x for x in (u, v) if last[x] == d] if prune else []
             for x in closing:
                 rivals[x].discard(x)
                 rivals[x] = tuple(rivals[x])
+            # Per option k: k's final agents, each closing agent's test (its
+            # rows, its value of this edge and its rivals other than k) and the
+            # signature increment.
+            placements = tuple(
+                (k, final[k],
+                 tuple((x, val[x], held[x], weight[x].__getitem__, weight[x][d],
+                        tuple(r for r in rivals[x] if r != k)) for x in closing),
+                 1 << width * field.setdefault((first[d], k), len(field)) if d <= last_probe else 0)
+                for k in opts)
+            self.steps.append((val[u], val[v], held[u], held[v], weight[u][d], weight[v][d],
+                               placements, {} if d in probes else None))
+            for x in closing:
                 pair = ((x, val[x]),)
                 for k in rivals[x]:
                     final[k] += pair
-        self.weight, self.val, self.held, self.rivals = weight, val, held, rivals
+        self.weight, self.val, self.held = weight, val, held
 
         self.bundles: list[list[int]] = [[] for _ in range(n)]
         self.witness: list[int] | None = None
@@ -176,19 +194,6 @@ class _Search:
         self.explored = 0
         # Entries the tables may still take.
         self.room = _TABLE_ENTRIES
-
-    def _envies_a_rival(self, x: int) -> bool:
-        row = self.val[x]
-        own = row[x]
-        held = self.held[x]
-        bundles = self.bundles
-        for k in self.rivals[x]:
-            other = row[k]
-            if other > own:
-                bundle = bundles[k]
-                if held[k] < len(bundle) or own < other - min(map(self.weight[x].__getitem__, bundle)):
-                    return True
-        return False
 
     def _envies_some_bundle(self, x: int) -> bool:
         """The literal test, over every bundle: the leaf check without pruning."""
@@ -210,8 +215,9 @@ class _Search:
         return vector
 
     def run(self, depth: int, signature: int = 0) -> bool:
-        """Explore below the current assignment, whose signature is given; True
-        means stop (witness found and no count requested)."""
+        """Explore below the current assignment, whose signature is given where a
+        table below reads it; True means stop (witness found and no count
+        requested)."""
         if depth >= self.count_from:
             self.explored += 1
         if depth == len(self.steps):
@@ -225,36 +231,57 @@ class _Search:
                     return True
             self.count += 1
             return False
-        val_u, val_v, held_u, held_v, wu, wv, closing, placements, table = self.steps[depth]
-        for k, final, inc in placements:
-            child = signature + inc
-            if table is not None:
-                stored = table.get(child)
-                if stored is not None:
-                    self.explored += stored[0]
-                    self.count += stored[1]
-                    continue
+        val_u, val_v, held_u, held_v, wu, wv, placements, table = self.steps[depth]
+        bundles = self.bundles
+        for k, final, closers, inc in placements:
+            if inc:
+                child = signature + inc
+                if table is not None:
+                    stored = table.get(child)
+                    if stored is not None:
+                        self.explored += stored[0]
+                        self.count += stored[1]
+                        continue
+            dead = False
+            for x, row in final:
+                if row[k] > row[x]:
+                    dead = True
+                    break
+            else:
+                for x, row, held, least, w, others in closers:
+                    own = row[x]
+                    if k == x:
+                        own += w
+                    for r in others:
+                        other = row[r]
+                        if other > own:
+                            bundle = bundles[r]
+                            if held[r] < len(bundle) or own < other - min(map(least, bundle)):
+                                dead = True
+                                break
+                    else:
+                        if k != x:
+                            other = row[k] + w
+                            bundle = bundles[k]
+                            # An empty bundle k would hold this item alone,
+                            # which x does not strongly envy.
+                            if other > own and bundle and (
+                                    held[k] < len(bundle)
+                                    or own < other - min(w, min(map(least, bundle)))):
+                                dead = True
+                    if dead:
+                        break
+            if dead:
+                continue
+
             val_u[k] += wu
             val_v[k] += wv
             held_u[k] += 1
             held_v[k] += 1
-            bundle = self.bundles[k]
+            bundle = bundles[k]
             bundle.append(depth)
-
-            dead = False
-            if self.prune:
-                for x, row in final:
-                    if row[k] > row[x]:
-                        dead = True
-                        break
-                else:
-                    for x in closing:
-                        if self._envies_a_rival(x):
-                            dead = True
-                            break
-
-            if dead:
-                stop = False
+            if not inc:
+                stop = self.run(depth + 1)
             elif table is None:
                 stop = self.run(depth + 1, child)
             else:
@@ -264,7 +291,6 @@ class _Search:
                 if self.room:
                     self.room -= 1
                     table[child] = (self.explored - explored, self.count - count)
-
             bundle.pop()
             val_u[k] -= wu
             val_v[k] -= wv

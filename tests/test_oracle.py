@@ -389,6 +389,16 @@ def _tasks(choices):
 
 @settings(max_examples=150, deadline=None)
 @given(_multigraphs())
+# Agents 0 and 1 both close at edge 2, before the last edge: giving it to 0
+# raises 0's own value and 1's value of bundle 0 at once.
+@example(build_instance(4, [(0, 1, 2, 4), (0, 1, 1, 4), (0, 1, 2, 4), (2, 3, 1, 1)]))
+# The allocation search gives edge 3, agent 0's last, to agent 2, whose bundle
+# holds edge 0 (worth 3 to agent 0): edge 3 (worth 2) becomes its least item
+# there.  The orientation search never reaches that bundle.
+@example(build_instance(3, [(0, 2, 3, 2), (1, 0, 1, 2), (2, 1, 2, 2), (0, 1, 2, 2)]))
+# Edge 2, agent 0's last (worth 1), joins edge 1 (worth 3) in bundle 1 and
+# becomes agent 0's least item there.
+@example(build_instance(2, [(0, 1, 1, 1), (0, 1, 3, 1), (0, 1, 1, 1)]))
 def test_count_based_search_matches_reference(inst):
     # Allocations keep n^m <= 729 by searching a prefix of the edges.
     m_alloc = inst.m
@@ -510,6 +520,55 @@ def test_p4_qn11_is_refuted_from_stored_subtrees():
         assert (result.exists, result.count, result.explored) == (False, 0, 2_085_261)
         if jobs == 1:
             assert elapsed < 1.0
+
+
+def _work(inst, choices, counting, monkeypatch):
+    """(nodes visited, placements booked, bundle reads) by one pruned search:
+    the calls of ``run``, the edges appended to a bundle and the oracle's
+    ``min`` calls, which read a bundle's least item."""
+    search = oracle._Search(inst, choices, True, counting)
+    booked = []
+    reads = 0
+
+    class Bundle(list):
+        def append(self, edge):
+            booked.append(edge)
+            super().append(edge)
+
+    def counted_min(*args):
+        nonlocal reads
+        reads += 1
+        return min(*args)
+
+    search.bundles = [Bundle() for _ in search.bundles]
+    visited = 0
+    run = search.run
+
+    def counted_run(*args):
+        nonlocal visited
+        visited += 1
+        return run(*args)
+
+    search.run = counted_run
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "min", counted_min, raising=False)
+        search.run(0)
+    return visited, len(booked), reads
+
+
+def test_only_placements_that_pass_both_rules_are_booked(monkeypatch):
+    # Every placement is tested before its edge is booked, so each booked edge
+    # starts a visited node, and a dead placement books nothing.  Booking first
+    # and testing after booked 11,491, 3,262 and 231 edges here, dead ones
+    # included.  A closing agent reads a rival bundle's least item only when
+    # the bundle holds none of its zero-valued items.
+    gadget = np_gadget((3, 1, 1, 2, 2, 1))
+    triangle = random_instance(3, 5, 3, "cycle", seed=1)
+    runs = [(running_example(), [(e.u, e.v) for e in running_example().edges], False),
+            (gadget, [(e.u, e.v) for e in gadget.edges], True),
+            (triangle, [(0, 1, 2)] * triangle.m, True)]
+    work = [_work(inst, choices, counting, monkeypatch) for inst, choices, counting in runs]
+    assert work == [(5791, 5790, 1633), (1897, 1896, 439), (86, 85, 127)]
 
 
 def _tree_nodes(choices):
